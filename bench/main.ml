@@ -216,8 +216,9 @@ let recip_group =
     ]
 
 (* Barrett reduction with a cached reciprocal vs plain remainder: the
-   per-descent-step trade the remainder tree makes. The precompute
-   itself is timed separately — it is paid once per tree node. *)
+   per-step trade the plain remainder descent makes. The precompute
+   itself is timed separately — it is paid once per tree node and
+   pays off only when two or more reductions read it. *)
 let rem_precomp_group =
   let pre = lazy (N.precompute (Lazy.force div_den)) in
   Test.make_grouped ~name:"rem_precomp"
@@ -294,19 +295,13 @@ let keygen_styles =
 let pool_seq = lazy (Parallel.Pool.get ~domains:1 ())
 let pool_par = lazy (Parallel.Pool.get ())
 
-(* Shared descent fixture, with the Barrett caches prewarmed (in
-   force_fixtures, outside any timed region): the descent benches
-   measure steady-state cost per descent; the one-time reciprocal
-   build is timed separately (rem_precomp group) and amortises over
-   the k descents of the distributed driver. *)
+(* Shared descent fixture. The mod-square descent builds no
+   reciprocals, so a descent bench times exactly what factor_batch
+   runs after its product tree. *)
 let tree_2048 =
   lazy
-    (let t =
-       Batchgcd.Product_tree.build ~pool:(Lazy.force pool_seq)
-         (Lazy.force moduli_2048)
-     in
-     Batchgcd.Product_tree.precompute ~squares:true t;
-     t)
+    (Batchgcd.Product_tree.build ~pool:(Lazy.force pool_seq)
+       (Lazy.force moduli_2048))
 
 let tree_parallel =
   let seq f = fun () -> f ~pool:(Lazy.force pool_seq) () in
@@ -317,13 +312,6 @@ let tree_parallel =
     Batchgcd.Remainder_tree.remainders_mod_square ~pool (Lazy.force tree)
       (Batchgcd.Product_tree.root (Lazy.force tree))
   in
-  (* The PR 2 division path (no Barrett precomps), for the
-     old-vs-new remainder-tree comparison in BENCH_batchgcd.json. *)
-  let descend_plain ~pool () =
-    Batchgcd.Remainder_tree.remainders_mod_square ~pool ~precomp:false
-      (Lazy.force tree)
-      (Batchgcd.Product_tree.root (Lazy.force tree))
-  in
   let batch ~pool () = Batchgcd.Batch_gcd.factor_batch ~pool (Lazy.force moduli_2048) in
   Test.make_grouped ~name:"tree-parallel"
     [
@@ -331,8 +319,6 @@ let tree_parallel =
       t "product-tree-2048-par" (par build);
       t "remainder-tree-2048-seq" (seq descend);
       t "remainder-tree-2048-par" (par descend);
-      t "remainder-tree-plain-2048-seq" (seq descend_plain);
-      t "remainder-tree-plain-2048-par" (par descend_plain);
       t "factor-batch-2048-seq" (seq batch);
       t "factor-batch-2048-par" (par batch);
     ]
@@ -341,8 +327,9 @@ let tree_parallel =
    recompute over all 2048 moduli vs folding the last 256 into a
    cached 1792-modulus forest. Both run on the sequential pool so the
    ratio isolates the algorithmic saving from domain fan-out; the
-   cached state is built once in force_fixtures (its Barrett caches
-   prewarm on the first extend, also outside the timed region). *)
+   cached state is built once in force_fixtures (its segments' node
+   tables fill on the first extend, also outside the timed region,
+   since every later extend reads them again). *)
 let inc_1792 =
   lazy
     (Batchgcd.Incremental.create ~pool:(Lazy.force pool_seq) ~k:16
@@ -696,8 +683,8 @@ let force_fixtures () =
   ignore (Lazy.force attr_table);
   ignore (Lazy.force shootout_cells);
   ignore (Lazy.force shootout_delta);
-  (* One throwaway extend fills the cached segments' Barrett
-     reciprocals, so the timed runs measure steady-state ingest. *)
+  (* One throwaway extend fills the cached segments' node tables, so
+     the timed runs measure steady-state ingest. *)
   ignore
     (Batchgcd.Incremental.extend ~pool:(Lazy.force pool_seq)
        (Lazy.force inc_1792) (Lazy.force delta_256))
@@ -754,8 +741,7 @@ let run_timing () =
 (* ---------------- BENCH_batchgcd.json ---------------- *)
 
 (* Machine-readable perf record: every timed kernel, the
-   sequential-vs-parallel speedups of the tree group, the
-   precomp-vs-division remainder-tree speedup, and findings_equal
+   sequential-vs-parallel speedups of the tree group, and findings_equal
    cross-checks (parallel vs sequential, and old PR 2 kernels vs the
    new dispatch ladder, on identical corpora). *)
 let emit_json ?million rows =
@@ -766,14 +752,6 @@ let emit_json ?million rows =
         find (Printf.sprintf "tree-parallel/%s-2048-par" kernel) )
     with
     | Some s, Some p when p > 0. -> Some (kernel, s /. p)
-    | _ -> None
-  in
-  let precomp_speedup =
-    match
-      ( find "tree-parallel/remainder-tree-plain-2048-seq",
-        find "tree-parallel/remainder-tree-2048-seq" )
-    with
-    | Some plain, Some pre when pre > 0. -> Some (plain /. pre)
     | _ -> None
   in
   let incremental_speedup =
@@ -951,10 +929,6 @@ let emit_json ?million rows =
       | Some x ->
         Printf.fprintf oc "  \"passes_parallel_speedup\": %.2f,\n" x
       | None -> ());
-      (match precomp_speedup with
-      | Some x ->
-        Printf.fprintf oc "  \"remainder_tree_precomp_speedup\": %.2f,\n" x
-      | None -> ());
       (match incremental_speedup with
       | Some x -> Printf.fprintf oc "  \"incremental_speedup\": %.2f,\n" x
       | None -> ());
@@ -969,10 +943,7 @@ let emit_json ?million rows =
                 Option.map
                   (fun (k, x) -> Printf.sprintf "\"%s\": %.2f" k x)
                   (speedup k))
-              [
-                "product-tree"; "remainder-tree"; "remainder-tree-plain";
-                "factor-batch";
-              ]));
+              [ "product-tree"; "remainder-tree"; "factor-batch" ]));
       Printf.fprintf oc "  \"kernels_ns\": {\n%s\n  }\n}\n"
         (String.concat ",\n"
            (List.map

@@ -65,27 +65,28 @@ let () =
   check "parallel descent equals sequential"
     (Array.for_all2 N.equal rem_s rem_p);
 
-  (* Barrett-precomp descent vs the plain division path, on the same
-     tree (with the cutoff lowered so 96-bit leaves get reciprocals
-     too, not just the wide upper levels). *)
-  let rem_plain, dt =
-    timed (fun () -> RT.remainders_mod_square ~pool:seq ~precomp:false tree_s root)
+  (* The mod-square descent against a direct per-leaf [rem], on a
+     tree that has never taken a plain descent (no node tables). *)
+  let rem_direct, dt =
+    timed (fun () -> Array.map (fun m -> N.rem root (N.sqr m)) moduli)
   in
-  row "remainder-tree-plain" dt;
-  check "precomp descent equals plain division descent"
-    (Array.for_all2 N.equal rem_s rem_plain);
+  row "direct-rem-per-leaf" dt;
+  check "mod-square descent equals direct rem on a cold tree"
+    (Array.for_all2 N.equal rem_s rem_direct);
+  (* The plain descent reads Barrett node tables; with the cutoff
+     lowered so 96-bit leaves get reciprocals too, it must still equal
+     a direct per-leaf [rem]. *)
   let b0 = !N.barrett_threshold and r0 = !N.recip_threshold in
   N.barrett_threshold := 2;
   N.recip_threshold := 2;
-  let rem_low, dt =
-    timed (fun () ->
-        RT.remainders_mod_square ~pool:seq (PT.build ~pool:seq moduli) root)
+  let plain_low, dt =
+    timed (fun () -> RT.remainders ~pool:seq (PT.build ~pool:seq moduli) root)
   in
   N.barrett_threshold := b0;
   N.recip_threshold := r0;
-  row "remainder-tree-barrett-all" dt;
-  check "all-levels-barrett descent equals plain"
-    (Array.for_all2 N.equal rem_plain rem_low);
+  row "plain-descent-barrett-all" dt;
+  check "all-levels-barrett plain descent equals direct rem"
+    (Array.for_all2 N.equal plain_low (Array.map (N.rem root) moduli));
 
   let fb_s, dt = timed (fun () -> BG.factor_batch ~pool:seq moduli) in
   row "factor-batch-seq" dt;

@@ -288,7 +288,10 @@ let load_state dir =
   let ic = open_in_bin (state_path dir) in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> Batchgcd.Incremental.load ic)
+    (fun () ->
+      let inc = Batchgcd.Incremental.load ic in
+      Corpus.Io.expect_end ic;
+      inc)
 
 let ingest_cmd =
   let run ckpt file k shards backend =

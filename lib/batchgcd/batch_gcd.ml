@@ -94,16 +94,15 @@ let factor_subsets_trees ?pool ?domains ~k moduli =
         (Array.init k (fun s -> s))
     in
     let products = Array.map Product_tree.root trees in
-    (* Barrett tables for every subset tree, built before the k^2
-       parallel descents: each tree is descended k times (once
-       mod-square, k-1 plain) so the reciprocals amortise, and eager
-       building keeps the trees' lazy caches single-writer — the gang
-       hand-off below publishes them to the workers. *)
-    Array.iter
-      (fun tree ->
-        Product_tree.precompute ~pool ~squares:true tree;
-        Product_tree.precompute ~pool ~squares:false tree)
-      trees;
+    (* Node tables for every subset tree, built before the k^2
+       parallel descents: each tree takes k-1 plain descents, so the
+       reciprocals amortise, and eager building keeps the trees' lazy
+       caches single-writer — the gang hand-off below publishes them
+       to the workers. With k = 1 no plain descent runs and no table
+       is built; the one mod-square descent per tree divides
+       directly. *)
+    if k > 1 then
+      Array.iter (Product_tree.precompute ~pool ~squares:false) trees;
     (* k^2 reduction jobs: product j through tree i. Own-subset pairs
        use the mod-square descent; cross pairs plain remainders. *)
     let jobs =

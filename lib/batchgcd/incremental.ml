@@ -153,11 +153,12 @@ let extend ?pool ?domains ?backend t fresh =
     in
     let tn = PT.build ~pool fresh in
     let pn = PT.root tn in
-    (* The fresh tree is descended by every new-vs-old job plus its own
-       mod-square job, so its Barrett caches must be published before
-       the fan-out. Each old segment tree is touched by exactly one job
-       and fills its caches lazily on that worker (single-writer). *)
-    PT.precompute ~pool ~squares:true tn;
+    (* The fresh tree takes a plain descent from every new-vs-old job,
+       so its node tables must be published before the fan-out. Each
+       old segment tree is touched by exactly one job and fills its
+       node tables lazily on that worker (single-writer). The fresh
+       tree's own mod-square job divides directly and reads no
+       table. *)
     PT.precompute ~pool ~squares:false tn;
     let nseg = Array.length t.segments in
     (* Jobs, all independent:
@@ -248,18 +249,22 @@ let load ic =
   let m = Io.read_string ic in
   if not (String.equal m magic) then
     raise (Io.Corrupt "not an incremental-GCD checkpoint");
-  let total = Io.read_int ic in
-  let nseg = Io.read_int ic in
+  (* Minimum encoded size of what each count counts: a leaf is one
+     length-prefixed nat (4 bytes); a level its count plus one nat;
+     a segment its offset, depth and one level; a finding its index
+     and two nats. *)
+  let total = Io.read_count ~min_bytes_each:4 ic in
+  let nseg = Io.read_count ~min_bytes_each:16 ic in
   let segments = Array.make nseg (0, PT.build [| N.one |]) in
   let expected_off = ref 0 in
   for s = 0 to nseg - 1 do
     let off = Io.read_int ic in
     if off <> !expected_off then raise (Io.Corrupt "segment offsets disagree");
-    let depth = Io.read_int ic in
+    let depth = Io.read_count ~min_bytes_each:8 ic in
     if depth = 0 then raise (Io.Corrupt "segment with no levels");
     let levels = Array.make depth [||] in
     for k = 0 to depth - 1 do
-      let n = Io.read_int ic in
+      let n = Io.read_count ~min_bytes_each:4 ic in
       let lvl = Array.make n N.zero in
       for i = 0 to n - 1 do
         lvl.(i) <- Io.read_nat ic
@@ -275,7 +280,7 @@ let load ic =
   done;
   if !expected_off <> total then
     raise (Io.Corrupt "corpus size disagrees with segment leaves");
-  let nf = Io.read_int ic in
+  let nf = Io.read_count ~min_bytes_each:12 ic in
   let findings = ref [] in
   for _ = 1 to nf do
     let index = Io.read_int ic in

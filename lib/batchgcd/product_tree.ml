@@ -1,14 +1,16 @@
 module N = Bignum.Nat
 module Pool = Parallel.Pool
 
-(* Barrett precomps are built lazily per level (or eagerly via
-   [precompute]) and memoised in the option slots. The caches are
-   single-writer: descents fill them from the calling domain before
+(* Barrett precomps of the nodes are built lazily per level (or
+   eagerly via [precompute]) and memoised in the option slots. Only
+   the plain descent reads them, and only where a tree takes several
+   of those descents. A mod-square step divides directly, since each
+   squared node is read by one reduction per descent. The cache is
+   single-writer: descents fill it from the calling domain before
    fanning a level out, and the distributed driver precomputes every
    tree before its parallel phase, so workers only ever read. *)
 type t = {
   levels : N.t array array;
-  sq_pre : N.precomp array option array;
   node_pre : N.precomp array option array;
 }
 
@@ -52,7 +54,7 @@ let build ?pool inputs =
   in
   let levels = Array.of_list (up [] inputs) in
   let d = Array.length levels in
-  { levels; sq_pre = Array.make d None; node_pre = Array.make d None }
+  { levels; node_pre = Array.make d None }
 
 (* Reconstruct a tree from serialized levels (checkpoint restore).
    Only the shape is validated — the node values are trusted to be the
@@ -69,7 +71,7 @@ let of_levels levels =
     if Array.length levels.(k + 1) <> (n + 1) / 2 then
       invalid_arg "Product_tree.of_levels: level sizes do not halve"
   done;
-  { levels; sq_pre = Array.make d None; node_pre = Array.make d None }
+  { levels; node_pre = Array.make d None }
 
 let leaves t = t.levels.(0)
 let depth t = Array.length t.levels
@@ -85,39 +87,30 @@ let total_limbs t =
       Array.fold_left (fun acc n -> acc + N.size_limbs n) acc lvl)
     0 t.levels
 
-(* Build one level's precomp array, fanning out under the same policy
-   as the build itself (a precompute is a reciprocal, i.e. multiplies). *)
-let precomp_level ?pool make lvl =
-  let n = Array.length lvl in
-  let node i = make lvl.(i) in
-  if level_parallel ~nodes:n ~width:(max_width lvl) then
-    Pool.init ?pool n node
-  else Array.init n node
-
-let sq_precomps ?pool t k =
-  match t.sq_pre.(k) with
-  | Some ps -> ps
-  | None ->
-    let ps =
-      precomp_level ?pool (fun node -> N.precompute (N.sqr node)) t.levels.(k)
-    in
-    t.sq_pre.(k) <- Some ps;
-    ps
-
+(* A level's precomps fan out under the same policy as the build
+   itself (a precompute is a reciprocal, i.e. multiplies). *)
 let node_precomps ?pool t k =
   match t.node_pre.(k) with
   | Some ps -> ps
   | None ->
-    let ps = precomp_level ?pool N.precompute t.levels.(k) in
+    let lvl = t.levels.(k) in
+    let n = Array.length lvl in
+    let node i = N.precompute lvl.(i) in
+    let ps =
+      if level_parallel ~nodes:n ~width:(max_width lvl) then
+        Pool.init ?pool n node
+      else Array.init n node
+    in
     t.node_pre.(k) <- Some ps;
     ps
 
-(* Root-level precomps are never needed: both descents special-case the
-   top (the value being pushed down is already smaller than root^2,
-   resp. reduced by a plain rem), so eager precomputation stops one
-   level short. *)
+(* Root-level precomps are never needed: the plain descent reduces
+   by the root with one plain rem, so eager precomputation stops one
+   level short. [~squares:true] builds nothing: a squared node is read
+   by a single reduction per descent, so its reciprocal would cost
+   more than the division it replaces. *)
 let precompute ?pool ~squares t =
-  for k = 0 to depth t - 2 do
-    if squares then ignore (sq_precomps ?pool t k)
-    else ignore (node_precomps ?pool t k)
-  done
+  if not squares then
+    for k = 0 to depth t - 2 do
+      ignore (node_precomps ?pool t k)
+    done

@@ -39,12 +39,18 @@ val total_limbs : t -> int
     metric. *)
 
 val precompute : ?pool:Parallel.Pool.t -> squares:bool -> t -> unit
-(** Eagerly build and cache the Barrett precomps ({!Bignum.Nat.precompute})
-    for every non-root level: of the squared nodes when [squares] is
-    true (the mod-square descent), of the nodes themselves otherwise
-    (plain {!Remainder_tree.remainders}). Idempotent. The lazy per-level
-    cache is single-writer, so call this before sharing one tree across
-    concurrent descents (as the distributed k-subset driver does). *)
+(** [precompute ~squares:false t] eagerly builds and caches the Barrett
+    precomps ({!Bignum.Nat.precompute}) of the nodes of every non-root
+    level, the tables plain {!Remainder_tree.remainders} reads.
+    Idempotent. The lazy per-level cache is single-writer, so call this
+    before sharing one tree across concurrent plain descents (as the
+    distributed k-subset driver does).
+
+    [precompute ~squares:true t] is a no-op. A reciprocal pays only
+    where at least two reductions read it, and
+    {!Remainder_tree.remainders_mod_square} reduces by each squared
+    node once, so it divides directly and no squared-node table
+    exists. *)
 
 (**/**)
 
@@ -58,10 +64,7 @@ val max_width : Bignum.Nat.t array -> int
     {!level_parallel} (gating on the first node alone misclassifies
     levels led by a narrow odd-one-out). *)
 
-val sq_precomps : ?pool:Parallel.Pool.t -> t -> int -> Bignum.Nat.precomp array
-(** Cached precomps of the squared nodes of level [k], built on first
-    use. Not safe to first-call concurrently; see {!precompute}. *)
-
 val node_precomps :
   ?pool:Parallel.Pool.t -> t -> int -> Bignum.Nat.precomp array
-(** Cached precomps of the nodes of level [k]; same caveats. *)
+(** Cached precomps of the nodes of level [k], built on first use. Not
+    safe to first-call concurrently; see {!precompute}. *)

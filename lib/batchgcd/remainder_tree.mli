@@ -8,33 +8,33 @@
     (default: the process-wide {!Parallel.Pool.get} pool) under the
     same node-count/operand-width cutoff as {!Product_tree.build}.
 
-    By default ([precomp = true]) each level's divisors go through the
-    tree's cached Barrett precomps ({!Product_tree.sq_precomps} /
-    {!Product_tree.node_precomps}): the reciprocal of every node is
-    computed once per tree and each descent step becomes two multiplies
-    instead of a division — Bernstein's scaled-remainder trick. The
-    caches build lazily on the calling domain the first time a level is
-    descended; precompute eagerly ({!Product_tree.precompute}) before
-    running concurrent descents over one tree. [precomp = false]
-    reproduces the plain division path exactly (kept for equivalence
-    checks and the bench ablation). *)
+    A reciprocal is built only where at least two reductions read it.
+    The mod-square descent reduces by each squared node once, so every
+    step is a plain {!Bignum.Nat.rem} by [node^2]. The plain descent
+    reads the tree's cached node precomps
+    ({!Product_tree.node_precomps}): a tree taking several plain
+    descents (the k-1 cross jobs of a k-subset tree, one per later
+    extend of an incremental segment) computes each reciprocal once,
+    and every step becomes two multiplies instead of a division —
+    Bernstein's scaled-remainder trick. That cache builds lazily on
+    the calling domain the first time a level is descended; precompute
+    eagerly ({!Product_tree.precompute}) before running concurrent
+    plain descents over one tree. *)
 
 val remainders_mod_square :
   ?pool:Parallel.Pool.t ->
-  ?precomp:bool ->
   Product_tree.t ->
   Bignum.Nat.t ->
   Bignum.Nat.t array
 (** [remainders_mod_square tree v] returns [v mod (leaf_i ^ 2)] for
     each leaf, by descending the tree: the root gets [v mod root^2],
     each child the parent's remainder reduced mod the child squared.
-    (The precomp path skips the root squaring outright whenever
-    [num_bits v] shows [v < root^2], which holds for every product of
-    the tree's own leaves.) *)
+    The root squaring is skipped outright whenever [num_bits v] shows
+    [v < root^2], which holds for every product of the tree's own
+    leaves. *)
 
 val remainders :
   ?pool:Parallel.Pool.t ->
-  ?precomp:bool ->
   Product_tree.t ->
   Bignum.Nat.t ->
   Bignum.Nat.t array

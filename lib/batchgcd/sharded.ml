@@ -62,7 +62,12 @@ let force slot =
         with Sys_error _ -> raise (Io.Corrupt "shard forest file unreadable")
       in
       let inc =
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Inc.load ic)
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let inc = Inc.load ic in
+            Io.expect_end ic;
+            inc)
       in
       if Inc.corpus_size inc <> slot.size then
         raise (Io.Corrupt "shard forest size disagrees with meta");
@@ -128,10 +133,8 @@ let create ?pool ?domains ?backend ?(shard_backend = fun _ -> None)
        step from w_s ends at exactly P mod m^2 — the same z that
        [factor_batch]'s single-tree descent computes. *)
     let upper = PT.build ~pool (Array.map PT.root trees) in
-    PT.precompute ~pool ~squares:true upper;
     let ws = RT.remainders_mod_square ~pool upper (PT.root upper) in
-    (* Cross-shard sweep: per-shard jobs are independent; a tree's
-       lazy Barrett caches are filled by its one job only. The [tree]
+    (* Cross-shard sweep: per-shard jobs are independent. The [tree]
        backend descends the shard's remainder tree; [all_to_all]
        reduces every leaf against w_s directly (the all-to-all row of
        the shard against the whole corpus) — no interior descent, a
@@ -271,8 +274,9 @@ let write_findings oc findings =
       Io.write_nat oc f.BG.divisor)
     findings
 
+(* A finding is its index plus two length-prefixed nats: >= 12 bytes. *)
 let read_findings ic total =
-  let nf = Io.read_int ic in
+  let nf = Io.read_count ~min_bytes_each:12 ic in
   let out = ref [] in
   for _ = 1 to nf do
     let index = Io.read_int ic in
@@ -304,7 +308,9 @@ let save oc t =
 
 let load ic =
   let stride, total, findings = read_header ic in
-  let nslots = Io.read_int ic in
+  (* Each slot is a whole incremental checkpoint: its magic record and
+     three counts take well over 16 bytes. *)
+  let nslots = Io.read_count ~min_bytes_each:16 ic in
   if nslots <> (total + stride - 1) / stride then
     raise (Io.Corrupt "shard count disagrees with corpus size");
   let store = Store.create ~size:(Stdlib.min total 65536) ~stride () in
@@ -363,7 +369,12 @@ let load_dir dir =
   let store = Store.load dir in
   let ic = open_in_bin (sweep_file dir) in
   let stride, total, findings =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_header ic)
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let header = read_header ic in
+        Io.expect_end ic;
+        header)
   in
   if stride <> Store.stride store then
     raise (Io.Corrupt "sweep stride disagrees with corpus shards");

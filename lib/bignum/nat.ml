@@ -1105,8 +1105,7 @@ let recip (b : t) : t =
 (* Precomputed divisor state for repeated reduction by the same
    modulus. Below [barrett_threshold] the reciprocal would cost more
    than it saves, so [pc_mu] is omitted and rem_precomp falls back to
-   plain [rem] -- the cached divisor itself is still worth having when
-   the caller would otherwise recompute it (e.g. squared tree nodes). *)
+   plain [rem]. *)
 type precomp = { pc_d : t; pc_mu : t option; pc_n : int }
 
 let precompute (b : t) : precomp =

@@ -15,18 +15,41 @@ let write_string oc s =
   write_int oc (String.length s);
   output_string oc s
 
+(* Bytes left in a checkpoint channel, or [None] for a non-seekable
+   one (Sys_error from the length probe), where the readers fall back
+   to their End_of_file checks. *)
+let remaining ic =
+  match in_channel_length ic with
+  | total -> Some (total - pos_in ic)
+  | exception Sys_error _ -> None
+
+let read_count ~min_bytes_each ic =
+  if min_bytes_each < 1 then
+    invalid_arg "Corpus.Io.read_count: min_bytes_each must be positive";
+  let n = read_int ic in
+  (* A fuzzed header can claim a billion records: reject a count the
+     remaining bytes cannot hold before anyone allocates for it. *)
+  (match remaining ic with
+  | Some left when n > left / min_bytes_each ->
+    raise (Corrupt "record count overruns remaining input")
+  | _ -> ());
+  n
+
+let expect_end ic =
+  match remaining ic with
+  | Some left when left > 0 ->
+    raise (Corrupt "trailing bytes after the last record")
+  | _ -> ()
+
 let read_string ic =
   let len = read_int ic in
   (* A fuzzed or truncated header can claim up to a gigabyte: compare
      the prefix against what is actually left in the channel before
-     attempting the allocation. Checkpoint channels are always files;
-     a non-seekable channel (Sys_error from the length probe) falls
-     back to the End_of_file check below. *)
-  (match in_channel_length ic with
-  | total ->
-    if len > total - pos_in ic then
-      raise (Corrupt "length prefix overruns remaining input")
-  | exception Sys_error _ -> ());
+     attempting the allocation. *)
+  (match remaining ic with
+  | Some left when len > left ->
+    raise (Corrupt "length prefix overruns remaining input")
+  | _ -> ());
   try really_input_string ic len
   with End_of_file -> raise (Corrupt "truncated string record")
 

@@ -16,6 +16,22 @@ val read_int : in_channel -> int
 (** @raise Corrupt on a negative value (truncated / not ours).
     @raise End_of_file at end of channel. *)
 
+val read_count : min_bytes_each:int -> in_channel -> int
+(** [read_count ~min_bytes_each ic] reads a record count written by
+    {!write_int}, where every record it counts takes at least
+    [min_bytes_each] bytes of the input that follows. Loaders read a
+    count through this before allocating for it.
+    @raise Corrupt on a negative value, or on a count the channel's
+    remaining bytes cannot hold (checked on seekable channels only).
+    @raise End_of_file at end of channel.
+    @raise Invalid_argument when [min_bytes_each < 1]. *)
+
+val expect_end : in_channel -> unit
+(** Call after loading a file that holds exactly one record: a count
+    field that was lowered would otherwise load a prefix of the data
+    and leave the rest unread.
+    @raise Corrupt when a seekable channel has bytes left. *)
+
 val write_string : out_channel -> string -> unit
 val read_string : in_channel -> string
 

@@ -245,7 +245,7 @@ let read_evidence ic =
   let model_id = read_opt_string ic in
   let confidence = read_float ic in
   let weight = Io.read_int ic in
-  let nw = Io.read_int ic in
+  let nw = Io.read_count ~min_bytes_each:4 ic in
   let witnesses = List.init nw (fun _ -> Io.read_int ic) in
   { Evidence.subject; technique; vendor; model_id; confidence; weight;
     witnesses }
@@ -254,8 +254,10 @@ let write_list oc write xs =
   Io.write_int oc (List.length xs);
   List.iter (write oc) xs
 
+(* Every list element holds at least one int or length-prefixed
+   record: 4 bytes. *)
 let read_list ic read =
-  let n = Io.read_int ic in
+  let n = Io.read_count ~min_bytes_each:4 ic in
   List.init n (fun _ -> read ic)
 
 let write_artifact oc = function
@@ -315,7 +317,7 @@ let write_artifact oc = function
 let read_artifact ic =
   match Io.read_int ic with
   | 0 ->
-    let n = Io.read_int ic in
+    let n = Io.read_count ~min_bytes_each:8 ic in
     let h = Hashtbl.create (Stdlib.max 16 n) in
     for _ = 1 to n do
       let fp = Io.read_string ic in
@@ -385,15 +387,29 @@ let save oc t =
   done;
   write_list oc write_artifact (List.rev t.artifacts)
 
+(* [max_id] is not a record count, so it never sizes an allocation:
+   the table starts at the (byte-bounded) record count and grows to
+   the ids actually present. Records must come in the order [save]
+   writes them — strictly increasing ids, each holding only its own
+   subject's evidence — and the last id must be [max_id - 1]. *)
 let load ic =
   let max_id = Io.read_int ic in
-  let t = create ~size:(Stdlib.max 1 max_id) () in
-  let nonempty = Io.read_int ic in
+  let nonempty = Io.read_count ~min_bytes_each:8 ic in
+  let t = create ~size:(Stdlib.max 1 (Stdlib.min max_id nonempty)) () in
+  let last = ref (-1) in
   for _ = 1 to nonempty do
     let id = Io.read_int ic in
-    if id < 0 || id >= Stdlib.max 1 max_id then
-      raise (Io.Corrupt (Printf.sprintf "evidence id %d out of range" id));
-    List.iter (add t) (read_list ic read_evidence)
+    if id <= !last || id >= max_id then
+      raise (Io.Corrupt (Printf.sprintf "evidence id %d out of order" id));
+    last := id;
+    List.iter
+      (fun (e : Evidence.t) ->
+        if e.Evidence.subject <> id then
+          raise (Io.Corrupt "evidence subject disagrees with its record");
+        add t e)
+      (read_list ic read_evidence)
   done;
+  if t.max_id <> max_id then
+    raise (Io.Corrupt "max id disagrees with the evidence records");
   List.iter (add_artifact t) (read_list ic read_artifact);
   t

@@ -74,48 +74,90 @@ let test_remainder_tree_matches_direct () =
         rs2.(i))
     inputs
 
-(* Precomp (Barrett) descents against the plain division path, with
-   the barrett cutoff lowered so even 96-bit leaves get reciprocals. *)
-let test_precomp_descent_matches_plain () =
-  let with_barrett b f =
-    let b0 = !N.barrett_threshold and r0 = !N.recip_threshold in
-    N.barrett_threshold := b;
-    N.recip_threshold := 2;
-    Fun.protect
-      ~finally:(fun () ->
-        N.barrett_threshold := b0;
-        N.recip_threshold := r0)
-      f
-  in
+(* Both descents against per-leaf oracles, [N.rem v (N.sqr m)] and
+   [N.rem v m], over random trees: a single leaf and odd widths, a [v]
+   at or above root^2 (so the root skip is not taken) next to the
+   tree's own root product (so it is), and leaf widths straddling the
+   Barrett cutoff, at the default cutoff and with it lowered so the
+   node tables hold real reciprocals. *)
+let with_barrett b f =
+  let b0 = !N.barrett_threshold and r0 = !N.recip_threshold in
+  N.barrett_threshold := b;
+  N.recip_threshold := 2;
+  Fun.protect
+    ~finally:(fun () ->
+      N.barrett_threshold := b0;
+      N.recip_threshold := r0)
+    f
+
+let check_descents name t v =
+  let leaves = PT.leaves t in
+  let sq = RT.remainders_mod_square t v and plain = RT.remainders t v in
+  Array.iteri
+    (fun i m ->
+      Alcotest.check nat
+        (Printf.sprintf "%s: mod-square leaf %d" name i)
+        (N.rem v (N.sqr m)) sq.(i);
+      Alcotest.check nat
+        (Printf.sprintf "%s: plain leaf %d" name i)
+        (N.rem v m) plain.(i))
+    leaves
+
+let test_descent_oracle () =
+  let st = Random.State.make [| 12 |] in
   let gen = mk_gen 12 in
-  let inputs = Array.init 40 (fun _ -> N.add (N.random_bits gen 96) N.two) in
-  let v = N.random_bits gen 5000 in
   List.iter
     (fun barrett ->
       with_barrett barrett (fun () ->
-          let t = PT.build inputs in
-          let plain_sq = RT.remainders_mod_square ~precomp:false t v in
-          let pre_sq = RT.remainders_mod_square t v in
-          let plain = RT.remainders ~precomp:false t v in
-          let pre = RT.remainders t v in
-          Array.iteri
-            (fun i m ->
-              Alcotest.check nat
-                (Printf.sprintf "mod-square barrett>=%d leaf %d" barrett i)
-                (N.rem v (N.sqr m)) pre_sq.(i);
-              Alcotest.check nat
-                (Printf.sprintf "plain-vs-pre %d" i)
-                plain.(i) pre.(i);
-              Alcotest.check nat
-                (Printf.sprintf "sq plain-vs-pre %d" i)
-                plain_sq.(i) pre_sq.(i))
-            inputs;
-          (* second descent reuses the cached precomps *)
-          let pre_sq2 = RT.remainders_mod_square t v in
-          Array.iteri
-            (fun i r -> Alcotest.check nat "cached descent" r pre_sq2.(i))
-            pre_sq))
-    [ 2; 1000 ]
+          List.iter
+            (fun width ->
+              (* 1..9 limbs: both sides of the lowered cutoff of 4 *)
+              let inputs =
+                Array.init width (fun _ ->
+                    N.add
+                      (N.random_bits gen (64 + Random.State.int st 450))
+                      N.two)
+              in
+              let t = PT.build inputs in
+              let root = PT.root t in
+              let big = N.random_bits gen ((2 * N.num_bits root) + 64) in
+              let name what =
+                Printf.sprintf "barrett>=%d width %d %s" barrett width what
+              in
+              check_descents (name "root product") t root;
+              (* at, just above and far above root^2 *)
+              check_descents (name "v = root^2") t (N.sqr root);
+              check_descents (name "v just above root^2") t
+                (N.add (N.sqr root) (N.random_bits gen (N.num_bits root)));
+              check_descents (name "v >> root^2") t (N.add big (N.sqr root));
+              check_descents (name "random v") t
+                (N.random_bits gen (1 + Random.State.int st 3000)))
+            [ 1; 2; 3; 5; 7; 13; 40 ]))
+    [ 4; 1000; !N.barrett_threshold ]
+
+(* Node tables are a cache: a descent over a cold tree, over one whose
+   tables a previous descent filled, and over one precomputed eagerly
+   (twice, plus the documented no-op [~squares:true]) all equal the
+   per-leaf oracles. *)
+let test_node_tables_cold_warm () =
+  let gen = mk_gen 16 in
+  with_barrett 2 (fun () ->
+      List.iter
+        (fun width ->
+          let inputs =
+            Array.init width (fun _ -> N.add (N.random_bits gen 200) N.two)
+          in
+          let v = N.random_bits gen 4000 in
+          let cold = PT.build inputs in
+          check_descents (Printf.sprintf "cold %d" width) cold v;
+          check_descents (Printf.sprintf "warm after descent %d" width) cold v;
+          let eager = PT.build inputs in
+          PT.precompute ~squares:true eager;
+          check_descents (Printf.sprintf "squares no-op %d" width) eager v;
+          PT.precompute ~squares:false eager;
+          PT.precompute ~squares:false eager;
+          check_descents (Printf.sprintf "eager %d" width) eager v)
+        [ 1; 6; 17 ])
 
 (* The level_parallel width gate must look at the widest node: a level
    led by a narrow odd-one-out still classifies as parallel, and the
@@ -142,22 +184,6 @@ let test_mixed_width_level () =
   Array.iteri
     (fun i r -> Alcotest.check nat (Printf.sprintf "descent %d" i) r rp.(i))
     rs
-
-(* Eager precomputation must be idempotent and leave descents
-   unchanged (the distributed driver calls it before its fan-out). *)
-let test_precompute_eager () =
-  let gen = mk_gen 16 in
-  let inputs = Array.init 16 (fun _ -> N.add (N.random_bits gen 96) N.two) in
-  let t = PT.build inputs in
-  let v = N.random_bits gen 3000 in
-  let before = RT.remainders_mod_square t v in
-  PT.precompute ~squares:true t;
-  PT.precompute ~squares:true t;
-  PT.precompute ~squares:false t;
-  let after = RT.remainders_mod_square t v in
-  Array.iteri
-    (fun i r -> Alcotest.check nat (Printf.sprintf "leaf %d" i) r after.(i))
-    before
 
 (* ---------------- Batch GCD ---------------- *)
 
@@ -590,6 +616,173 @@ let test_io_rejects_oversized_length () =
       header
   done
 
+(* ---------------- Checkpoint fuzz ---------------- *)
+
+(* Field layout of a checkpoint, recovered by walking its bytes with
+   the writers' format: the offset of every record (where a
+   truncation may cut) and of every count or header int (which the
+   fuzz overwrites). Nat payloads and finding indices are data, not
+   structure, and stay intact. *)
+type layout = {
+  bytes : string;
+  mutable pos : int;
+  mutable bounds : int list;
+  mutable counts : int list;
+}
+
+let be32 s o =
+  (Char.code s.[o] lsl 24)
+  lor (Char.code s.[o + 1] lsl 16)
+  lor (Char.code s.[o + 2] lsl 8)
+  lor Char.code s.[o + 3]
+
+let int_field ?(count = true) l =
+  l.bounds <- l.pos :: l.bounds;
+  if count then l.counts <- l.pos :: l.counts;
+  let v = be32 l.bytes l.pos in
+  l.pos <- l.pos + 4;
+  v
+
+let str_field l =
+  l.bounds <- l.pos :: l.bounds;
+  l.pos <- l.pos + 4 + be32 l.bytes l.pos
+
+let walk_findings l =
+  for _ = 1 to int_field l do
+    ignore (int_field ~count:false l);
+    str_field l;
+    str_field l
+  done
+
+let walk_incremental l =
+  str_field l;
+  ignore (int_field l);
+  for _ = 1 to int_field l do
+    ignore (int_field l);
+    for _ = 1 to int_field l do
+      for _ = 1 to int_field l do
+        str_field l
+      done
+    done
+  done;
+  walk_findings l
+
+let walk_sharded l =
+  str_field l;
+  ignore (int_field l);
+  ignore (int_field l);
+  walk_findings l;
+  for _ = 1 to int_field l do
+    walk_incremental l
+  done
+
+let layout walk bytes =
+  let l = { bytes; pos = 0; bounds = []; counts = [] } in
+  walk l;
+  Alcotest.(check int) "walk covers the file" (String.length bytes) l.pos;
+  l
+
+let saved save v =
+  with_temp_checkpoint (fun path ->
+      let oc = open_out_bin path in
+      save oc v;
+      close_out oc;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* Load [bytes] as a whole file: it must raise Corrupt or End_of_file,
+   or load exactly the checkpoint it claims to be ([expect_end] plus
+   a byte-equal re-save). *)
+let check_load ~load ~save ~original name bytes =
+  with_temp_checkpoint (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      match
+        In_channel.with_open_bin path (fun ic ->
+            let v = load ic in
+            Corpus.Io.expect_end ic;
+            v)
+      with
+      | v ->
+        if not (String.equal (saved save v) original) then
+          Alcotest.failf "%s: loaded different contents" name
+      | exception (Corpus.Io.Corrupt _ | End_of_file) -> ())
+
+let put32 b o v =
+  for k = 0 to 3 do
+    Bytes.set b (o + k) (Char.chr ((v lsr (8 * (3 - k))) land 0xff))
+  done
+
+let fuzz_checkpoint ~seed ~walk ~load ~save v =
+  let original = saved save v in
+  let l = layout walk original in
+  check_load ~load ~save ~original "untouched" original;
+  List.iter
+    (fun cut ->
+      check_load ~load ~save ~original
+        (Printf.sprintf "truncated at %d" cut)
+        (String.sub original 0 cut))
+    l.bounds;
+  let st = Random.State.make [| seed |] in
+  List.iter
+    (fun o ->
+      let old = be32 original o in
+      List.iter
+        (fun v ->
+          let b = Bytes.of_string original in
+          put32 b o v;
+          check_load ~load ~save ~original
+            (Printf.sprintf "int at %d: %d -> %d" o old v)
+            (Bytes.to_string b))
+        [ old + 1; (if old > 0 then old - 1 else 2); 0; 0x7fffffff;
+          0x80000000 lor Random.State.bits st;
+          Random.State.int st (2 * (old + 2));
+          Random.State.bits st ])
+    l.counts
+
+let test_checkpoint_fuzz () =
+  let moduli, _ = corpus ~seed:83 ~n_clean:11 ~n_shared:4 () in
+  let inc =
+    Inc.extend (Inc.create ~k:2 (Array.sub moduli 0 9)) (Array.sub moduli 9 6)
+  in
+  Alcotest.(check bool) "incremental checkpoint has findings" true
+    (Inc.findings inc <> []);
+  fuzz_checkpoint ~seed:89 ~walk:walk_incremental ~load:Inc.load ~save:Inc.save
+    inc;
+  let sh = Batchgcd.Sharded.create ~stride:4 moduli in
+  fuzz_checkpoint ~seed:97 ~walk:walk_sharded ~load:Batchgcd.Sharded.load
+    ~save:Batchgcd.Sharded.save sh
+
+(* ---------------- 1024-bit planted corpus ---------------- *)
+
+(* 24 moduli of 1024 bits, stride 8 (three shards): one prime shared
+   across all three shards, a pair sharing a prime inside one shard,
+   and a triangle r*s, r*t, s*t whose every modulus is fully factored
+   by the other two. The sharded and flat sweeps must equal the naive
+   oracle at the operand size the benchmark's sweep runs. *)
+let test_planted_1024 () =
+  let gen = mk_gen 101 in
+  let prime () = Bignum.Prime.generate ~gen ~bits:512 in
+  let p = prime () and q = prime () in
+  let r = prime () and s = prime () and t = prime () in
+  let moduli =
+    Array.init 24 (fun i ->
+        match i with
+        | 0 | 9 | 17 -> N.mul p (prime ())
+        | 5 | 6 -> N.mul q (prime ())
+        | 12 -> N.mul r s
+        | 15 -> N.mul r t
+        | 23 -> N.mul s t
+        | _ -> N.mul (prime ()) (prime ()))
+  in
+  let oracle = BG.naive moduli in
+  Alcotest.(check (list int)) "oracle flags the planted moduli"
+    [ 0; 5; 6; 9; 12; 15; 17; 23 ]
+    (List.map (fun f -> f.BG.index) oracle);
+  Alcotest.(check bool) "factor_batch = naive" true
+    (BG.findings_equal oracle (BG.factor_batch moduli));
+  Alcotest.(check bool) "Sharded.create = naive" true
+    (BG.findings_equal oracle
+       (Batchgcd.Sharded.findings (Batchgcd.Sharded.create ~stride:8 moduli)))
+
 (* ---------------- Backend registry ---------------- *)
 
 module Bk = Batchgcd.Backend
@@ -767,10 +960,11 @@ let tests =
     Alcotest.test_case "product tree singleton" `Quick test_product_tree_singleton;
     Alcotest.test_case "product tree rejects" `Quick test_product_tree_rejects;
     Alcotest.test_case "remainder tree" `Quick test_remainder_tree_matches_direct;
-    Alcotest.test_case "precomp descent = plain" `Quick
-      test_precomp_descent_matches_plain;
+    Alcotest.test_case "descent = per-leaf rem oracle" `Quick
+      test_descent_oracle;
     Alcotest.test_case "mixed-width level" `Quick test_mixed_width_level;
-    Alcotest.test_case "eager precompute" `Quick test_precompute_eager;
+    Alcotest.test_case "node tables cold = warm" `Quick
+      test_node_tables_cold_warm;
     Alcotest.test_case "planted factor recovered" `Quick
       test_planted_factor_recovered;
     Alcotest.test_case "clean corpus" `Quick test_clean_corpus_no_findings;
@@ -807,6 +1001,8 @@ let tests =
       test_sharded_save_load_dir;
     Alcotest.test_case "io rejects oversized length" `Quick
       test_io_rejects_oversized_length;
+    Alcotest.test_case "checkpoint fuzz" `Quick test_checkpoint_fuzz;
+    Alcotest.test_case "planted 1024-bit corpus" `Quick test_planted_1024;
     Alcotest.test_case "backend registry" `Quick test_backend_registry;
     Alcotest.test_case "backend select policy" `Quick
       test_backend_select_policy;
