@@ -4,9 +4,7 @@
 
    1. Bechamel timing benches — one group per experiment: the Section
       3.2 batch-GCD comparison (naive / single tree / k subsets, and
-      the k sweep behind Figure 2), the backend shootout (tree /
-      ksubset / all-to-all across corpus size and key size, reduced to
-      backend_win_region in the JSON), plus the DESIGN.md ablations
+      the k sweep behind Figure 2), plus the DESIGN.md ablations
       (Karatsuba threshold, Burnikel-Ziegler vs Knuth division, binary
       vs Euclidean GCD, OpenSSL-style vs plain key generation) and
       substrate throughputs.
@@ -459,47 +457,10 @@ let sharded_group =
             (Lazy.force moduli_2048));
     ]
 
-(* ---------------- backend shootout ---------------- *)
-
-(* The three Batchgcd.Backend decompositions head-to-head across
-   corpus size (bracketing the all-to-all selection threshold of 48)
-   and key size. emit_json reduces these rows to backend_win_region
-   (the fastest backend per cell) and cross-checks
-   findings_equal_backends on the same fixtures, and demonstrates the
-   Sharded selection policy picking trees for a bulk recompute but
-   all-to-all for a small fresh delta. *)
-let shootout_sizes = [ 32; 256 ]
-let shootout_bits = [ 96; 192 ]
-
-let shootout_cells =
-  lazy
-    (List.concat_map
-       (fun n ->
-         List.map
-           (fun bits ->
-             ((n, bits), corpus_at ~bits ~n ~planted:(Stdlib.max 2 (n / 16))))
-           shootout_bits)
-       shootout_sizes)
-
-let shootout_cell n bits = List.assoc (n, bits) (Lazy.force shootout_cells)
-let shootout_delta = lazy (corpus_at ~bits:96 ~n:16 ~planted:2)
-
-let shootout_group =
-  Test.make_grouped ~name:"backend-shootout"
-    (List.concat_map
-       (fun n ->
-         List.concat_map
-           (fun bits ->
-             List.map
-               (fun b ->
-                 t
-                   (Printf.sprintf "%s-n%d-b%d" b.Batchgcd.Backend.name n bits)
-                   (fun () ->
-                     Batchgcd.Backend.factor b ~pool:(Lazy.force pool_seq)
-                       (shootout_cell n bits)))
-               Batchgcd.Backend.builtin)
-           shootout_bits)
-       shootout_sizes)
+(* A 16-modulus fresh delta: the size the sweep workload extends by,
+   under Incremental's all-to-all cutoff of 48. emit_json records the
+   strategies Sharded ran for a bulk sweep and for this delta. *)
+let delta_16 = lazy (corpus_at ~bits:96 ~n:16 ~planted:2)
 
 (* ---------------- million-modulus arena ingest ---------------- *)
 
@@ -681,8 +642,7 @@ let force_fixtures () =
   ignore (Lazy.force huge_b);
   ignore (Lazy.force tree_2048);
   ignore (Lazy.force attr_table);
-  ignore (Lazy.force shootout_cells);
-  ignore (Lazy.force shootout_delta);
+  ignore (Lazy.force delta_16);
   (* One throwaway extend fills the cached segments' node tables, so
      the timed runs measure steady-state ingest. *)
   ignore
@@ -699,7 +659,7 @@ let run_timing () =
   let tests =
     [
       batchgcd_section_3_2; figure2_k_sweep; tree_parallel; delta_ingest;
-      sharded_group; shootout_group; ablation_multiplication; toom3_group;
+      sharded_group; ablation_multiplication; toom3_group;
       ntt_group;
       recip_group; rem_precomp_group; ablation_division; ablation_powmod;
       ablation_gcd; keygen_styles; substrate; attribution_group; lint_group;
@@ -789,49 +749,8 @@ let emit_json ?million rows =
          (Batchgcd.Sharded.create ~pool:(Lazy.force pool_seq) ~stride:256
             (Lazy.force moduli_2048)))
   in
-  (* Shootout reductions: the fastest backend per (corpus size, key
-     size) cell, the cross-backend findings_equal check on the same
-     fixtures, and the Sharded selection policy caught in the act —
-     trees for the bulk sweep, all-to-all for a small fresh delta. *)
-  let backend_win_region =
-    List.concat_map
-      (fun n ->
-        List.filter_map
-          (fun bits ->
-            let best =
-              List.fold_left
-                (fun acc (b : Batchgcd.Backend.t) ->
-                  match
-                    find
-                      (Printf.sprintf "backend-shootout/%s-n%d-b%d"
-                         b.Batchgcd.Backend.name n bits)
-                  with
-                  | Some ns when not (Float.is_nan ns) -> (
-                    match acc with
-                    | Some (_, best_ns) when best_ns <= ns -> acc
-                    | _ -> Some (b.Batchgcd.Backend.name, ns))
-                  | _ -> acc)
-                None Batchgcd.Backend.builtin
-            in
-            Option.map
-              (fun (name, _) -> (Printf.sprintf "n%d-b%d" n bits, name))
-              best)
-          shootout_bits)
-      shootout_sizes
-  in
-  let findings_equal_backends =
-    List.for_all
-      (fun (_, moduli) ->
-        let reference =
-          Batchgcd.Batch_gcd.factor_batch ~pool:(Lazy.force pool_seq) moduli
-        in
-        List.for_all
-          (fun b ->
-            Batchgcd.Batch_gcd.findings_equal reference
-              (Batchgcd.Backend.factor b ~pool:(Lazy.force pool_seq) moduli))
-          Batchgcd.Backend.builtin)
-      (Lazy.force shootout_cells)
-  in
+  (* The strategies Sharded ran: trees for the bulk sweep, all-to-all
+     for a small fresh delta. *)
   let backend_bulk_uses, backend_delta_uses =
     let bulk =
       Batchgcd.Sharded.create ~pool:(Lazy.force pool_seq) ~stride:256
@@ -840,13 +759,13 @@ let emit_json ?million rows =
     let bulk_uses = Batchgcd.Sharded.backend_uses bulk in
     let extended =
       Batchgcd.Sharded.extend ~pool:(Lazy.force pool_seq) bulk
-        (Lazy.force shootout_delta)
+        (Lazy.force delta_16)
     in
     (bulk_uses, Batchgcd.Sharded.backend_uses extended)
   in
   let findings_ok =
     findings_parallel_ok && findings_kernels_ok && findings_incremental_ok
-    && findings_sharded_ok && findings_equal_backends
+    && findings_sharded_ok
   in
   let passes_parallel_speedup =
     match
@@ -892,13 +811,6 @@ let emit_json ?million rows =
         findings_incremental_ok;
       Printf.fprintf oc "  \"findings_equal_sharded\": %b,\n"
         findings_sharded_ok;
-      Printf.fprintf oc "  \"findings_equal_backends\": %b,\n"
-        findings_equal_backends;
-      Printf.fprintf oc "  \"backend_win_region\": {%s},\n"
-        (String.concat ", "
-           (List.map
-              (fun (cell, name) -> Printf.sprintf "\"%s\": \"%s\"" cell name)
-              backend_win_region));
       let uses_obj uses =
         String.concat ", "
           (List.map

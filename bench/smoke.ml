@@ -98,32 +98,42 @@ let () =
   check "factor_subsets = factor_batch" (BG.findings_equal fb_s fs_p);
   check "planted factors recovered" (List.length fb_s >= 8);
 
-  (* Backend registry probe: a corpus with one freshly planted shared
-     prime; every registered backend (tree, ksubset, all-to-all) must
-     surface that exact divisor and agree with the flat reference bit
-     for bit. *)
+  (* Strategy probe: a corpus with one freshly planted shared prime at
+     both ends. The k-subset sweep at k = 1 (one tree) and k = 4, and
+     a 16- and a 64-modulus extend (the all-to-all and remainder-tree
+     delta strategies; each delta holds one planted modulus, the base
+     the other), must surface that exact divisor and agree with the
+     flat reference bit for bit. *)
   let module Bk = Batchgcd.Backend in
+  let module Inc = Batchgcd.Incremental in
   let planted_p = Bignum.Prime.generate ~gen ~bits:48 in
+  let planted () = N.mul planted_p (Bignum.Prime.generate ~gen ~bits:48) in
   let planted_corpus =
-    Array.append
-      (Array.init 2 (fun _ ->
-           N.mul planted_p (Bignum.Prime.generate ~gen ~bits:48)))
-      (corpus ~n:30 ~planted:0)
+    Array.concat [ [| planted () |]; corpus ~n:78 ~planted:0; [| planted () |] ]
   in
+  let n = Array.length planted_corpus in
   let reference = BG.factor_batch ~pool:seq planted_corpus in
   check "planted prime is the reference divisor"
     (List.exists (fun f -> N.equal f.BG.divisor planted_p) reference);
+  let probe name f =
+    let fs, dt = timed f in
+    row name dt;
+    check (name ^ " recovers the planted factor")
+      (List.exists (fun f -> N.equal f.BG.divisor planted_p) fs);
+    check (name ^ " findings = flat reference") (BG.findings_equal reference fs)
+  in
   List.iter
-    (fun (b : Bk.t) ->
-      let fs, dt = timed (fun () -> Bk.factor b ~pool:par planted_corpus) in
-      row (Printf.sprintf "backend-%s-32" b.Bk.name) dt;
-      check
-        (Printf.sprintf "backend %s recovers the planted factor" b.Bk.name)
-        (List.exists (fun f -> N.equal f.BG.divisor planted_p) fs);
-      check
-        (Printf.sprintf "backend %s findings = flat reference" b.Bk.name)
-        (BG.findings_equal reference fs))
-    Bk.builtin;
+    (fun k ->
+      probe (Printf.sprintf "ksubset-k%d-%d" k n) (fun () ->
+          Bk.factor (Bk.ksubset_k k) ~pool:par planted_corpus))
+    [ 1; 4 ];
+  List.iter
+    (fun d ->
+      let base = Inc.create ~pool:par (Array.sub planted_corpus 0 (n - d)) in
+      let delta = Array.sub planted_corpus (n - d) d in
+      probe (Printf.sprintf "extend-%d-%s" d (Inc.delta_strategy d)) (fun () ->
+          Inc.findings (Inc.extend ~pool:par base delta)))
+    [ 16; 64 ];
 
   (* findings_equal between the old (PR 2) kernel configuration and
      the full new dispatch ladder, on the identical corpus. *)

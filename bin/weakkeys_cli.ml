@@ -57,26 +57,6 @@ let stride_for ~shards n =
   let rec pow2 s = if s >= per then s else pow2 (2 * s) in
   pow2 1
 
-let backend_arg =
-  let doc =
-    "Batch-GCD backend: tree (Bernstein remainder trees), ksubset (the \
-     paper's k-subset split), or all_to_all (Pelofske node-pair pruning). \
-     Findings are identical across backends; see the 'backends' \
-     subcommand. Default: ksubset seeding for flat runs, the per-shard \
-     size policy for sharded ones."
-  in
-  Arg.(value & opt (some string) None & info [ "backend" ] ~docv:"NAME" ~doc)
-
-let checked_backend = function
-  | None -> None
-  | Some name -> (
-    match Batchgcd.Backend.find name with
-    | Some _ -> Some name
-    | None ->
-      Printf.eprintf "weakkeys: unknown backend `%s` (available: %s)\n%!" name
-        (String.concat ", " (Batchgcd.Backend.names ()));
-      exit 2)
-
 let quiet_arg =
   let doc = "Suppress progress output." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
@@ -87,9 +67,8 @@ let config_of seed scale =
 let progress_of quiet =
   if quiet then fun _ -> () else fun m -> Printf.eprintf "[weakkeys] %s\n%!" m
 
-let run_pipeline ?shards ?backend ?checkpoint_dir ?only_passes seed scale k
-    quiet =
-  Weakkeys.Pipeline.run ~progress:(progress_of quiet) ~k ?shards ?backend
+let run_pipeline ?shards ?checkpoint_dir ?only_passes seed scale k quiet =
+  Weakkeys.Pipeline.run ~progress:(progress_of quiet) ~k ?shards
     ?checkpoint_dir ?only_passes (config_of seed scale)
 
 (* ------------- report ------------- *)
@@ -124,10 +103,9 @@ let only_passes_of = function
          (String.split_on_char ',' s))
 
 let report_cmd =
-  let run seed scale k shards backend quiet ckpt only_pass =
+  let run seed scale k shards quiet ckpt only_pass =
     match
-      run_pipeline ?shards:(checked_shards shards)
-        ?backend:(checked_backend backend) ?checkpoint_dir:ckpt
+      run_pipeline ?shards:(checked_shards shards) ?checkpoint_dir:ckpt
         ?only_passes:(only_passes_of only_pass) seed scale k quiet
     with
     | exception Fingerprint.Registry.Unknown_pass name ->
@@ -149,8 +127,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Run the full study: every table and figure.")
     Term.(
-      const run $ seed_arg $ scale_arg $ k_arg $ shards_arg $ backend_arg
-      $ quiet_arg $ ckpt_opt_arg $ only_pass_arg)
+      const run $ seed_arg $ scale_arg $ k_arg $ shards_arg $ quiet_arg
+      $ ckpt_opt_arg $ only_pass_arg)
 
 (* ------------- table / figure ------------- *)
 
@@ -243,22 +221,18 @@ let print_findings ~total findings =
     findings
 
 let factor_cmd =
-  let run file k backend =
+  let run file k =
     let arr = Batchgcd.Batch_gcd.dedup (read_moduli file) in
-    let b =
-      match checked_backend backend with
-      | None | Some "ksubset" -> Batchgcd.Backend.ksubset_k k
-      | Some name -> Batchgcd.Backend.get name
+    Printf.eprintf "[weakkeys] batch GCD over %d distinct moduli (k=%d)\n%!"
+      (Array.length arr) k;
+    let findings =
+      Batchgcd.Backend.factor (Batchgcd.Backend.ksubset_k k) arr
     in
-    Printf.eprintf
-      "[weakkeys] batch GCD over %d distinct moduli (backend=%s)\n%!"
-      (Array.length arr) b.Batchgcd.Backend.name;
-    let findings = Batchgcd.Backend.factor b arr in
     print_findings ~total:(Array.length arr) findings
   in
   Cmd.v
     (Cmd.info "factor" ~doc:"Batch-GCD a file of RSA moduli.")
-    Term.(const run $ moduli_file_arg $ k_arg $ backend_arg)
+    Term.(const run $ moduli_file_arg $ k_arg)
 
 (* [ingest] and [extend] keep the product-tree forest of
    [Batchgcd.Incremental] in DIR/incremental.ckpt, so folding next
@@ -294,21 +268,15 @@ let load_state dir =
       inc)
 
 let ingest_cmd =
-  let run ckpt file k shards backend =
+  let run ckpt file k shards =
     let arr = Batchgcd.Batch_gcd.dedup (read_moduli file) in
-    let backend = checked_backend backend in
     match checked_shards shards with
     | Some shards ->
       let stride = stride_for ~shards (Array.length arr) in
       Printf.eprintf
         "[weakkeys] ingesting %d distinct moduli (sharded, stride=%d)\n%!"
         (Array.length arr) stride;
-      let sh = Batchgcd.Sharded.create ?backend ~stride arr in
-      List.iter
-        (fun (name, jobs) ->
-          Printf.eprintf "[weakkeys] shard backend %-10s %d shards\n%!" name
-            jobs)
-        (Batchgcd.Sharded.backend_uses sh);
+      let sh = Batchgcd.Sharded.create ~stride arr in
       Batchgcd.Sharded.save_dir sh ckpt;
       Printf.eprintf "[weakkeys] wrote %s (%d arena shards)\n%!" ckpt
         (Batchgcd.Sharded.shard_count sh);
@@ -316,10 +284,9 @@ let ingest_cmd =
         ~total:(Batchgcd.Sharded.corpus_size sh)
         (Batchgcd.Sharded.findings sh)
     | None ->
-      Printf.eprintf "[weakkeys] ingesting %d distinct moduli (k=%d%s)\n%!"
-        (Array.length arr) k
-        (match backend with None -> "" | Some b -> ", backend=" ^ b);
-      let inc = Batchgcd.Incremental.create ?backend ~k arr in
+      Printf.eprintf "[weakkeys] ingesting %d distinct moduli (k=%d)\n%!"
+        (Array.length arr) k;
+      let inc = Batchgcd.Incremental.create ~k arr in
       let path = save_state ckpt inc in
       Printf.eprintf "[weakkeys] wrote %s (%d segments)\n%!" path
         (Batchgcd.Incremental.segment_count inc);
@@ -334,10 +301,9 @@ let ingest_cmd =
           in a checkpoint directory for later 'extend' runs. With --shards, \
           the corpus is stored as mapped limb arenas sharded by id range.")
     Term.(
-      const run $ ckpt_req_arg $ moduli_file_arg $ k_arg $ shards_arg
-      $ backend_arg)
+      const run $ ckpt_req_arg $ moduli_file_arg $ k_arg $ shards_arg)
 
-let extend_sharded ?backend ckpt file =
+let extend_sharded ckpt file =
   let sh = Batchgcd.Sharded.load_dir ckpt in
   let old_size = Batchgcd.Sharded.corpus_size sh in
   let old_findings = List.length (Batchgcd.Sharded.findings sh) in
@@ -355,10 +321,10 @@ let extend_sharded ?backend ckpt file =
   Printf.eprintf
     "[weakkeys] extending %d-modulus sharded corpus with %d new moduli\n%!"
     old_size (Array.length fresh);
-  let sh = Batchgcd.Sharded.extend ?backend sh fresh in
+  let sh = Batchgcd.Sharded.extend sh fresh in
   List.iter
     (fun (name, jobs) ->
-      Printf.eprintf "[weakkeys] delta backend %-10s %d chunks\n%!" name jobs)
+      Printf.eprintf "[weakkeys] delta strategy %-10s %d chunks\n%!" name jobs)
     (Batchgcd.Sharded.backend_uses sh);
   Batchgcd.Sharded.save_dir sh ckpt;
   Printf.eprintf "[weakkeys] wrote %s (%d arena shards, +%d findings)\n%!" ckpt
@@ -369,10 +335,8 @@ let extend_sharded ?backend ckpt file =
     (Batchgcd.Sharded.findings sh)
 
 let extend_cmd =
-  let run ckpt file backend =
-    let backend = checked_backend backend in
-    if Batchgcd.Sharded.is_dir_checkpoint ckpt then
-      extend_sharded ?backend ckpt file
+  let run ckpt file =
+    if Batchgcd.Sharded.is_dir_checkpoint ckpt then extend_sharded ckpt file
     else begin
       let inc = load_state ckpt in
       let old_size = Batchgcd.Incremental.corpus_size inc in
@@ -392,13 +356,7 @@ let extend_cmd =
       Printf.eprintf
         "[weakkeys] extending %d-modulus corpus with %d new moduli\n%!"
         old_size (Array.length fresh);
-      let inc =
-        match Batchgcd.Incremental.extend ?backend inc fresh with
-        | inc -> inc
-        | exception Invalid_argument msg ->
-          Printf.eprintf "weakkeys: %s\n%!" msg;
-          exit 2
-      in
+      let inc = Batchgcd.Incremental.extend inc fresh in
       let path = save_state ckpt inc in
       Printf.eprintf "[weakkeys] wrote %s (%d segments, +%d findings)\n%!" path
         (Batchgcd.Incremental.segment_count inc)
@@ -415,7 +373,7 @@ let extend_cmd =
           GCD; no cached product tree is rebuilt, findings match a \
           from-scratch run over the union. Sharded arena checkpoints are \
           auto-detected and extended in place.")
-    Term.(const run $ ckpt_req_arg $ moduli_file_arg $ backend_arg)
+    Term.(const run $ ckpt_req_arg $ moduli_file_arg)
 
 (* ------------- keygen ------------- *)
 
@@ -524,35 +482,6 @@ let passes_cmd =
           (usable with 'report --only-pass').")
     Term.(const run $ const ())
 
-(* ------------- backends ------------- *)
-
-let backends_cmd =
-  let run () =
-    Printf.printf "%-11s %-12s %-8s %s\n" "BACKEND" "INCREMENTAL" "SHARDED"
-      "DESCRIPTION";
-    List.iter
-      (fun (b : Batchgcd.Backend.t) ->
-        Printf.printf "%-11s %-12s %-8s %s\n" b.Batchgcd.Backend.name
-          (if b.Batchgcd.Backend.caps.Batchgcd.Backend.incremental then "yes"
-           else "no")
-          (if b.Batchgcd.Backend.caps.Batchgcd.Backend.sharded then "yes"
-           else "no")
-          b.Batchgcd.Backend.doc)
-      Batchgcd.Backend.builtin;
-    Printf.printf
-      "\nSelection (sharded sweeps and extend deltas): --backend, then the\n\
-       WEAKKEYS_BACKEND environment variable, then the size threshold —\n\
-       all_to_all at or below %d moduli (WEAKKEYS_ALL_TO_ALL_THRESHOLD),\n\
-       tree above. Findings are identical across backends.\n"
-      (Batchgcd.Backend.all_to_all_threshold ())
-  in
-  Cmd.v
-    (Cmd.info "backends"
-       ~doc:
-         "List the registered batch-GCD backends with their capability \
-          flags (usable with --backend on report/factor/ingest/extend).")
-    Term.(const run $ const ())
-
 (* ------------- world ------------- *)
 
 let world_cmd =
@@ -595,5 +524,5 @@ let () =
        (Cmd.group
           (Cmd.info "weakkeys" ~version:"1.0.0" ~doc)
           [ report_cmd; table_cmd; figure_cmd; factor_cmd; ingest_cmd;
-            extend_cmd; keygen_cmd; passes_cmd; backends_cmd; world_cmd;
+            extend_cmd; keygen_cmd; passes_cmd; world_cmd;
             export_cmd ]))

@@ -1,7 +1,6 @@
 module N = Bignum.Nat
 module PT = Product_tree
 module Pool = Parallel.Pool
-module BG = Batch_gcd
 
 (* Pelofske-style all-to-all batch GCD (arXiv 2405.03166): instead of
    remainder-tree descents, compare product-tree nodes pairwise and
@@ -79,8 +78,8 @@ let step ta tb task =
 (* Breadth-first frontier driver: each round maps [step] over the
    surviving pairs (on the pool when there is real fan-out), then
    merges hits and successors sequentially. Hit order is irrelevant —
-   the divisor accumulation below commutes — so the parallel schedule
-   cannot perturb results. *)
+   the divisor accumulation (Divisor_acc) commutes — so the parallel
+   schedule cannot perturb results. *)
 let run ?pool ta tb roots =
   let hits = ref [] in
   let frontier = ref roots in
@@ -106,36 +105,3 @@ let top tree : node = (PT.depth tree - 1, 0)
 let pairwise_hits ?pool tree = run ?pool tree tree [ Self (top tree) ]
 
 let cross_hits ?pool ta tb = run ?pool ta tb [ Cross (None, top ta, top tb) ]
-
-(* Fold pairwise gcds into per-index divisors: for modulus m,
-   gcd(m, prod over hits of gcd(m, m_j) mod m) equals the
-   remainder-tree divisor gcd(m, (prod of all others) mod m) by the
-   gcd-product lemma (see Incremental's interface), prime power by
-   prime power. A duplicate modulus hits itself with g = m, zeroing
-   the accumulator, and gcd(m, 0) = m — the same report as
-   factor_batch on duplicate inputs. *)
-let accumulate moduli hits =
-  let acc = Array.map (fun _ -> N.one) moduli in
-  let mul_into i g =
-    let m = moduli.(i) in
-    acc.(i) <- N.rem (N.mul acc.(i) (N.rem g m)) m
-  in
-  List.iter
-    (fun (i, j, g) ->
-      mul_into i g;
-      mul_into j g)
-    hits;
-  Array.mapi (fun i m -> N.gcd m acc.(i)) moduli
-
-let factor_tree ?pool tree =
-  let moduli = PT.leaves tree in
-  BG.collect (accumulate moduli (pairwise_hits ?pool tree)) moduli
-
-let factor ?pool ?domains moduli =
-  if Array.length moduli = 0 then []
-  else begin
-    let pool =
-      match pool with Some p -> p | None -> Pool.get ?domains ()
-    in
-    factor_tree ~pool (PT.build ~pool moduli)
-  end

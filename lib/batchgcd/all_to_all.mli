@@ -1,34 +1,18 @@
-(** All-to-all batch GCD (Pelofske, arXiv 2405.03166).
+(** All-to-all pair pruning (Pelofske, arXiv 2405.03166): the delta
+    strategy {!Incremental.extend} runs on small deltas.
 
-    A third decomposition of the shared-factor sweep, next to
-    Bernstein remainder trees ({!Batch_gcd.factor_batch}) and the
-    paper's k-subset variant: compare product-tree nodes pairwise,
-    top-down, and {e prune} every cross product whose subtree roots
-    are coprime — a gcd of 1 between two interior nodes proves every
-    leaf pair under them trivial. Surviving pairs recurse to the
-    leaves, where the exact pairwise gcd(m_i, m_j) is recorded; each
-    comparison below the first runs against the tiny gcd carried down
-    from the parent pair rather than the subtree products themselves.
+    Compare product-tree nodes pairwise, top-down, and {e prune} every
+    cross product whose subtree roots are coprime — a gcd of 1 between
+    two interior nodes proves every leaf pair under them trivial.
+    Surviving pairs recurse to the leaves, where the exact pairwise
+    gcd(m_i, m_j) is recorded; each comparison below the first runs
+    against the tiny gcd carried down from the parent pair rather than
+    the subtree products themselves.
 
-    No remainder trees are built, so the win region is the opposite of
-    the tree backend's: small corpora and sparse sharing (almost
-    everything prunes at the top) are cheap, while bulk recomputes pay
-    one product-sized gcd per unpruned split. Findings are exactly
-    {!Batch_gcd.findings_equal} to the other backends — the divisor
-    fold relies on the gcd-product lemma documented in
-    {!Incremental}'s interface. *)
-
-val factor :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int ->
-  Bignum.Nat.t array ->
-  Batch_gcd.finding list
-(** Build one product tree and sweep it all-to-all. Results are
-    identical to {!Batch_gcd.factor_batch}, duplicates included. *)
-
-val factor_tree :
-  ?pool:Parallel.Pool.t -> Product_tree.t -> Batch_gcd.finding list
-(** Same, over an already-built tree (the per-shard reuse path). *)
+    No remainder trees are built, so against a big corpus a small
+    delta with sparse sharing prunes almost everything at the roots;
+    a bulk recompute would pay one product-sized gcd per unpruned
+    split. The hits fold into divisors through {!Divisor_acc}. *)
 
 val pairwise_hits :
   ?pool:Parallel.Pool.t -> Product_tree.t -> (int * int * Bignum.Nat.t) list
@@ -43,14 +27,4 @@ val cross_hits :
   Product_tree.t ->
   (int * int * Bignum.Nat.t) list
 (** Nontrivial pairs (i in first tree, j in second tree, gcd) across
-    two trees: the delta path of {!Incremental.extend} — one root
-    gcd prunes an entire untouched segment. *)
-
-val accumulate :
-  Bignum.Nat.t array ->
-  (int * int * Bignum.Nat.t) list ->
-  Bignum.Nat.t array
-(** [accumulate moduli hits] folds pairwise gcds into the per-index
-    divisor array [gcd (m_i, prod of its hit gcds mod m_i)] — equal to
-    the remainder-tree divisors by the gcd-product lemma. Shared with
-    {!Incremental}'s all-to-all delta strategy. *)
+    two trees: one root gcd prunes an entire untouched segment. *)

@@ -1,60 +1,20 @@
-(** Pluggable batch-GCD backends.
+(** The batch-GCD sweep as a value, for code outside [lib/batchgcd]
+    (the [batchgcd-outside-backend] lint rule keeps product code on
+    {!factor}).
 
-    Three decompositions of the same sweep sit behind one interface —
-    [tree] (Bernstein product/remainder trees, {!Batch_gcd.factor_batch}),
-    [ksubset] (the paper's k-subset split, {!Batch_gcd.factor_subsets})
-    and [all_to_all] (Pelofske's pruned node-pair recursion,
-    {!All_to_all.factor}) — so every layer ({!Incremental},
-    {!Sharded}, [Weakkeys.Pipeline], the CLI) can pick a decomposition
-    per workload instead of hard-wiring one entry point. All three
-    produce {!Batch_gcd.findings_equal} results on identical corpora;
-    the cross-backend tests and the [backend-shootout] bench group pin
-    that.
+    A full sweep is the paper's k-subset split (Section 3.2);
+    {!tree} is its k = 1 case, one Bernstein product/remainder tree.
+    Findings are {!Batch_gcd.findings_equal} for every k. *)
 
-    {!select} is the shared size-threshold policy: small work items
-    (fresh deltas, small shards) go all-to-all, bulk recomputes go
-    through trees, with [WEAKKEYS_BACKEND] as a global override and an
-    explicit per-call override on top. *)
-
-type caps = {
-  incremental : bool;
-      (** usable as the delta strategy of {!Incremental.extend} *)
-  sharded : bool;
-      (** usable as a per-shard descent strategy in {!Sharded} *)
-}
-
-type t = {
-  name : string;
-  doc : string;
-  caps : caps;
-  factor :
-    ?pool:Parallel.Pool.t ->
-    ?domains:int ->
-    Bignum.Nat.t array ->
-    Batch_gcd.finding list;
-}
-
-exception Unknown_backend of string
-
-val builtin : t list
-(** The registered backends: [tree], [ksubset], [all_to_all]. *)
+type t
 
 val tree : t
-val ksubset : t
-val all_to_all : t
+(** {!Batch_gcd.factor_batch}: one product tree, one mod-square
+    descent. *)
 
 val ksubset_k : int -> t
-(** [ksubset] with an explicit subset count instead of the default
-    {!default_subsets} (the CLI's [--k] knob). *)
-
-val default_subsets : int
-(** 16, the paper's cluster split. *)
-
-val names : unit -> string list
-val find : string -> t option
-
-val get : string -> t
-(** @raise Unknown_backend on a name {!find} does not know. *)
+(** {!Batch_gcd.factor_subsets} with [k] subset trees and [k^2]
+    reduction jobs. *)
 
 val factor :
   t ->
@@ -62,31 +22,3 @@ val factor :
   ?domains:int ->
   Bignum.Nat.t array ->
   Batch_gcd.finding list
-(** [factor b] is [b.factor] — the call-site-friendly projection. *)
-
-(** {1 Selection policy} *)
-
-val select : ?override:string -> purpose:[ `Shard | `Delta ] -> n:int -> unit -> t
-(** The per-shard / per-delta choice, in precedence order: an explicit
-    [override] name (validated against the purpose's capability flag —
-    @raise Invalid_argument when incapable,
-    @raise Unknown_backend when unknown); the [WEAKKEYS_BACKEND]
-    environment variable (skipped when incapable for this purpose);
-    otherwise the size heuristic — [all_to_all] when the work item has
-    at most {!all_to_all_threshold} moduli, [tree] beyond. *)
-
-val all_to_all_threshold : unit -> int
-(** {!default_all_to_all_threshold}, overridable via the
-    [WEAKKEYS_ALL_TO_ALL_THRESHOLD] environment variable.
-    @raise Invalid_argument on a malformed override. *)
-
-val default_all_to_all_threshold : int
-(** 48: at the default shard strides a bulk sweep stays on trees while
-    typical monthly deltas drop to the all-to-all path. *)
-
-val of_env : unit -> t option
-(** The [WEAKKEYS_BACKEND] global override, if set and non-empty.
-    @raise Unknown_backend on an unknown name. *)
-
-val env_var : string
-val threshold_var : string

@@ -120,22 +120,16 @@ let factor_subsets_trees ?pool ?domains ~k moduli =
       (i, contributions)
     in
     let pieces = Pool.map ~pool job jobs in
-    (* Merge: for global index g in subset i, the divisor is
+    (* For global index g in subset i, the divisor is
        gcd(m, prod over j of contribution_ij mod m) — identical to the
        single-tree accumulation. *)
-    let acc = Array.map (fun _ -> N.one) moduli in
+    let acc = Divisor_acc.create moduli in
     Array.iter
       (fun (i, contributions) ->
-        Array.iteri
-          (fun l c ->
-            let g = starts.(i) + l in
-            let m = moduli.(g) in
-            acc.(g) <- N.rem (N.mul acc.(g) (N.rem c m)) m)
-          contributions)
+        Array.iteri (fun l c -> Divisor_acc.mul acc (starts.(i) + l) c) contributions)
       pieces;
-    let divisors = Array.mapi (fun g m -> N.gcd m acc.(g)) moduli in
     let segments = Array.mapi (fun s tree -> (starts.(s), tree)) trees in
-    (segments, collect divisors moduli)
+    (segments, collect (Divisor_acc.divisors acc) moduli)
   end
 
 let factor_subsets ?pool ?domains ~k moduli =

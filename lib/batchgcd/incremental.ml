@@ -41,181 +41,95 @@ let corpus t =
 let total_limbs t =
   Array.fold_left (fun acc (_, tree) -> acc + PT.total_limbs tree) 0 t.segments
 
-let create ?pool ?domains ?backend ?(k = 1) moduli =
-  (* Validate the name through the registry, then seed the forest with
-     that decomposition: ksubset keeps its k contiguous subset trees,
-     tree is the k = 1 degenerate case, all_to_all sweeps one tree by
-     node-pair pruning. Findings are equal whichever ran. *)
-  let backend =
-    match backend with
-    | None -> Backend.ksubset.Backend.name
-    | Some name -> (Backend.get name).Backend.name
-  in
-  if String.equal backend Backend.all_to_all.Backend.name then begin
-    if Array.length moduli = 0 then
-      { total = 0; segments = [||]; findings = [] }
-    else begin
-      let pool =
-        match pool with Some p -> p | None -> Pool.get ?domains ()
-      in
-      let tree = PT.build ~pool moduli in
-      {
-        total = Array.length moduli;
-        segments = [| (0, tree) |];
-        findings = All_to_all.factor_tree ~pool tree;
-      }
-    end
-  end
-  else begin
-    let k = if String.equal backend Backend.tree.Backend.name then 1 else k in
-    let segments, findings = BG.factor_subsets_trees ?pool ?domains ~k moduli in
-    { total = Array.length moduli; segments; findings }
-  end
+let create ?pool ?domains ?(k = 1) moduli =
+  let segments, findings = BG.factor_subsets_trees ?pool ?domains ~k moduli in
+  { total = Array.length moduli; segments; findings }
 
-(* The all-to-all delta strategy: one gcd of segment root vs delta
-   root prunes an entire untouched segment, and surviving pairs
-   recurse to exact pairwise gcds — no remainder descents. The merge
-   below folds those gcds into the cached divisors through the same
-   gcd-product lemma the tree strategy leans on, so both strategies
-   land on identical findings. *)
-let extend_all_to_all ~pool t fresh =
-  let nf = Array.length fresh in
-  let tn = PT.build ~pool fresh in
+(* A delta of at most this many fresh moduli runs all-to-all segment
+   pruning, a larger one remainder trees: unpruned pairs cost one
+   product-sized gcd each, which a bulk delta piles up. The
+   benchmark's sweep and monthly workloads extend by 15-32 moduli,
+   where all-to-all wins. *)
+let all_to_all_max = 48
+
+let delta_strategy nf = if nf <= all_to_all_max then "all_to_all" else "tree"
+
+(* All-to-all delta: one gcd of segment root vs delta root prunes an
+   entire untouched segment, and surviving pairs recurse to exact
+   pairwise gcds — no remainder descents. Each job returns a pure hit
+   list; the merge is serial. *)
+let merge_all_to_all ~pool t tn acc =
   let nseg = Array.length t.segments in
-  (* Jobs: the delta against every old segment, plus the delta's own
-     pairwise sweep. Each returns pure hit lists; merging is serial. *)
-  let job i =
-    if i < nseg then All_to_all.cross_hits ~pool (snd t.segments.(i)) tn
+  let job s =
+    if s < nseg then All_to_all.cross_hits ~pool (snd t.segments.(s)) tn
     else All_to_all.pairwise_hits ~pool tn
   in
-  let pieces = Pool.map ~pool job (Array.init (nseg + 1) (fun i -> i)) in
-  let prior = Array.make t.total N.one in
-  List.iter (fun f -> prior.(f.BG.index) <- f.BG.divisor) t.findings;
-  let acc_old = Array.make t.total N.one in
-  let acc_new = Array.make nf N.one in
-  let mul_into acc i m g = acc.(i) <- N.rem (N.mul acc.(i) (N.rem g m)) m in
   Array.iteri
-    (fun i hits ->
-      if i < nseg then begin
-        let off, tree = t.segments.(i) in
-        let leaves = PT.leaves tree in
-        List.iter
-          (fun (l, j, g) ->
-            mul_into acc_old (off + l) leaves.(l) g;
-            mul_into acc_new j fresh.(j) g)
-          hits
-      end
-      else
-        List.iter
-          (fun (l, j, g) ->
-            mul_into acc_new l fresh.(l) g;
-            mul_into acc_new j fresh.(j) g)
-          hits)
-    pieces;
-  let divisors = Array.make (t.total + nf) N.one in
-  Array.iter
-    (fun (off, tree) ->
-      Array.iteri
-        (fun l m ->
-          divisors.(off + l) <-
-            N.gcd m (N.rem (N.mul prior.(off + l) acc_old.(off + l)) m))
-        (PT.leaves tree))
-    t.segments;
-  Array.iteri (fun l n -> divisors.(t.total + l) <- N.gcd n acc_new.(l)) fresh;
-  let segments = Array.append t.segments [| (t.total, tn) |] in
-  let t' = { total = t.total + nf; segments; findings = [] } in
-  { t' with findings = BG.collect divisors (corpus t') }
+    (fun s hits ->
+      let off = if s < nseg then fst t.segments.(s) else t.total in
+      List.iter
+        (fun (l, j, g) ->
+          Divisor_acc.mul acc (off + l) g;
+          Divisor_acc.mul acc (t.total + j) g)
+        hits)
+    (Pool.map ~pool job (Array.init (nseg + 1) Fun.id))
 
-let extend ?pool ?domains ?backend t fresh =
-  let nf = Array.length fresh in
-  let backend =
-    match backend with
-    | None -> Backend.tree.Backend.name
-    | Some name ->
-      let b = Backend.get name in
-      if not b.Backend.caps.Backend.incremental then
-        invalid_arg
-          (Printf.sprintf
-             "Batchgcd.Incremental.extend: `%s` is not a delta strategy" name);
-      b.Backend.name
+(* Remainder-tree delta, all jobs independent:
+   [0, nseg)        delta product through old segment tree s;
+   [nseg, 2*nseg)   segment-s root through the fresh tree;
+   2*nseg           fresh root mod-square through the fresh tree
+                    (the new-vs-new pass, as in factor_batch). *)
+let merge_tree ~pool t tn acc =
+  let pn = PT.root tn in
+  (* The fresh tree takes a plain descent from every new-vs-old job,
+     so its node tables must be published before the fan-out. Each
+     old segment tree is touched by exactly one job and fills its
+     node tables lazily on that worker (single-writer). The fresh
+     tree's own mod-square job divides directly and reads no
+     table. *)
+  PT.precompute ~pool ~squares:false tn;
+  let nseg = Array.length t.segments in
+  let job i =
+    if i < nseg then
+      let off, tree = t.segments.(i) in
+      (off, RT.remainders ~pool tree pn)
+    else if i < 2 * nseg then
+      (t.total, RT.remainders ~pool tn (PT.root (snd t.segments.(i - nseg))))
+    else
+      ( t.total,
+        Array.mapi
+          (fun l z -> BG.own_subset_component (PT.leaves tn).(l) z)
+          (RT.remainders_mod_square ~pool tn pn) )
   in
+  Array.iter
+    (fun (off, rs) -> Array.iteri (fun l c -> Divisor_acc.mul acc (off + l) c) rs)
+    (Pool.map ~pool job (Array.init ((2 * nseg) + 1) Fun.id))
+
+let extend ?pool ?domains t fresh =
+  let nf = Array.length fresh in
   if nf = 0 then t
-  else if t.total = 0 then create ?pool ?domains ~backend ~k:1 fresh
-  else if String.equal backend Backend.all_to_all.Backend.name then begin
-    let pool =
-      match pool with Some p -> p | None -> Pool.get ?domains ()
-    in
-    extend_all_to_all ~pool t fresh
-  end
+  else if t.total = 0 then create ?pool ?domains fresh
   else begin
     let pool =
       match pool with Some p -> p | None -> Pool.get ?domains ()
     in
     let tn = PT.build ~pool fresh in
-    let pn = PT.root tn in
-    (* The fresh tree takes a plain descent from every new-vs-old job,
-       so its node tables must be published before the fan-out. Each
-       old segment tree is touched by exactly one job and fills its
-       node tables lazily on that worker (single-writer). The fresh
-       tree's own mod-square job divides directly and reads no
-       table. *)
-    PT.precompute ~pool ~squares:false tn;
-    let nseg = Array.length t.segments in
-    (* Jobs, all independent:
-       [0, nseg)        delta product through old segment tree s;
-       [nseg, 2*nseg)   segment-s root through the fresh tree;
-       2*nseg           fresh root mod-square through the fresh tree
-                        (the new-vs-new pass, as in factor_batch). *)
-    let job i =
-      if i < nseg then (i, RT.remainders ~pool (snd t.segments.(i)) pn)
-      else if i < 2 * nseg then
-        (i, RT.remainders ~pool tn (PT.root (snd t.segments.(i - nseg))))
-      else
-        ( i,
-          Array.mapi
-            (fun l z -> BG.own_subset_component (PT.leaves tn).(l) z)
-            (RT.remainders_mod_square ~pool tn pn) )
+    let t' =
+      {
+        total = t.total + nf;
+        segments = Array.append t.segments [| (t.total, tn) |];
+        findings = [];
+      }
     in
-    let pieces = Pool.map ~pool job (Array.init ((2 * nseg) + 1) (fun i -> i)) in
-    (* Old moduli: gcd (m, d_old * (P mod m)) — exactly the divisor a
-       full recompute over the union yields (see the .mli lemma). *)
-    let prior = Array.make t.total N.one in
-    List.iter (fun f -> prior.(f.BG.index) <- f.BG.divisor) t.findings;
-    let divisors = Array.make (t.total + nf) N.one in
-    let acc_new = Array.make nf N.one in
-    Array.iter
-      (fun (i, rs) ->
-        if i < nseg then begin
-          let off, tree = t.segments.(i) in
-          let leaves = PT.leaves tree in
-          Array.iteri
-            (fun l c ->
-              let m = leaves.(l) in
-              divisors.(off + l) <- N.gcd m (N.rem (N.mul prior.(off + l) c) m))
-            rs
-        end
-        else
-          Array.iteri
-            (fun l c ->
-              let n = fresh.(l) in
-              acc_new.(l) <- N.rem (N.mul acc_new.(l) (N.rem c n)) n)
-            rs)
-      pieces;
-    Array.iteri (fun l n -> divisors.(t.total + l) <- N.gcd n acc_new.(l)) fresh;
-    let segments = Array.append t.segments [| (t.total, tn) |] in
-    let t' = { total = t.total + nf; segments; findings = [] } in
-    { t' with findings = BG.collect divisors (corpus t') }
+    let corpus' = corpus t' in
+    (* Old moduli start from their cached divisor: gcd (m, d_old * (P
+       mod m)) is the full-recompute divisor (see Divisor_acc). *)
+    let acc = Divisor_acc.create corpus' in
+    List.iter (fun f -> Divisor_acc.mul acc f.BG.index f.BG.divisor) t.findings;
+    (if nf <= all_to_all_max then merge_all_to_all else merge_tree)
+      ~pool t tn acc;
+    { t' with findings = BG.collect (Divisor_acc.divisors acc) corpus' }
   end
-
-let factor_delta ?pool ?domains ~old_tree ~old_findings fresh =
-  let t =
-    {
-      total = Array.length (PT.leaves old_tree);
-      segments = [| (0, old_tree) |];
-      findings = old_findings;
-    }
-  in
-  (extend ?pool ?domains t fresh).findings
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint serialization                                            *)

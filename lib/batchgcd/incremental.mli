@@ -18,7 +18,7 @@
     [gcd (m, d_old * (P mod m))] equals
     [gcd (m, (product of all other moduli) mod m)] because
     [gcd (m, a*b) = gcd (m, gcd (m, a) * gcd (m, b))] holds
-    prime-power by prime-power. Tests assert
+    prime-power by prime-power ({!Divisor_acc}). Tests assert
     {!Batch_gcd.findings_equal} against a from-scratch run.
 
     Moduli must be distinct across the whole corpus (intern through
@@ -33,54 +33,29 @@ type t
     {!extend} calls. *)
 
 val create :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int ->
-  ?backend:string ->
-  ?k:int ->
-  Bignum.Nat.t array ->
-  t
-(** Initial run. [backend] names the {!Backend} decomposition that
-    seeds the forest: ["ksubset"] (the default) runs
-    {!Batch_gcd.factor_subsets_trees} with [k] (default 1) subset
-    trees, ["tree"] is its [k = 1] case, ["all_to_all"] sweeps a
-    single tree by {!All_to_all} node-pair pruning. Findings are
-    identical whichever seeded.
-    @raise Backend.Unknown_backend on an unknown name. *)
+  ?pool:Parallel.Pool.t -> ?domains:int -> ?k:int -> Bignum.Nat.t array -> t
+(** Initial run: {!Batch_gcd.factor_subsets_trees} with [k] (default
+    1, the single-tree case) subset trees, kept as the first [k]
+    segments. *)
 
 val extend :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int ->
-  ?backend:string ->
-  t ->
-  Bignum.Nat.t array ->
-  t
-(** [extend t fresh] folds a batch of new moduli into the corpus.
-    The default ["tree"] strategy builds one product tree over
-    [fresh], reduces its root through every cached segment tree
-    (old-vs-new), every segment root through the fresh tree
-    (new-vs-old) and the fresh root mod-square through the fresh tree
-    (new-vs-new), then merges divisors with the cached findings. The
-    ["all_to_all"] strategy instead prunes segment-vs-delta node
-    pairs by gcd ({!All_to_all.cross_hits}) — one root gcd discharges
-    an entire untouched segment, the shape that wins on small deltas
-    against big corpora. Either way no old tree is rebuilt, findings
-    equal a full recompute, and the input is returned unchanged when
-    [fresh] is empty.
-    @raise Backend.Unknown_backend on an unknown name.
-    @raise Invalid_argument on a backend without the incremental
-    capability (["ksubset"]). *)
+  ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t
+(** [extend t fresh] folds a batch of new moduli into the corpus as
+    one new segment tree, and picks its strategy from the delta size
+    ({!delta_strategy}). Up to 48 fresh moduli run ["all_to_all"]: the
+    delta tree is pruned pairwise against every segment
+    ({!All_to_all.cross_hits}) and against itself — one root gcd
+    discharges an entire untouched segment. A larger delta runs
+    ["tree"]: the delta root is reduced through every segment tree
+    (old-vs-new), every segment root through the delta tree
+    (new-vs-old) and the delta root mod-square through the delta tree
+    (new-vs-new). Either way no old tree is rebuilt, findings equal a
+    full recompute, and the input is returned unchanged when [fresh]
+    is empty. *)
 
-val factor_delta :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int ->
-  old_tree:Product_tree.t ->
-  old_findings:Batch_gcd.finding list ->
-  Bignum.Nat.t array ->
-  Batch_gcd.finding list
-(** One-shot form: given a cached product tree over the old corpus and
-    its findings, the findings over old-corpus ++ delta —
-    [findings_equal] to {!Batch_gcd.factor_subsets} over the
-    concatenation. *)
+val delta_strategy : int -> string
+(** The strategy {!extend} runs on a delta of that many fresh moduli:
+    ["all_to_all"] up to 48, ["tree"] above. *)
 
 val findings : t -> Batch_gcd.finding list
 (** Current findings, in corpus-index order. *)

@@ -20,8 +20,8 @@ type t = {
   findings : BG.finding list; (* global index order *)
   store : Store.t; (* ids are exactly the global sweep indexes *)
   mutable uses : (string * int) list;
-      (* backend name -> job count of the most recent sweep/extend;
-         observability for the selection policy, never persisted *)
+      (* strategy name -> job count of the most recent sweep/extend;
+         observability only, never persisted *)
 }
 
 let default_stride = 65536
@@ -93,8 +93,7 @@ let intern_delta store base fresh =
         invalid_arg "Batchgcd.Sharded: moduli must be distinct (dedup first)")
     fresh
 
-let create ?pool ?domains ?backend ?(shard_backend = fun _ -> None)
-    ?(stride = default_stride) moduli =
+let create ?pool ?domains ?(stride = default_stride) moduli =
   if not (is_pow2 stride) then
     invalid_arg "Batchgcd.Sharded.create: stride must be a power of two";
   let n = Array.length moduli in
@@ -109,20 +108,6 @@ let create ?pool ?domains ?backend ?(shard_backend = fun _ -> None)
       let off = s * stride in
       Array.sub moduli off (Stdlib.min stride (n - off))
     in
-    (* Per-shard descent choice, resolved up front (the policy reads
-       the environment; keep that out of the pool jobs): a per-shard
-       override beats the sweep-wide [backend], which beats
-       WEAKKEYS_BACKEND, which beats the size threshold. *)
-    let chosen =
-      Array.map
-        (fun s ->
-          let size = Stdlib.min stride (n - (s * stride)) in
-          let override =
-            match shard_backend s with Some name -> Some name | None -> backend
-          in
-          (Backend.select ?override ~purpose:`Shard ~n:size ()).Backend.name)
-        shards
-    in
     (* Tier 1: one product tree per shard, each an independent pool
        job (the per-job kernels still take the pool; nested calls from
        inside workers degrade to serial automatically). *)
@@ -130,32 +115,19 @@ let create ?pool ?domains ?backend ?(shard_backend = fun _ -> None)
     (* Tier 2: an upper tree over the shard roots carries the global
        product P down to w_s = P mod root_s^2. Every modulus m of
        shard s divides root_s, so m^2 | root_s^2 and the per-shard
-       step from w_s ends at exactly P mod m^2 — the same z that
+       descent from w_s ends at exactly P mod m^2 — the same z that
        [factor_batch]'s single-tree descent computes. *)
     let upper = PT.build ~pool (Array.map PT.root trees) in
     let ws = RT.remainders_mod_square ~pool upper (PT.root upper) in
-    (* Cross-shard sweep: per-shard jobs are independent. The [tree]
-       backend descends the shard's remainder tree; [all_to_all]
-       reduces every leaf against w_s directly (the all-to-all row of
-       the shard against the whole corpus) — no interior descent, a
-       better fit for small shards. *)
     let divisors =
       Pool.map ~pool
         (fun s ->
-          let tree = trees.(s) in
-          let leaves = PT.leaves tree in
-          if String.equal chosen.(s) Backend.all_to_all.Backend.name then
-            Array.map
-              (fun m ->
-                let z = N.rem ws.(s) (N.sqr m) in
-                N.gcd m (BG.own_subset_component m z))
-              leaves
-          else
-            Array.mapi
-              (fun l z ->
-                let m = leaves.(l) in
-                N.gcd m (BG.own_subset_component m z))
-              (RT.remainders_mod_square ~pool tree ws.(s)))
+          let leaves = PT.leaves trees.(s) in
+          Array.mapi
+            (fun l z ->
+              let m = leaves.(l) in
+              N.gcd m (BG.own_subset_component m z))
+            (RT.remainders_mod_square ~pool trees.(s) ws.(s)))
         shards
     in
     let findings = BG.collect (Array.concat (Array.to_list divisors)) moduli in
@@ -169,8 +141,7 @@ let create ?pool ?domains ?backend ?(shard_backend = fun _ -> None)
           in
           { goff; size; forest = Loaded inc })
     in
-    { stride; total = n; slots; findings; store;
-      uses = tally (Array.to_list chosen) }
+    { stride; total = n; slots; findings; store; uses = [ ("tree", nshards) ] }
   end
 
 (* One corpus-wide view of the forest: every shard's segments
@@ -212,10 +183,10 @@ let reslot t total flat =
   in
   { t with total; slots; findings }
 
-let extend ?pool ?domains ?backend t fresh =
+let extend ?pool ?domains t fresh =
   let nf = Array.length fresh in
   if nf = 0 then t
-  else if t.total = 0 then create ?pool ?domains ?backend ~stride:t.stride fresh
+  else if t.total = 0 then create ?pool ?domains ~stride:t.stride fresh
   else begin
     let pool = resolve_pool pool domains in
     intern_delta t.store t.total fresh;
@@ -223,10 +194,7 @@ let extend ?pool ?domains ?backend t fresh =
        then whole strides. Each chunk is folded in by
        [Incremental.extend] over the corpus-wide forest view, so every
        step — and by induction the whole extend — is findings-equal to
-       a full recompute. The delta strategy is chosen per chunk by the
-       same policy as the sweep: a small fresh delta drops to the
-       all-to-all segment-pruning path, a bulk top-up stays on
-       remainder trees. *)
+       a full recompute. *)
     let room =
       let cap = (t.total + t.stride - 1) / t.stride * t.stride in
       cap - t.total
@@ -241,21 +209,12 @@ let extend ?pool ?domains ?backend t fresh =
         Array.sub fresh off len :: chunks (off + len)
     in
     let parts = chunks 0 in
-    let strategies =
-      List.map
-        (fun part ->
-          (Backend.select ?override:backend ~purpose:`Delta
-             ~n:(Array.length part) ())
-            .Backend.name)
-        parts
-    in
     let flat =
-      List.fold_left2
-        (fun acc part strategy -> Inc.extend ~pool ~backend:strategy acc part)
-        (flat_view t) parts strategies
+      List.fold_left (fun acc part -> Inc.extend ~pool acc part) (flat_view t) parts
     in
     let t' = reslot t (t.total + nf) flat in
-    t'.uses <- tally strategies;
+    t'.uses <-
+      tally (List.map (fun part -> Inc.delta_strategy (Array.length part)) parts);
     t'
   end
 

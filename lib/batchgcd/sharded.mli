@@ -31,42 +31,28 @@ val default_stride : int
 val create :
   ?pool:Parallel.Pool.t ->
   ?domains:int ->
-  ?backend:string ->
-  ?shard_backend:(int -> string option) ->
   ?stride:int ->
   Bignum.Nat.t array ->
   t
 (** Full two-tier sweep. [stride] (default {!default_stride}) must be
-    a power of two. Each shard's within-shard reduction from
-    [w_s = P mod root_s^2] is chosen by {!Backend.select}: a
-    [shard_backend s] override beats the sweep-wide [backend], which
-    beats [WEAKKEYS_BACKEND], which beats the size threshold (small
-    shards reduce each leaf against [w_s] directly, all-to-all style;
-    big ones descend the remainder tree). Findings are identical
-    whichever ran — see {!backend_uses} for what was picked.
-    @raise Backend.Unknown_backend on an unknown backend name.
-    @raise Invalid_argument on one without the sharded capability. *)
+    a power of two. Every shard descends its own remainder tree from
+    [w_s = P mod root_s^2]. *)
 
 val extend :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int ->
-  ?backend:string ->
-  t ->
-  Bignum.Nat.t array ->
-  t
+  ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t
 (** Fold new moduli in: the delta is chunked at shard boundaries (tail
     shard topped up first, then whole strides) and each chunk folded
-    through the corpus-wide forest by {!Incremental.extend}, so the
-    result is findings-equal to a full recompute. Loads any on-disk
-    shard forests first. Each chunk's delta strategy comes from
-    {!Backend.select} ([backend] > [WEAKKEYS_BACKEND] > size
-    threshold): a small fresh delta goes through the all-to-all
-    segment-pruning path, a bulk top-up through remainder trees. *)
+    through the corpus-wide forest by {!Incremental.extend}, which
+    picks its strategy from the chunk size. The result is
+    findings-equal to a full recompute. Loads any on-disk shard
+    forests first. *)
 
 val backend_uses : t -> (string * int) list
-(** Backend name -> job count of the most recent sweep or extend on
-    this value (sorted by name; empty on a loaded checkpoint) — how
-    the per-shard selection policy actually decided. Not persisted. *)
+(** Strategy name -> job count of the most recent sweep or extend on
+    this value (sorted by name; empty on a loaded checkpoint):
+    [("tree", shard count)] after {!create}, the
+    {!Incremental.delta_strategy} of each chunk after {!extend}. Not
+    persisted. *)
 
 val findings : t -> Batch_gcd.finding list
 (** Current findings, in global index order. *)

@@ -210,7 +210,9 @@ let stage_attribution sctx ~checkpointed ?pool ?only_passes world scans store
         (scans_digest cert_fp scans)
     in
     Stage.run_cached sctx "attribution" ~key:(corpus_key corpus tag)
-      ~save:Attribution.save ~load:Attribution.load compute
+      ~save:Attribution.save
+      ~load:(Attribution.load ~subjects:(Array.length corpus))
+      compute
   end
 
 (* Downstream of the GCD artifact, of_scans and extend are identical:
@@ -250,22 +252,8 @@ let finish sctx ?pool ?only_passes ~checkpointed world scans monthly
     timings = Stage.timings sctx;
   }
 
-(* The backend name is part of the checkpoint identity: artifacts are
-   findings-equal across backends, but the cached forest shape is not,
-   and a key must never restore a different shape than the caller
-   asked for. The default (no [backend]) keeps the historical tags so
-   existing checkpoints stay restorable. *)
-let backend_tag = function
-  | None -> ""
-  | Some name -> "/backend=" ^ name
-
-let check_backend = function
-  | None -> ()
-  | Some name -> ignore (Batchgcd.Backend.get name : Batchgcd.Backend.t)
-
-let of_scans ?progress ?(k = 16) ?shards ?domains ?backend ?checkpoint_dir
+let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
     ?only_passes world scans =
-  check_backend backend;
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
   let say = match progress with Some f -> f | None -> fun _ -> () in
   let monthly, protocol_snapshots =
@@ -287,16 +275,12 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?backend ?checkpoint_dir
     | None ->
       say
         (Printf.sprintf
-           "batch GCD over %d distinct moduli (k=%d%s, %d domains)"
-           (Array.length corpus) k
-           (match backend with None -> "" | Some b -> ", backend=" ^ b)
-           (Parallel.Pool.size pool));
+           "batch GCD over %d distinct moduli (k=%d, %d domains)"
+           (Array.length corpus) k (Parallel.Pool.size pool));
       Stage.run_cached sctx "batchgcd"
-        ~key:
-          (corpus_key corpus
-             (Printf.sprintf "/k=%d%s" k (backend_tag backend)))
+        ~key:(corpus_key corpus (Printf.sprintf "/k=%d" k))
         ~save:save_gcd ~load:load_gcd
-        (fun () -> Flat (Inc.create ~pool ?backend ~k corpus))
+        (fun () -> Flat (Inc.create ~pool ~k corpus))
     | Some shards ->
       let stride = stride_for ~shards (Array.length corpus) in
       say
@@ -304,32 +288,27 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?backend ?checkpoint_dir
            "sharded batch GCD over %d distinct moduli (stride=%d, %d domains)"
            (Array.length corpus) stride (Parallel.Pool.size pool));
       Stage.run_cached sctx "batchgcd"
-        ~key:
-          (corpus_key corpus
-             (Printf.sprintf "/stride=%d%s" stride (backend_tag backend)))
+        ~key:(corpus_key corpus (Printf.sprintf "/stride=%d" stride))
         ~save:save_gcd ~load:load_gcd
-        (fun () -> Sharded (Sh.create ~pool ?backend ~stride corpus))
+        (fun () -> Sharded (Sh.create ~pool ~stride corpus))
   in
   say (Printf.sprintf "%d moduli factored" (List.length (gcd_findings gcd)));
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
     world scans monthly protocol_snapshots https_moduli store corpus gcd
 
-let of_world ?progress ?k ?shards ?domains ?backend ?checkpoint_dir
-    ?only_passes world =
+let of_world ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes
+    world =
   (match progress with Some f -> f "running scan campaigns" | None -> ());
   let scans = Sc.run_all world in
-  of_scans ?progress ?k ?shards ?domains ?backend ?checkpoint_dir ?only_passes
-    world scans
+  of_scans ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes world
+    scans
 
-let run ?progress ?k ?shards ?domains ?backend ?checkpoint_dir ?only_passes
-    config =
+let run ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes config =
   let world = Netsim.World.build ?progress config in
-  of_world ?progress ?k ?shards ?domains ?backend ?checkpoint_dir ?only_passes
-    world
+  of_world ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes world
 
-let extend ?progress ?domains ?backend ?checkpoint_dir ?only_passes t new_scans =
-  check_backend backend;
+let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
   let scans, monthly =
     Stage.run sctx "scan" (fun () ->
@@ -362,16 +341,14 @@ let extend ?progress ?domains ?backend ?checkpoint_dir ?only_passes t new_scans 
     Stage.run_cached sctx "batchgcd"
       ~key:
         (corpus_key corpus
-           ((match t.gcd with
-            | Flat _ -> "/extend"
-            | Sharded sh ->
-              Printf.sprintf "/extend/stride=%d" (Sh.stride sh))
-           ^ backend_tag backend))
+           (match t.gcd with
+           | Flat _ -> "/extend"
+           | Sharded sh -> Printf.sprintf "/extend/stride=%d" (Sh.stride sh)))
       ~save:save_gcd ~load:load_gcd
       (fun () ->
         match t.gcd with
-        | Flat inc -> Flat (Inc.extend ~pool ?backend inc fresh)
-        | Sharded sh -> Sharded (Sh.extend ~pool ?backend sh fresh))
+        | Flat inc -> Flat (Inc.extend ~pool inc fresh)
+        | Sharded sh -> Sharded (Sh.extend ~pool sh fresh))
   in
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)

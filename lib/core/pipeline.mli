@@ -71,7 +71,6 @@ val run :
   ?k:int ->
   ?shards:int ->
   ?domains:int ->
-  ?backend:string ->
   ?checkpoint_dir:string ->
   ?only_passes:string list ->
   Netsim.World.config -> t
@@ -98,19 +97,19 @@ val run :
 
 val of_world :
   ?progress:(string -> unit) -> ?k:int -> ?shards:int -> ?domains:int ->
-  ?backend:string -> ?checkpoint_dir:string -> ?only_passes:string list ->
+  ?checkpoint_dir:string -> ?only_passes:string list ->
   Netsim.World.t -> t
 (** Same, reusing an already-built world. *)
 
 val of_scans :
   ?progress:(string -> unit) -> ?k:int -> ?shards:int -> ?domains:int ->
-  ?backend:string -> ?checkpoint_dir:string -> ?only_passes:string list ->
+  ?checkpoint_dir:string -> ?only_passes:string list ->
   Netsim.World.t -> Netsim.Scanner.scan list -> t
 (** Same, from an explicit scan list (the snapshot-ingest entry point:
     pair with {!extend} to fold in later snapshots). *)
 
 val extend :
-  ?progress:(string -> unit) -> ?domains:int -> ?backend:string ->
+  ?progress:(string -> unit) -> ?domains:int ->
   ?checkpoint_dir:string -> ?only_passes:string list ->
   t -> Netsim.Scanner.scan list -> t
 (** [extend t new_scans] folds a fresh batch of scans into the

@@ -190,7 +190,7 @@ let figure2 t =
        n);
   let sub = Stdlib.min n 2000 in
   let sample = Array.sub t.Pipeline.corpus 0 sub in
-  (* Through the backend registry (the batchgcd-outside-backend lint
+  (* Through Batchgcd.Backend (the batchgcd-outside-backend lint
      boundary): [tree] is factor_batch, [ksubset_k 4] the k-subset
      split — same findings, so the rendered text is unchanged. *)
   let a = Batchgcd.Backend.factor Batchgcd.Backend.tree sample in

@@ -389,11 +389,16 @@ let save oc t =
 
 (* [max_id] is not a record count, so it never sizes an allocation:
    the table starts at the (byte-bounded) record count and grows to
-   the ids actually present. Records must come in the order [save]
-   writes them — strictly increasing ids, each holding only its own
-   subject's evidence — and the last id must be [max_id - 1]. *)
-let load ic =
+   the ids actually present. The table is dense over ids, so [max_id]
+   is checked against [subjects] first, and every record id below it.
+   Records must come in the order [save] writes them — strictly
+   increasing ids, each holding only its own subject's evidence — and
+   the last id must be [max_id - 1]. *)
+let load ~subjects ic =
   let max_id = Io.read_int ic in
+  if max_id > subjects then
+    raise
+      (Io.Corrupt (Printf.sprintf "max id %d beyond %d subjects" max_id subjects));
   let nonempty = Io.read_count ~min_bytes_each:8 ic in
   let t = create ~size:(Stdlib.max 1 (Stdlib.min max_id nonempty)) () in
   let last = ref (-1) in

@@ -84,5 +84,8 @@ val equal_evidence : t -> t -> bool
 
 val save : out_channel -> t -> unit
 
-val load : in_channel -> t
-(** @raise Corpus.Io.Corrupt on malformed input. *)
+val load : subjects:int -> in_channel -> t
+(** Read a table whose subject ids are below [subjects] (the corpus
+    size).
+    @raise Corpus.Io.Corrupt on malformed input, or on any subject id
+    at or above [subjects]. *)

@@ -522,16 +522,16 @@ let gcd_outside_nat ctx =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Rule 16: batch-GCD sweeps go through the Backend registry            *)
+(* Rule 16: batch-GCD sweeps go through Backend.factor                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [Batchgcd.Backend] is the one place that knows which decomposition
-   (tree / ksubset / all_to_all) fits a workload; calling
-   [factor_batch]/[factor_subsets] directly from product code pins one
-   decomposition and sidesteps the WEAKKEYS_BACKEND override and the
-   size-threshold policy. lib/batchgcd itself implements the backends,
-   and bench/ and test/ deliberately pin decompositions for shootouts
-   and cross-backend equality suites. *)
+(* Product code runs a full sweep as [Batchgcd.Backend.factor] on
+   [Backend.tree] or [Backend.ksubset_k k], so the decompositions it
+   may pick are named in one module. Calling
+   [factor_batch]/[factor_subsets] directly reaches past that
+   boundary. lib/batchgcd itself implements the sweeps, and bench/
+   and test/ deliberately pin decompositions for timing and
+   equality suites. *)
 let batchgcd_entry_points =
   [ "factor_batch"; "factor_subsets"; "factor_subsets_trees" ]
 
@@ -551,7 +551,7 @@ let batchgcd_outside_backend ctx =
         List.mem s batchgcd_entry_points)
       (fun s ->
         Printf.sprintf
-          "batch-GCD entry point `%s` called outside the Backend registry" s)
+          "batch-GCD entry point `%s` called outside Batchgcd.Backend" s)
       ctx
 
 (* ------------------------------------------------------------------ *)
@@ -680,13 +680,12 @@ let all =
       severity = Warning;
       doc =
         "direct calls to factor_batch/factor_subsets outside \
-         lib/batchgcd pin one sweep decomposition and bypass the \
-         Backend registry's WEAKKEYS_BACKEND override and \
-         size-threshold selection";
+         lib/batchgcd reach past Batchgcd.Backend, the one module \
+         that names the sweep decompositions product code runs";
       hint =
-        "resolve a backend with Batchgcd.Backend.get (or select) and \
-         call Backend.factor (bench/ shootouts and test/ equality \
-         suites stay exempt)";
+        "call Batchgcd.Backend.factor on Backend.tree or \
+         Backend.ksubset_k (bench/ timings and test/ equality suites \
+         stay exempt)";
       check = batchgcd_outside_backend };
   ]
 

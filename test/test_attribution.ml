@@ -94,7 +94,7 @@ let test_save_load_round_trip () =
   A.save oc a;
   close_out oc;
   let ic = open_in_bin path in
-  let b = A.load ic in
+  let b = A.load ~subjects:6 ic in
   close_in ic;
   Sys.remove path;
   Alcotest.(check bool) "evidence tables equal" true (A.equal_evidence a b);
@@ -121,13 +121,54 @@ let test_load_rejects_corrupt () =
   let ic = open_in_bin path in
   let raised =
     try
-      ignore (A.load ic);
+      ignore (A.load ~subjects:1024 ic);
       false
     with Corpus.Io.Corrupt _ | End_of_file -> true
   in
   close_in ic;
   Sys.remove path;
   Alcotest.(check bool) "corrupt input raises" true raised
+
+(* The table is dense over subject ids, so a well-formed file whose
+   one record sits at subject 10^9 would allocate 10^9 slots; [load]
+   must reject it against the corpus size before allocating. The file
+   is a saved one-record table with its max id, record id and evidence
+   subject rewritten (big-endian ints at offsets 0, 8 and 16). *)
+let test_load_rejects_subject_beyond_corpus () =
+  let a = A.create () in
+  A.add a (E.make ~subject:3 ~technique:E.Subject_rule ~vendor:"Cisco" ());
+  let path = Filename.temp_file "weakkeys-attr" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      A.save oc a;
+      close_out oc;
+      let load ~subjects =
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () ->
+            match A.load ~subjects ic with
+            | _ -> true
+            | exception Corpus.Io.Corrupt _ -> false)
+      in
+      Alcotest.(check bool) "subject 3 loads with 4 subjects" true
+        (load ~subjects:4);
+      Alcotest.(check bool) "subject 3 rejected with 3 subjects" false
+        (load ~subjects:3);
+      let ic = open_in_bin path in
+      let bytes = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+      close_in ic;
+      let far = 1_000_000_000 in
+      List.iter
+        (fun (off, v) -> Bytes.set_int32_be bytes off (Int32.of_int v))
+        [ (0, far + 1); (8, far); (16, far) ];
+      let oc = open_out_bin path in
+      output_bytes oc bytes;
+      close_out oc;
+      Alcotest.(check bool) "subject 10^9 rejected with 1024 subjects" false
+        (load ~subjects:1024))
 
 (* ------------------------------------------------------------------ *)
 (* Registry scheduling                                                 *)
@@ -254,6 +295,8 @@ let tests =
     Alcotest.test_case "save/load round trip" `Quick
       test_save_load_round_trip;
     Alcotest.test_case "load rejects corrupt" `Quick test_load_rejects_corrupt;
+    Alcotest.test_case "load rejects subject beyond corpus" `Quick
+      test_load_rejects_subject_beyond_corpus;
     Alcotest.test_case "builtin schedule" `Quick test_builtin_schedule;
     Alcotest.test_case "select closes over deps" `Quick
       test_select_closes_over_deps;

@@ -367,7 +367,8 @@ let test_parallel_batch_match_sequential () =
 
 module Inc = Batchgcd.Incremental
 
-(* factor_delta over every split point of a corpus (including splits
+(* A cached single tree plus its findings, reassembled by of_segments
+   and extended, over every split point of a corpus (including splits
    inside and before the planted shared block) must reproduce the full
    run over the union, exactly. *)
 let test_factor_delta_splits () =
@@ -381,9 +382,8 @@ let test_factor_delta_splits () =
           let fresh = Array.sub moduli split (Array.length moduli - split) in
           let old_tree = PT.build old_part in
           let old_findings = BG.factor_batch old_part in
-          let delta =
-            Inc.factor_delta ~old_tree ~old_findings fresh
-          in
+          let t = Inc.of_segments ~findings:old_findings [| (0, old_tree) |] in
+          let delta = Inc.findings (Inc.extend t fresh) in
           Alcotest.(check bool)
             (Printf.sprintf "seed %d split %d" seed split)
             true
@@ -783,67 +783,52 @@ let test_planted_1024 () =
     (BG.findings_equal oracle
        (Batchgcd.Sharded.findings (Batchgcd.Sharded.create ~stride:8 moduli)))
 
-(* ---------------- Backend registry ---------------- *)
+(* ---------------- Sweep and delta strategies ---------------- *)
 
 module Bk = Batchgcd.Backend
 module A2A = Batchgcd.All_to_all
 
-let test_backend_registry () =
-  Alcotest.(check (list string))
-    "builtin names"
-    [ "tree"; "ksubset"; "all_to_all" ]
-    (Bk.names ());
-  Alcotest.(check bool) "find known" true (Bk.find "all_to_all" <> None);
-  Alcotest.(check bool) "find unknown" true (Bk.find "nope" = None);
-  Alcotest.(check bool) "get unknown raises" true
-    (try
-       ignore (Bk.get "nope");
-       false
-     with Bk.Unknown_backend "nope" -> true);
-  Alcotest.(check bool) "tree is incremental and sharded" true
-    (Bk.tree.Bk.caps.Bk.incremental && Bk.tree.Bk.caps.Bk.sharded);
-  Alcotest.(check bool) "all_to_all is incremental and sharded" true
-    (Bk.all_to_all.Bk.caps.Bk.incremental && Bk.all_to_all.Bk.caps.Bk.sharded);
-  Alcotest.(check bool) "ksubset is one-shot only" false
-    (Bk.ksubset.Bk.caps.Bk.incremental || Bk.ksubset.Bk.caps.Bk.sharded)
-
+(* Incremental.extend picks its delta strategy from the delta size:
+   all-to-all up to 48 fresh moduli, remainder trees above. Both sides
+   of the cutoff must equal a recompute. *)
 let test_backend_select_policy () =
-  let threshold = Bk.all_to_all_threshold () in
-  Alcotest.(check string) "small work goes all-to-all" "all_to_all"
-    (Bk.select ~purpose:`Delta ~n:threshold ()).Bk.name;
-  Alcotest.(check string) "bulk work goes tree" "tree"
-    (Bk.select ~purpose:`Shard ~n:(threshold + 1) ()).Bk.name;
-  Alcotest.(check string) "explicit override beats the heuristic" "tree"
-    (Bk.select ~override:"tree" ~purpose:`Delta ~n:1 ()).Bk.name;
-  Alcotest.(check bool) "incapable override rejected" true
-    (try
-       ignore (Bk.select ~override:"ksubset" ~purpose:`Delta ~n:1 ());
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "unknown override raises Unknown_backend" true
-    (try
-       ignore (Bk.select ~override:"nope" ~purpose:`Shard ~n:1 ());
-       false
-     with Bk.Unknown_backend "nope" -> true)
+  Alcotest.(check string) "1 fresh modulus" "all_to_all" (Inc.delta_strategy 1);
+  Alcotest.(check string) "48 fresh moduli" "all_to_all" (Inc.delta_strategy 48);
+  Alcotest.(check string) "49 fresh moduli" "tree" (Inc.delta_strategy 49);
+  let moduli, _ = corpus ~bits:64 ~seed:19 ~n_clean:50 ~n_shared:10 () in
+  let full = BG.factor_batch moduli in
+  List.iter
+    (fun d ->
+      let n = Array.length moduli in
+      let t = Inc.create (Array.sub moduli 0 (n - d)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-modulus delta (%s) = recompute" d
+           (Inc.delta_strategy d))
+        true
+        (BG.findings_equal full
+           (Inc.findings (Inc.extend t (Array.sub moduli (n - d) d)))))
+    [ 48; 49 ]
 
-(* Every registered backend must land on identical findings — same
-   indexes, same divisors — across seeds and corpus sizes bracketing
-   the all-to-all selection threshold (default 48). *)
+(* Every sweep the Backend values name — the single tree and the
+   k-subset split at several k — lands on identical findings. *)
 let test_backends_findings_equal () =
   List.iter
     (fun seed ->
       List.iter
         (fun (n_clean, n_shared) ->
           let moduli, _ = corpus ~bits:64 ~seed ~n_clean ~n_shared () in
-          let reference = BG.factor_batch moduli in
+          let reference = BG.naive moduli in
           List.iter
-            (fun b ->
+            (fun (name, b) ->
               Alcotest.(check bool)
-                (Printf.sprintf "%s = reference (seed %d, %d moduli)" b.Bk.name
-                   seed (Array.length moduli))
+                (Printf.sprintf "%s = naive (seed %d, %d moduli)" name seed
+                   (Array.length moduli))
                 true
                 (BG.findings_equal reference (Bk.factor b moduli)))
-            Bk.builtin)
+            [
+              ("tree", Bk.tree); ("k=1", Bk.ksubset_k 1);
+              ("k=4", Bk.ksubset_k 4); ("k=16", Bk.ksubset_k 16);
+            ])
         [ (16, 8); (32, 16); (64, 32) ])
     [ 11; 23; 37 ]
 
@@ -865,65 +850,48 @@ let test_all_to_all_pairwise_hits () =
     (let clean, _ = corpus ~seed:31 ~n_clean:4 ~n_shared:0 () in
      A2A.cross_hits (PT.build (Array.sub clean 0 2)) (PT.build (Array.sub clean 2 2)))
 
-(* Incremental deltas through either capable strategy agree with a
-   from-scratch recompute; the one-shot ksubset strategy is refused. *)
+(* A 16-modulus delta (all-to-all) and a 64-modulus delta (remainder
+   trees), each holding moduli that share primes with the base and
+   with each other, agree with a from-scratch recompute. *)
 let test_incremental_backend_extend () =
-  let moduli, _ = corpus ~seed:43 ~n_clean:12 ~n_shared:6 () in
-  let base = Array.sub moduli 0 10 in
-  let delta = Array.sub moduli 10 (Array.length moduli - 10) in
+  let moduli, _ = corpus ~bits:64 ~seed:43 ~n_clean:60 ~n_shared:20 () in
+  let n = Array.length moduli in
   let full = BG.factor_batch moduli in
   List.iter
-    (fun backend ->
-      let t = Inc.create ~backend base in
-      let t = Inc.extend ~backend t delta in
+    (fun d ->
+      let t = Inc.create ~k:2 (Array.sub moduli 0 (n - d)) in
+      let t = Inc.extend t (Array.sub moduli (n - d) d) in
       Alcotest.(check bool)
-        (Printf.sprintf "create+extend via %s = recompute" backend)
+        (Printf.sprintf "%d-modulus extend (%s) = recompute" d
+           (Inc.delta_strategy d))
         true
         (BG.findings_equal full (Inc.findings t)))
-    [ "tree"; "all_to_all" ];
-  let t = Inc.create [||] in
-  Alcotest.(check bool) "ksubset delta refused" true
-    (try
-       ignore (Inc.extend ~backend:"ksubset" t moduli);
-       false
-     with Invalid_argument _ -> true)
+    [ 16; 64 ]
 
-(* The per-shard selection policy: small shards drop to all-to-all,
-   explicit and per-shard overrides win, and findings never depend on
-   which backend ran. *)
+(* backend_uses reports what ran: every shard on its tree after a
+   sweep, and the delta strategy of each shard-boundary chunk after an
+   extend; findings never depend on either. *)
 let test_sharded_backend_policy () =
-  let moduli, _ = corpus ~seed:47 ~n_clean:10 ~n_shared:5 () in
+  let moduli, _ = corpus ~bits:64 ~seed:47 ~n_clean:150 ~n_shared:30 () in
   let full = BG.factor_batch moduli in
-  let t = Sh.create ~stride:4 moduli in
+  let t = Sh.create ~stride:64 (Array.sub moduli 0 100) in
   Alcotest.(check (list (pair string int)))
-    "small shards all pick all_to_all"
-    [ ("all_to_all", Sh.shard_count t) ]
+    "every shard descends its tree"
+    [ ("tree", 2) ]
     (Sh.backend_uses t);
-  Alcotest.(check bool) "threshold policy findings = flat" true
-    (BG.findings_equal full (Sh.findings t));
-  let t_tree = Sh.create ~backend:"tree" ~stride:4 moduli in
+  Alcotest.(check bool) "sweep findings = flat" true
+    (BG.findings_equal
+       (BG.factor_batch (Array.sub moduli 0 100))
+       (Sh.findings t));
+  (* 80 fresh moduli: a 28-modulus top-up of shard 1, then 52 in a new
+     shard. *)
+  let t = Sh.extend t (Array.sub moduli 100 80) in
   Alcotest.(check (list (pair string int)))
-    "sweep-wide override pins every shard"
-    [ ("tree", Sh.shard_count t_tree) ]
-    (Sh.backend_uses t_tree);
-  Alcotest.(check bool) "override findings = flat" true
-    (BG.findings_equal full (Sh.findings t_tree));
-  let t_mixed =
-    Sh.create
-      ~shard_backend:(fun s -> if s = 0 then Some "tree" else None)
-      ~stride:4 moduli
-  in
-  Alcotest.(check (list (pair string int)))
-    "per-shard override beats the heuristic"
-    [ ("all_to_all", Sh.shard_count t_mixed - 1); ("tree", 1) ]
-    (Sh.backend_uses t_mixed);
-  Alcotest.(check bool) "mixed policy findings = flat" true
-    (BG.findings_equal full (Sh.findings t_mixed));
-  Alcotest.(check bool) "ksubset refused as shard strategy" true
-    (try
-       ignore (Sh.create ~backend:"ksubset" ~stride:4 moduli);
-       false
-     with Invalid_argument _ -> true)
+    "each chunk runs its size's strategy"
+    [ ("all_to_all", 1); ("tree", 1) ]
+    (Sh.backend_uses t);
+  Alcotest.(check bool) "extend findings = flat" true
+    (BG.findings_equal full (Sh.findings t))
 
 (* ---------------- Properties ---------------- *)
 
@@ -951,6 +919,105 @@ let prop_divisor_divides =
          List.for_all
            (fun f -> N.is_zero (N.rem f.BG.modulus f.BG.divisor))
            (BG.factor_batch moduli)))
+
+(* Adversarial corpus for the differential oracle: moduli from one
+   limb (two 15-bit primes) to three, a square p^2 whose p also sits
+   in another modulus, an r*s / r*t / s*t triangle, and one prime h in
+   more than half the corpus, shuffled. Moduli are distinct, so
+   Sharded accepts the corpus. *)
+let adversarial_corpus ~seed ~n =
+  let gen = mk_gen seed in
+  let st = Random.State.make [| seed |] in
+  let prime bits = Bignum.Prime.generate ~gen ~bits in
+  let width () = [| 15; 24; 40 |].(Random.State.int st 3) in
+  let h = prime 15 and p = prime 24 in
+  let r = prime 15 and s = prime 24 and t = prime 40 in
+  let out =
+    ref [ N.sqr p; N.mul p (prime 24); N.mul r s; N.mul r t; N.mul s t ]
+  in
+  let len = ref 5 and with_h = ref 0 in
+  while !len < n do
+    let use_h = 2 * !with_h <= n in
+    let m = N.mul (if use_h then h else prime (width ())) (prime (width ())) in
+    if not (List.exists (N.equal m) !out) then begin
+      out := m :: !out;
+      incr len;
+      if use_h then incr with_h
+    end
+  done;
+  let moduli = Array.of_list !out in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = moduli.(i) in
+    moduli.(i) <- moduli.(j);
+    moduli.(j) <- x
+  done;
+  moduli
+
+(* Every run against Batch_gcd.naive: Incremental.create at k = 1, 2
+   and 16; Sharded at strides 4 and 8 (the corpus size is 1 mod 8, so
+   both leave a 1-modulus tail shard); and extend splits whose deltas
+   fall on both sides of Incremental's all-to-all cutoff of 48. A copy
+   with two duplicated moduli runs the flat paths only, since Sharded
+   rejects duplicates. *)
+let prop_differential_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"every strategy = naive oracle (adversarial corpora)"
+       ~count:10
+       QCheck2.Gen.(pair (int_range 0 100_000) (int_range 7 12))
+       (fun (seed, j) ->
+         let moduli = adversarial_corpus ~seed ~n:((8 * j) + 1) in
+         let n = Array.length moduli in
+         let dup =
+           Array.concat [ moduli; [| moduli.(0) |]; [| moduli.(n / 2) |] ]
+         in
+         let small = 1 + (seed mod 48) and large = 49 + (seed mod (n - 49)) in
+         let failed = ref [] in
+         let check corpus label runs =
+           let oracle = BG.naive corpus in
+           List.iter
+             (fun (name, fs) ->
+               if not (BG.findings_equal oracle (Lazy.force fs)) then
+                 failed := Printf.sprintf "%s %s" label name :: !failed)
+             runs
+         in
+         let split corpus d =
+           let len = Array.length corpus in
+           (Array.sub corpus 0 (len - d), Array.sub corpus (len - d) d)
+         in
+         let flat corpus =
+           List.concat_map
+             (fun k ->
+               (Printf.sprintf "create k=%d" k,
+                lazy (Inc.findings (Inc.create ~k corpus)))
+               :: List.map
+                    (fun d ->
+                      let base, delta = split corpus d in
+                      ( Printf.sprintf "k=%d extend %d" k d,
+                        lazy (Inc.findings (Inc.extend (Inc.create ~k base) delta)) ))
+                    [ small; large ])
+             [ 1; 2; 16 ]
+         in
+         let sharded =
+           List.concat_map
+             (fun stride ->
+               (Printf.sprintf "sharded stride=%d" stride,
+                lazy (Sh.findings (Sh.create ~stride moduli)))
+               :: List.map
+                    (fun d ->
+                      let base, delta = split moduli d in
+                      ( Printf.sprintf "sharded stride=%d extend %d" stride d,
+                        lazy (Sh.findings (Sh.extend (Sh.create ~stride base) delta)) ))
+                    [ small; large ])
+             [ 4; 8 ]
+         in
+         check moduli "distinct" (flat moduli @ sharded);
+         check dup "duplicates" (flat dup);
+         match !failed with
+         | [] -> true
+         | fs ->
+           QCheck2.Test.fail_reportf "seed %d, %d moduli: %s" seed n
+             (String.concat "; " (List.rev fs))))
 
 let tests =
   [
@@ -1003,7 +1070,6 @@ let tests =
       test_io_rejects_oversized_length;
     Alcotest.test_case "checkpoint fuzz" `Quick test_checkpoint_fuzz;
     Alcotest.test_case "planted 1024-bit corpus" `Quick test_planted_1024;
-    Alcotest.test_case "backend registry" `Quick test_backend_registry;
     Alcotest.test_case "backend select policy" `Quick
       test_backend_select_policy;
     Alcotest.test_case "backends findings equal" `Quick
@@ -1016,4 +1082,5 @@ let tests =
       test_sharded_backend_policy;
     prop_implementations_agree;
     prop_divisor_divides;
+    prop_differential_oracle;
   ]

@@ -265,13 +265,13 @@ let test_batchgcd_outside_backend () =
     "let fs = Batchgcd.Batch_gcd.factor_subsets ~k moduli";
   check_flagged "forest seeding entry point" rule ~path:"lib/core/pipeline.ml"
     "let segs, fs = BG.factor_subsets_trees ~pool ~k corpus";
-  check_clean "registry projection is the sanctioned path" rule
+  check_clean "Backend.factor is the sanctioned path" rule
     ~path:"lib/core/pipeline.ml"
     "let fs = Batchgcd.Backend.factor b ~pool corpus";
   check_clean "backend implementations are exempt" rule
     ~path:"lib/batchgcd/backend.ml"
     "let tree_factor ?pool ?domains ms = BG.factor_batch ?pool ?domains ms";
-  check_clean "shootout bench is exempt" rule ~path:"bench/main.ml"
+  check_clean "bench is exempt" rule ~path:"bench/main.ml"
     "let fs = Batchgcd.Batch_gcd.factor_batch ~pool corpus";
   check_clean "equality tests are exempt" rule ~path:"test/test_batchgcd.ml"
     "let fs = BG.factor_subsets ~k:3 moduli";

@@ -463,52 +463,38 @@ let test_sharded_extend_matches_flat () =
     (Fingerprint.Attribution.equal_evidence flat.P.attribution
        sh.P.attribution)
 
-(* Pinning the sweep to a named backend must leave every rendered
-   artifact — the findings, the attribution table, the report tables —
-   byte-identical to the default dispatch, flat and sharded, and
-   through extend. *)
+(* The single-tree sweep (k = 1) must leave every rendered artifact —
+   the findings and the report tables — byte-identical to the paper's
+   default k = 16 split, and so must extending each of the two
+   differently shaped forests with the same snapshots. *)
 let test_backend_pipeline_equal () =
   let world = Lazy.force Worlds.small in
   let scans = Lazy.force Worlds.small_scans in
   let subset = List.filteri (fun i _ -> i mod 3 = 0) scans in
-  let default = P.of_scans world subset in
-  List.iter
-    (fun backend ->
-      let p = P.of_scans ~backend world subset in
-      Alcotest.(check bool)
-        (Printf.sprintf "findings equal (%s)" backend)
-        true
-        (Batchgcd.Batch_gcd.findings_equal default.P.findings p.P.findings);
-      Alcotest.(check string)
-        (Printf.sprintf "table4 byte-identical (%s)" backend)
-        (Weakkeys.Report.table4 default)
-        (Weakkeys.Report.table4 p);
-      Alcotest.(check string)
-        (Printf.sprintf "table1 byte-identical (%s)" backend)
-        (Weakkeys.Report.table1 default)
-        (Weakkeys.Report.table1 p))
-    [ "tree"; "ksubset"; "all_to_all" ];
-  let sharded = P.of_scans ~shards:4 ~backend:"all_to_all" world subset in
-  Alcotest.(check bool) "sharded all_to_all findings equal" true
-    (Batchgcd.Batch_gcd.findings_equal default.P.findings sharded.P.findings);
+  let check_same label default p =
+    Alcotest.(check bool)
+      (Printf.sprintf "findings equal (%s)" label)
+      true
+      (Batchgcd.Batch_gcd.findings_equal default.P.findings p.P.findings);
+    Alcotest.(check string)
+      (Printf.sprintf "table4 byte-identical (%s)" label)
+      (Weakkeys.Report.table4 default)
+      (Weakkeys.Report.table4 p);
+    Alcotest.(check string)
+      (Printf.sprintf "table1 byte-identical (%s)" label)
+      (Weakkeys.Report.table1 default)
+      (Weakkeys.Report.table1 p)
+  in
+  check_same "k=1" (P.of_scans world subset) (P.of_scans ~k:1 world subset);
   let cutoff = X509lite.Date.of_ymd 2014 1 1 in
   let early, late =
     List.partition
       (fun (s : Sc.scan) -> X509lite.Date.(s.Sc.scan_date < cutoff))
       scans
   in
-  let flat = P.extend (P.of_scans world early) late in
-  let a2a = P.extend ~backend:"all_to_all" (P.of_scans world early) late in
-  Alcotest.(check bool) "all_to_all extend = tree extend" true
-    (Batchgcd.Batch_gcd.findings_equal flat.P.findings a2a.P.findings);
-  Alcotest.(check string) "table4 byte-identical after extend"
-    (Weakkeys.Report.table4 flat)
-    (Weakkeys.Report.table4 a2a);
-  Alcotest.(check bool) "unknown backend rejected" true
-    (try
-       ignore (P.of_scans ~backend:"nope" world subset);
-       false
-     with Batchgcd.Backend.Unknown_backend "nope" -> true)
+  check_same "k=1 then extend"
+    (P.extend (P.of_scans world early) late)
+    (P.extend (P.of_scans ~k:1 world early) late)
 
 let tests =
   [
