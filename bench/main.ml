@@ -5,8 +5,8 @@
    1. Bechamel timing benches — one group per experiment: the Section
       3.2 batch-GCD comparison (naive / single tree / k subsets, and
       the k sweep behind Figure 2), plus the DESIGN.md ablations
-      (Karatsuba threshold, Burnikel-Ziegler vs Knuth division, binary
-      vs Euclidean GCD, OpenSSL-style vs plain key generation) and
+      (each multiply, division and gcd rung called directly through
+      [Nat.Kernel], OpenSSL-style vs plain key generation) and
       substrate throughputs.
 
    2. Regeneration of every table and figure of the paper, by running
@@ -21,10 +21,14 @@
    Environment knobs:
      WEAKKEYS_BENCH_SCALE   world scale for part 2 (default 0.15)
      WEAKKEYS_BENCH_JSON    output path (default BENCH_batchgcd.json)
-     WEAKKEYS_DOMAINS       parallel pool width (see Parallel.Pool)
-     WEAKKEYS_BENCH_SKIP_TIMING / WEAKKEYS_BENCH_SKIP_REPORT *)
+     WEAKKEYS_DOMAINS       parallel pool width (see Parallel.Pool);
+                            also the width of the in-multiply fan-out
+                            past 512 limbs, so 1 gives serial kernels
+     WEAKKEYS_BENCH_SKIP_TIMING / WEAKKEYS_BENCH_SKIP_REPORT
+   The Nat dispatch cutoffs are fixed; there is no kernel knob. *)
 
 module N = Bignum.Nat
+module K = Bignum.Nat.Kernel
 open Bechamel
 
 let drbg = Hashes.Drbg.create ~seed:"bench-fixtures" ()
@@ -58,48 +62,6 @@ let div_den = lazy (nat_of_bits 150_000)
 let gcd_a = lazy (nat_of_bits 4096)
 let gcd_b = lazy (nat_of_bits 4096)
 let msg_1k = String.init 1024 (fun i -> Char.chr (i land 0xff))
-
-(* Pin the kernel dispatch ladder for one timed closure; every knob
-   not passed keeps its current (possibly env-overridden) value. *)
-let with_kernels ?kara ?toom ?ntt ?bz ?recip ?barrett ?par ?hgcd f =
-  let k0 = !N.karatsuba_threshold
-  and t0 = !N.toom3_threshold
-  and n0 = !N.ntt_threshold
-  and b0 = !N.burnikel_ziegler_threshold
-  and r0 = !N.recip_threshold
-  and ba0 = !N.barrett_threshold
-  and p0 = !N.parallel_mul_threshold
-  and h0 = !N.hgcd_threshold in
-  let set r v = Option.iter (fun v -> r := v) v in
-  set N.karatsuba_threshold kara;
-  set N.toom3_threshold toom;
-  set N.ntt_threshold ntt;
-  set N.burnikel_ziegler_threshold bz;
-  set N.recip_threshold recip;
-  set N.barrett_threshold barrett;
-  set N.parallel_mul_threshold par;
-  set N.hgcd_threshold hgcd;
-  Fun.protect
-    ~finally:(fun () ->
-      N.karatsuba_threshold := k0;
-      N.toom3_threshold := t0;
-      N.ntt_threshold := n0;
-      N.burnikel_ziegler_threshold := b0;
-      N.recip_threshold := r0;
-      N.barrett_threshold := ba0;
-      N.parallel_mul_threshold := p0;
-      N.hgcd_threshold := h0)
-    f
-
-let with_thresholds km bz f = with_kernels ~kara:km ~bz f
-
-(* The PR 2 kernel configuration: Karatsuba + Burnikel-Ziegler only,
-   no Toom-3, no NTT, no Lehmer GCD, no in-multiply fan-out, no
-   Barrett reciprocals. Used for old-vs-new ablations and the
-   findings_equal cross-check. *)
-let with_pr2_kernels f =
-  with_kernels ~kara:24 ~toom:max_int ~ntt:max_int ~bz:40 ~barrett:max_int
-    ~par:max_int ~hgcd:max_int f
 
 (* ---------------- timing tests ---------------- *)
 
@@ -135,47 +97,35 @@ let figure2_k_sweep =
                (Lazy.force moduli_2048)))
        [ 1; 2; 4; 8; 16; 32 ])
 
+(* Each multiply rung runs its own algorithm at the top level and
+   hands its sub-products to the dispatcher, so a row times one rung
+   over the fixed ladder below it. Past 512 limbs the sub-products
+   fan out on the default pool (WEAKKEYS_DOMAINS). *)
 let ablation_multiplication =
   Test.make_grouped ~name:"ablation-mul-threshold"
     [
       t "karatsuba-200kbit" (fun () ->
-          with_kernels ~kara:24 ~toom:max_int ~ntt:max_int ~par:max_int
-            (fun () -> N.mul (Lazy.force big_a) (Lazy.force big_b)));
+          K.mul_karatsuba (Lazy.force big_a) (Lazy.force big_b));
       t "schoolbook-200kbit" (fun () ->
-          with_kernels ~kara:max_int ~toom:max_int ~ntt:max_int ~par:max_int
-            (fun () -> N.mul (Lazy.force big_a) (Lazy.force big_b)));
+          K.mul_school (Lazy.force big_a) (Lazy.force big_b));
     ]
 
-(* The PR 3 kernel tier: Toom-3 vs Karatsuba at 200k bits (~6.5k
-   limbs), serial and with the in-multiply pool fan-out. The NTT rung
-   is pinned off so the rows keep measuring what their names say. *)
+(* Toom-3 vs Karatsuba at 200k bits (~6.5k limbs). *)
 let toom3_group =
   Test.make_grouped ~name:"toom3"
     [
       t "mul-200kbit-karatsuba" (fun () ->
-          with_kernels ~toom:max_int ~ntt:max_int ~par:max_int (fun () ->
-              N.mul (Lazy.force big_a) (Lazy.force big_b)));
-      t "mul-200kbit-toom3-seq" (fun () ->
-          with_kernels ~ntt:max_int ~par:max_int (fun () ->
-              N.mul (Lazy.force big_a) (Lazy.force big_b)));
-      t "mul-200kbit-toom3-par" (fun () ->
-          with_kernels ~ntt:max_int (fun () ->
-              N.mul (Lazy.force big_a) (Lazy.force big_b)));
-      t "sqr-200kbit-karatsuba" (fun () ->
-          with_kernels ~toom:max_int ~ntt:max_int ~par:max_int (fun () ->
-              N.sqr (Lazy.force big_a)));
-      t "sqr-200kbit-toom3-seq" (fun () ->
-          with_kernels ~ntt:max_int ~par:max_int (fun () ->
-              N.sqr (Lazy.force big_a)));
-      t "sqr-200kbit-toom3-par" (fun () ->
-          with_kernels ~ntt:max_int (fun () -> N.sqr (Lazy.force big_a)));
+          K.mul_karatsuba (Lazy.force big_a) (Lazy.force big_b));
+      t "mul-200kbit-toom3" (fun () ->
+          K.mul_toom3 (Lazy.force big_a) (Lazy.force big_b));
+      t "sqr-200kbit-karatsuba" (fun () -> K.sqr_karatsuba (Lazy.force big_a));
+      t "sqr-200kbit-toom3" (fun () -> K.sqr_toom3 (Lazy.force big_a));
     ]
 
-(* The ISSUE 8 kernel tier: the two-prime CRT NTT vs Toom-3 at the
-   product-tree root scale. 200k bits is the root node of the tracked
-   2048 x 96-bit corpus; the 600k-bit rows show the gap widening with
-   size (the transform is quasi-linear, Toom-3 is O(n^1.465)). The
-   -par rows exercise the per-prime convolution fan-out. *)
+(* The two-prime CRT NTT vs Toom-3 at the product-tree root scale.
+   200k bits is the root node of the tracked 2048 x 96-bit corpus;
+   the 600k-bit rows show the gap widening with size (the transform
+   is quasi-linear, Toom-3 is O(n^1.465)). *)
 let huge_a = lazy (nat_of_bits 600_000)
 let huge_b = lazy (nat_of_bits 600_000)
 
@@ -183,60 +133,24 @@ let ntt_group =
   Test.make_grouped ~name:"ntt"
     [
       t "mul-200kbit-toom3" (fun () ->
-          with_kernels ~ntt:max_int ~par:max_int (fun () ->
-              N.mul (Lazy.force big_a) (Lazy.force big_b)));
+          K.mul_toom3 (Lazy.force big_a) (Lazy.force big_b));
       t "mul-200kbit-ntt" (fun () ->
-          with_kernels ~par:max_int (fun () ->
-              N.mul (Lazy.force big_a) (Lazy.force big_b)));
-      t "mul-200kbit-ntt-par" (fun () ->
-          N.mul (Lazy.force big_a) (Lazy.force big_b));
-      t "sqr-200kbit-toom3" (fun () ->
-          with_kernels ~ntt:max_int ~par:max_int (fun () ->
-              N.sqr (Lazy.force big_a)));
-      t "sqr-200kbit-ntt" (fun () ->
-          with_kernels ~par:max_int (fun () -> N.sqr (Lazy.force big_a)));
+          K.mul_ntt (Lazy.force big_a) (Lazy.force big_b));
+      t "sqr-200kbit-toom3" (fun () -> K.sqr_toom3 (Lazy.force big_a));
+      t "sqr-200kbit-ntt" (fun () -> K.sqr_ntt (Lazy.force big_a));
       t "mul-600kbit-toom3" (fun () ->
-          with_kernels ~ntt:max_int ~par:max_int (fun () ->
-              N.mul (Lazy.force huge_a) (Lazy.force huge_b)));
+          K.mul_toom3 (Lazy.force huge_a) (Lazy.force huge_b));
       t "mul-600kbit-ntt" (fun () ->
-          with_kernels ~par:max_int (fun () ->
-              N.mul (Lazy.force huge_a) (Lazy.force huge_b)));
-    ]
-
-(* Newton reciprocal vs computing the same floor(base^2n / b) by
-   division, at the remainder-tree root scale. *)
-let recip_group =
-  Test.make_grouped ~name:"recip"
-    [
-      t "recip-150kbit-newton" (fun () -> N.recip (Lazy.force div_den));
-      t "recip-150kbit-division" (fun () ->
-          with_kernels ~recip:max_int (fun () -> N.recip (Lazy.force div_den)));
-    ]
-
-(* Barrett reduction with a cached reciprocal vs plain remainder: the
-   per-step trade the plain remainder descent makes. The precompute
-   itself is timed separately — it is paid once per tree node and
-   pays off only when two or more reductions read it. *)
-let rem_precomp_group =
-  let pre = lazy (N.precompute (Lazy.force div_den)) in
-  Test.make_grouped ~name:"rem_precomp"
-    [
-      t "rem-400k/150k-plain" (fun () ->
-          N.rem (Lazy.force div_num) (Lazy.force div_den));
-      t "rem-400k/150k-barrett" (fun () ->
-          N.rem_precomp (Lazy.force div_num) (Lazy.force pre));
-      t "precompute-150k" (fun () -> N.precompute (Lazy.force div_den));
+          K.mul_ntt (Lazy.force huge_a) (Lazy.force huge_b));
     ]
 
 let ablation_division =
   Test.make_grouped ~name:"ablation-division"
     [
       t "burnikel-ziegler-400k/150k" (fun () ->
-          with_thresholds 24 40 (fun () ->
-              N.divmod (Lazy.force div_num) (Lazy.force div_den)));
+          N.divmod (Lazy.force div_num) (Lazy.force div_den));
       t "knuth-400k/150k" (fun () ->
-          with_thresholds 24 max_int (fun () ->
-              N.divmod (Lazy.force div_num) (Lazy.force div_den)));
+          K.divmod_knuth (Lazy.force div_num) (Lazy.force div_den));
     ]
 
 let ablation_powmod =
@@ -254,10 +168,7 @@ let ablation_powmod =
 
 (* Leaf-GCD kernel ladder at the 4-kbit operand size of a real
    batch-GCD leaf step (2048-bit modulus vs rem-tree residue), plus a
-   16-kbit rung where the Lehmer advantage has saturated. The lehmer
-   rows go through the default N.gcd dispatch; binary/euclid call
-   their kernels directly, which is what those entry points stay
-   exported for. *)
+   16-kbit rung where the Lehmer advantage has saturated. *)
 let gcd_a16 = lazy (nat_of_bits 16_384)
 let gcd_b16 = lazy (nat_of_bits 16_384)
 
@@ -265,15 +176,15 @@ let ablation_gcd =
   Test.make_grouped ~name:"ablation-gcd"
     [
       t "lehmer-4kbit" (fun () ->
-          N.gcd (Lazy.force gcd_a) (Lazy.force gcd_b));
+          K.gcd_lehmer (Lazy.force gcd_a) (Lazy.force gcd_b));
       t "binary-4kbit" (fun () ->
-          N.gcd_binary (Lazy.force gcd_a) (Lazy.force gcd_b));
+          K.gcd_binary (Lazy.force gcd_a) (Lazy.force gcd_b));
       t "euclid-4kbit" (fun () ->
-          N.gcd_euclid (Lazy.force gcd_a) (Lazy.force gcd_b));
+          K.gcd_euclid (Lazy.force gcd_a) (Lazy.force gcd_b));
       t "lehmer-16kbit" (fun () ->
-          N.gcd (Lazy.force gcd_a16) (Lazy.force gcd_b16));
+          K.gcd_lehmer (Lazy.force gcd_a16) (Lazy.force gcd_b16));
       t "binary-16kbit" (fun () ->
-          N.gcd_binary (Lazy.force gcd_a16) (Lazy.force gcd_b16));
+          K.gcd_binary (Lazy.force gcd_a16) (Lazy.force gcd_b16));
     ]
 
 let keygen_styles =
@@ -293,9 +204,8 @@ let keygen_styles =
 let pool_seq = lazy (Parallel.Pool.get ~domains:1 ())
 let pool_par = lazy (Parallel.Pool.get ())
 
-(* Shared descent fixture. The mod-square descent builds no
-   reciprocals, so a descent bench times exactly what factor_batch
-   runs after its product tree. *)
+(* Shared descent fixture: a descent bench times exactly what
+   factor_batch runs after its product tree. *)
 let tree_2048 =
   lazy
     (Batchgcd.Product_tree.build ~pool:(Lazy.force pool_seq)
@@ -325,9 +235,7 @@ let tree_parallel =
    recompute over all 2048 moduli vs folding the last 256 into a
    cached 1792-modulus forest. Both run on the sequential pool so the
    ratio isolates the algorithmic saving from domain fan-out; the
-   cached state is built once in force_fixtures (its segments' node
-   tables fill on the first extend, also outside the timed region,
-   since every later extend reads them again). *)
+   cached state is built once in force_fixtures. *)
 let inc_1792 =
   lazy
     (Batchgcd.Incremental.create ~pool:(Lazy.force pool_seq) ~k:16
@@ -643,11 +551,7 @@ let force_fixtures () =
   ignore (Lazy.force tree_2048);
   ignore (Lazy.force attr_table);
   ignore (Lazy.force delta_16);
-  (* One throwaway extend fills the cached segments' node tables, so
-     the timed runs measure steady-state ingest. *)
-  ignore
-    (Batchgcd.Incremental.extend ~pool:(Lazy.force pool_seq)
-       (Lazy.force inc_1792) (Lazy.force delta_256))
+  ignore (Lazy.force inc_1792)
 
 let run_timing () =
   force_fixtures ();
@@ -660,8 +564,7 @@ let run_timing () =
     [
       batchgcd_section_3_2; figure2_k_sweep; tree_parallel; delta_ingest;
       sharded_group; ablation_multiplication; toom3_group;
-      ntt_group;
-      recip_group; rem_precomp_group; ablation_division; ablation_powmod;
+      ntt_group; ablation_division; ablation_powmod;
       ablation_gcd; keygen_styles; substrate; attribution_group; lint_group;
     ]
   in
@@ -702,8 +605,8 @@ let run_timing () =
 
 (* Machine-readable perf record: every timed kernel, the
    sequential-vs-parallel speedups of the tree group, and findings_equal
-   cross-checks (parallel vs sequential, and old PR 2 kernels vs the
-   new dispatch ladder, on identical corpora). *)
+   cross-checks (parallel vs sequential, incremental and sharded vs
+   one-shot, on identical corpora). *)
 let emit_json ?million rows =
   let find name = List.assoc_opt name rows in
   let speedup kernel =
@@ -730,12 +633,6 @@ let emit_json ?million rows =
     Batchgcd.Batch_gcd.findings_equal new_findings
       (Batchgcd.Batch_gcd.factor_batch ~pool:(Lazy.force pool_par)
          (Lazy.force moduli_2048))
-  in
-  let findings_kernels_ok =
-    Batchgcd.Batch_gcd.findings_equal new_findings
-      (with_pr2_kernels (fun () ->
-           Batchgcd.Batch_gcd.factor_batch ~pool:(Lazy.force pool_seq)
-             (Lazy.force moduli_2048)))
   in
   let findings_incremental_ok =
     Batchgcd.Batch_gcd.findings_equal new_findings
@@ -764,7 +661,7 @@ let emit_json ?million rows =
     (bulk_uses, Batchgcd.Sharded.backend_uses extended)
   in
   let findings_ok =
-    findings_parallel_ok && findings_kernels_ok && findings_incremental_ok
+    findings_parallel_ok && findings_incremental_ok
     && findings_sharded_ok
   in
   let passes_parallel_speedup =
@@ -805,8 +702,6 @@ let emit_json ?million rows =
       Printf.fprintf oc "  \"findings_equal\": %b,\n" findings_ok;
       Printf.fprintf oc "  \"findings_equal_parallel\": %b,\n"
         findings_parallel_ok;
-      Printf.fprintf oc "  \"findings_equal_kernels\": %b,\n"
-        findings_kernels_ok;
       Printf.fprintf oc "  \"findings_equal_incremental\": %b,\n"
         findings_incremental_ok;
       Printf.fprintf oc "  \"findings_equal_sharded\": %b,\n"

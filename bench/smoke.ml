@@ -65,28 +65,17 @@ let () =
   check "parallel descent equals sequential"
     (Array.for_all2 N.equal rem_s rem_p);
 
-  (* The mod-square descent against a direct per-leaf [rem], on a
-     tree that has never taken a plain descent (no node tables). *)
+  (* Both descents against a direct per-leaf [rem]. *)
   let rem_direct, dt =
     timed (fun () -> Array.map (fun m -> N.rem root (N.sqr m)) moduli)
   in
   row "direct-rem-per-leaf" dt;
-  check "mod-square descent equals direct rem on a cold tree"
+  check "mod-square descent equals direct rem"
     (Array.for_all2 N.equal rem_s rem_direct);
-  (* The plain descent reads Barrett node tables; with the cutoff
-     lowered so 96-bit leaves get reciprocals too, it must still equal
-     a direct per-leaf [rem]. *)
-  let b0 = !N.barrett_threshold and r0 = !N.recip_threshold in
-  N.barrett_threshold := 2;
-  N.recip_threshold := 2;
-  let plain_low, dt =
-    timed (fun () -> RT.remainders ~pool:seq (PT.build ~pool:seq moduli) root)
-  in
-  N.barrett_threshold := b0;
-  N.recip_threshold := r0;
-  row "plain-descent-barrett-all" dt;
-  check "all-levels-barrett plain descent equals direct rem"
-    (Array.for_all2 N.equal plain_low (Array.map (N.rem root) moduli));
+  let plain, dt = timed (fun () -> RT.remainders ~pool:seq tree_s root) in
+  row "plain-descent" dt;
+  check "plain descent equals direct rem"
+    (Array.for_all2 N.equal plain (Array.map (N.rem root) moduli));
 
   let fb_s, dt = timed (fun () -> BG.factor_batch ~pool:seq moduli) in
   row "factor-batch-seq" dt;
@@ -135,70 +124,30 @@ let () =
           Inc.findings (Inc.extend ~pool:par base delta)))
     [ 16; 64 ];
 
-  (* findings_equal between the old (PR 2) kernel configuration and
-     the full new dispatch ladder, on the identical corpus. *)
-  let k0 = !N.karatsuba_threshold
-  and t0 = !N.toom3_threshold
-  and n0 = !N.ntt_threshold
-  and bz0 = !N.burnikel_ziegler_threshold
-  and ba0 = !N.barrett_threshold
-  and p0 = !N.parallel_mul_threshold
-  and h0 = !N.hgcd_threshold in
-  N.karatsuba_threshold := 24;
-  N.toom3_threshold := max_int;
-  N.ntt_threshold := max_int;
-  N.burnikel_ziegler_threshold := 40;
-  N.barrett_threshold := max_int;
-  N.parallel_mul_threshold := max_int;
-  N.hgcd_threshold := max_int;
-  let fb_old, dt = timed (fun () -> BG.factor_batch ~pool:seq moduli) in
-  N.karatsuba_threshold := k0;
-  N.toom3_threshold := t0;
-  N.ntt_threshold := n0;
-  N.burnikel_ziegler_threshold := bz0;
-  N.barrett_threshold := ba0;
-  N.parallel_mul_threshold := p0;
-  N.hgcd_threshold := h0;
-  row "factor-batch-pr2-kernels" dt;
-  check "old kernels findings = new kernels findings"
-    (BG.findings_equal fb_s fb_old);
-
-  (* ISSUE 8 kernel probes: Lehmer vs binary GCD and NTT vs Toom-3 on
-     operands small enough for every runtest, with the thresholds
-     pinned so both sides of each pair genuinely run their kernel. A
+  (* Lehmer vs binary GCD and NTT vs Toom-3, each rung called
+     directly on operands small enough for every runtest. A
      divergence here fails tier-1 instead of waiting for the nightly
      Bechamel ladder. *)
+  let module K = N.Kernel in
   let bits n = N.random_bits gen n in
   let ga = bits 4000 and gb = bits 4000 in
   let shared = bits 120 in
   let gsa = N.mul shared (bits 1900) and gsb = N.mul shared (bits 2500) in
-  let lehmer a b =
-    N.hgcd_threshold := 1;
-    Fun.protect ~finally:(fun () -> N.hgcd_threshold := h0) (fun () ->
-        N.gcd a b)
-  in
-  let gl, dt = timed (fun () -> lehmer ga gb) in
+  let gl, dt = timed (fun () -> K.gcd_lehmer ga gb) in
   row "gcd-4kbit-lehmer" dt;
-  let gbin, dt = timed (fun () -> N.gcd_binary ga gb) in
+  let gbin, dt = timed (fun () -> K.gcd_binary ga gb) in
   row "gcd-4kbit-binary" dt;
   check "lehmer gcd = binary gcd" (N.equal gl gbin);
   check "lehmer recovers a planted shared factor"
-    (N.equal (N.rem (lehmer gsa gsb) shared) N.zero
-    && N.equal (lehmer gsa gsb) (N.gcd_binary gsa gsb));
+    (N.equal (N.rem (K.gcd_lehmer gsa gsb) shared) N.zero
+    && N.equal (K.gcd_lehmer gsa gsb) (K.gcd_binary gsa gsb));
   let ma = bits 30_000 and mb = bits 30_000 in
-  let with_ntt v f =
-    N.ntt_threshold := v;
-    Fun.protect ~finally:(fun () -> N.ntt_threshold := n0) f
-  in
-  let p_toom, dt = timed (fun () -> with_ntt max_int (fun () -> N.mul ma mb)) in
+  let p_toom, dt = timed (fun () -> K.mul_toom3 ma mb) in
   row "mul-30kbit-toom3" dt;
-  let p_ntt, dt = timed (fun () -> with_ntt 8 (fun () -> N.mul ma mb)) in
+  let p_ntt, dt = timed (fun () -> K.mul_ntt ma mb) in
   row "mul-30kbit-ntt" dt;
   check "ntt mul = toom3 mul" (N.equal p_toom p_ntt);
-  check "ntt sqr = toom3 sqr"
-    (N.equal
-       (with_ntt max_int (fun () -> N.sqr ma))
-       (with_ntt 8 (fun () -> N.sqr ma)));
+  check "ntt sqr = toom3 sqr" (N.equal (K.sqr_toom3 ma) (K.sqr_ntt ma));
 
   (* Incremental ingest: create over the first 64 moduli, extend with
      the remaining 32, findings must match the one-shot run; then a

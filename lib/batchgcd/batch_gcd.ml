@@ -65,7 +65,7 @@ let factor_batch ?pool ?domains moduli =
     let zs = Remainder_tree.remainders_mod_square ~pool tree p in
     (* The leaf step the whole pipeline funnels into: one N.gcd per
        modulus, at modulus-sized operands — N.gcd dispatches these to
-       the Lehmer kernel past WEAKKEYS_HGCD_THRESHOLD limbs (the
+       the Lehmer kernel past its fixed 8-limb cutoff (the
        gcd-outside-nat lint keeps that dispatch unbypassed). *)
     let divisors =
       Array.init n (fun i ->
@@ -94,15 +94,6 @@ let factor_subsets_trees ?pool ?domains ~k moduli =
         (Array.init k (fun s -> s))
     in
     let products = Array.map Product_tree.root trees in
-    (* Node tables for every subset tree, built before the k^2
-       parallel descents: each tree takes k-1 plain descents, so the
-       reciprocals amortise, and eager building keeps the trees' lazy
-       caches single-writer — the gang hand-off below publishes them
-       to the workers. With k = 1 no plain descent runs and no table
-       is built; the one mod-square descent per tree divides
-       directly. *)
-    if k > 1 then
-      Array.iter (Product_tree.precompute ~pool ~squares:false) trees;
     (* k^2 reduction jobs: product j through tree i. Own-subset pairs
        use the mod-square descent; cross pairs plain remainders. *)
     let jobs =

@@ -81,13 +81,6 @@ let merge_all_to_all ~pool t tn acc =
                     (the new-vs-new pass, as in factor_batch). *)
 let merge_tree ~pool t tn acc =
   let pn = PT.root tn in
-  (* The fresh tree takes a plain descent from every new-vs-old job,
-     so its node tables must be published before the fan-out. Each
-     old segment tree is touched by exactly one job and fills its
-     node tables lazily on that worker (single-writer). The fresh
-     tree's own mod-square job divides directly and reads no
-     table. *)
-  PT.precompute ~pool ~squares:false tn;
   let nseg = Array.length t.segments in
   let job i =
     if i < nseg then

@@ -1,18 +1,9 @@
 module N = Bignum.Nat
 module Pool = Parallel.Pool
 
-(* Barrett precomps of the nodes are built lazily per level (or
-   eagerly via [precompute]) and memoised in the option slots. Only
-   the plain descent reads them, and only where a tree takes several
-   of those descents. A mod-square step divides directly, since each
-   squared node is read by one reduction per descent. The cache is
-   single-writer: descents fill it from the calling domain before
-   fanning a level out, and the distributed driver precomputes every
-   tree before its parallel phase, so workers only ever read. *)
-type t = {
-  levels : N.t array array;
-  node_pre : N.precomp array option array;
-}
+(* Levels, leaves first. Immutable once built, so any number of
+   descents may share one tree from any domain. *)
+type t = N.t array array
 
 (* Level-parallel cutoffs: a level fans out onto the pool only when it
    has enough independent nodes to share and each node is wide enough
@@ -52,14 +43,11 @@ let build ?pool inputs =
       up (level :: acc) next
     end
   in
-  let levels = Array.of_list (up [] inputs) in
-  let d = Array.length levels in
-  { levels; node_pre = Array.make d None }
+  Array.of_list (up [] inputs)
 
 (* Reconstruct a tree from serialized levels (checkpoint restore).
    Only the shape is validated — the node values are trusted to be the
-   products they claim to be, exactly as [build] trusts its inputs.
-   Precomp caches start empty and refill lazily or via [precompute]. *)
+   products they claim to be, exactly as [build] trusts its inputs. *)
 let of_levels levels =
   let d = Array.length levels in
   if d = 0 then invalid_arg "Product_tree.of_levels: no levels";
@@ -71,46 +59,22 @@ let of_levels levels =
     if Array.length levels.(k + 1) <> (n + 1) / 2 then
       invalid_arg "Product_tree.of_levels: level sizes do not halve"
   done;
-  { levels; node_pre = Array.make d None }
+  levels
 
-let leaves t = t.levels.(0)
-let depth t = Array.length t.levels
-let root t = t.levels.(depth t - 1).(0)
+let leaves (t : t) = t.(0)
+let depth (t : t) = Array.length t
+let root t = t.(depth t - 1).(0)
 
 let level t k =
   if k < 0 || k >= depth t then invalid_arg "Product_tree.level: out of range"
-  else t.levels.(k)
+  else t.(k)
 
 let total_limbs t =
   Array.fold_left
     (fun acc lvl ->
       Array.fold_left (fun acc n -> acc + N.size_limbs n) acc lvl)
-    0 t.levels
+    0 t
 
-(* A level's precomps fan out under the same policy as the build
-   itself (a precompute is a reciprocal, i.e. multiplies). *)
-let node_precomps ?pool t k =
-  match t.node_pre.(k) with
-  | Some ps -> ps
-  | None ->
-    let lvl = t.levels.(k) in
-    let n = Array.length lvl in
-    let node i = N.precompute lvl.(i) in
-    let ps =
-      if level_parallel ~nodes:n ~width:(max_width lvl) then
-        Pool.init ?pool n node
-      else Array.init n node
-    in
-    t.node_pre.(k) <- Some ps;
-    ps
-
-(* Root-level precomps are never needed: the plain descent reduces
-   by the root with one plain rem, so eager precomputation stops one
-   level short. [~squares:true] builds nothing: a squared node is read
-   by a single reduction per descent, so its reciprocal would cost
-   more than the division it replaces. *)
-let precompute ?pool ~squares t =
-  if not squares then
-    for k = 0 to depth t - 2 do
-      ignore (node_precomps ?pool t k)
-    done
+(* Kept so existing callers compile: a tree holds no derived tables,
+   so there is nothing to build ahead of a descent. *)
+let precompute ?pool:_ ~squares:_ _ = ()

@@ -16,8 +16,7 @@ val of_levels : Bignum.Nat.t array array -> t
 (** Rebuild a tree from its levels (leaves first, root last), as
     produced by iterating {!level} — the checkpoint-restore path in
     {!Incremental}. Validates the shape (each level half the size of
-    the one below, a single root) but trusts the node values; precomp
-    caches start empty.
+    the one below, a single root) but trusts the node values.
     @raise Invalid_argument on a malformed shape. *)
 
 val leaves : t -> Bignum.Nat.t array
@@ -39,18 +38,10 @@ val total_limbs : t -> int
     metric. *)
 
 val precompute : ?pool:Parallel.Pool.t -> squares:bool -> t -> unit
-(** [precompute ~squares:false t] eagerly builds and caches the Barrett
-    precomps ({!Bignum.Nat.precompute}) of the nodes of every non-root
-    level, the tables plain {!Remainder_tree.remainders} reads.
-    Idempotent. The lazy per-level cache is single-writer, so call this
-    before sharing one tree across concurrent plain descents (as the
-    distributed k-subset driver does).
-
-    [precompute ~squares:true t] is a no-op. A reciprocal pays only
-    where at least two reductions read it, and
-    {!Remainder_tree.remainders_mod_square} reduces by each squared
-    node once, so it divides directly and no squared-node table
-    exists. *)
+(** A no-op, kept with its signature for existing callers. A tree is
+    immutable and holds no derived tables: every descent step is a
+    plain {!Bignum.Nat.rem}, so nothing needs building before a
+    descent, and one tree can be shared by concurrent descents. *)
 
 (**/**)
 
@@ -63,8 +54,3 @@ val max_width : Bignum.Nat.t array -> int
 (** Widest node of a level, in limbs — the width fed to
     {!level_parallel} (gating on the first node alone misclassifies
     levels led by a narrow odd-one-out). *)
-
-val node_precomps :
-  ?pool:Parallel.Pool.t -> t -> int -> Bignum.Nat.precomp array
-(** Cached precomps of the nodes of level [k], built on first use. Not
-    safe to first-call concurrently; see {!precompute}. *)

@@ -8,18 +8,10 @@
     (default: the process-wide {!Parallel.Pool.get} pool) under the
     same node-count/operand-width cutoff as {!Product_tree.build}.
 
-    A reciprocal is built only where at least two reductions read it.
-    The mod-square descent reduces by each squared node once, so every
-    step is a plain {!Bignum.Nat.rem} by [node^2]. The plain descent
-    reads the tree's cached node precomps
-    ({!Product_tree.node_precomps}): a tree taking several plain
-    descents (the k-1 cross jobs of a k-subset tree, one per later
-    extend of an incremental segment) computes each reciprocal once,
-    and every step becomes two multiplies instead of a division —
-    Bernstein's scaled-remainder trick. That cache builds lazily on
-    the calling domain the first time a level is descended; precompute
-    eagerly ({!Product_tree.precompute}) before running concurrent
-    plain descents over one tree. *)
+    Every step is a plain {!Bignum.Nat.rem}: by [node^2] on the
+    mod-square descent, by [node] on the plain one. The tree holds no
+    derived tables, so descents need no preparation and any number of
+    them may share one tree concurrently. *)
 
 val remainders_mod_square :
   ?pool:Parallel.Pool.t ->
@@ -29,9 +21,9 @@ val remainders_mod_square :
 (** [remainders_mod_square tree v] returns [v mod (leaf_i ^ 2)] for
     each leaf, by descending the tree: the root gets [v mod root^2],
     each child the parent's remainder reduced mod the child squared.
-    The root squaring is skipped outright whenever [num_bits v] shows
-    [v < root^2], which holds for every product of the tree's own
-    leaves. *)
+    A node's squaring is skipped outright whenever the bit length of
+    the incoming value shows it is already below [node^2]; at the root
+    this holds for every product of the tree's own leaves. *)
 
 val remainders :
   ?pool:Parallel.Pool.t ->

@@ -13,41 +13,17 @@ let limb_bits = 31
 let base = 1 lsl limb_bits
 let mask = base - 1
 
-(* Deliberate tuning knobs: set once by bench/main.ml calibration and
-   restored afterwards, never written on the computation paths. *)
-let karatsuba_threshold = ref 24 (* lint: allow toplevel-ref *)
-let burnikel_ziegler_threshold = ref 40 (* lint: allow toplevel-ref *)
-let toom3_threshold = ref 96 (* lint: allow toplevel-ref *)
-let ntt_threshold = ref 2048 (* lint: allow toplevel-ref *)
-let recip_threshold = ref 64 (* lint: allow toplevel-ref *)
-let barrett_threshold = ref 48 (* lint: allow toplevel-ref *)
-let parallel_mul_threshold = ref 512 (* lint: allow toplevel-ref *)
-let hgcd_threshold = ref 8 (* lint: allow toplevel-ref *)
-
-(* Threshold sweeps (EXPERIMENTS.md) tune the dispatch ladder from the
-   environment, mirroring WEAKKEYS_DOMAINS, so a bench run does not
-   need a rebuild per candidate value. [floor] keeps values that would
-   break the recursion invariants (e.g. a 1-limb Karatsuba split never
-   terminating) out entirely. *)
-let env_threshold name ~floor r =
-  match Sys.getenv_opt name with
-  | None -> ()
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= floor -> r := n
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "%s: expected an integer >= %d" name floor))
-
-let () =
-  env_threshold "WEAKKEYS_KARATSUBA_THRESHOLD" ~floor:2 karatsuba_threshold;
-  env_threshold "WEAKKEYS_TOOM_THRESHOLD" ~floor:4 toom3_threshold;
-  env_threshold "WEAKKEYS_NTT_THRESHOLD" ~floor:1 ntt_threshold;
-  env_threshold "WEAKKEYS_BZ_THRESHOLD" ~floor:2 burnikel_ziegler_threshold;
-  env_threshold "WEAKKEYS_RECIP_THRESHOLD" ~floor:1 recip_threshold;
-  env_threshold "WEAKKEYS_BARRETT_THRESHOLD" ~floor:2 barrett_threshold;
-  env_threshold "WEAKKEYS_PARMUL_THRESHOLD" ~floor:2 parallel_mul_threshold;
-  env_threshold "WEAKKEYS_HGCD_THRESHOLD" ~floor:1 hgcd_threshold
+(* Dispatch cutoffs, in limbs (DESIGN.md § Bignum kernels). They are
+   fixed: tests and benches reach each rung directly through [Kernel]
+   rather than moving the ladder. The multiply cutoffs gate on the
+   smaller operand, the Burnikel-Ziegler one on the divisor, the
+   Lehmer one on the smaller gcd operand. *)
+let karatsuba_cutoff = 24
+let toom3_cutoff = 96
+let ntt_cutoff = 2048
+let bz_cutoff = 40
+let parallel_mul_cutoff = 512
+let lehmer_cutoff = 8
 
 let zero : t = [||]
 let is_zero (a : t) = Array.length a = 0
@@ -291,7 +267,7 @@ let add_into (r : int array) (x : t) off =
 
 (* Fan one node's independent sub-products (Karatsuba's 3, Toom-3's 5)
    onto the process-wide domain pool. Only multiplies whose smaller
-   operand reaches [parallel_mul_threshold] pay the dispatch cost, and
+   operand reaches [parallel_mul_cutoff] pay the dispatch cost, and
    the pool's DLS nesting guard runs re-entrant calls inline, so at
    most one level of any multiply tree fans out: the giant serial
    nodes at the top of a product tree finally occupy every domain,
@@ -562,7 +538,7 @@ let mul_ntt_gen (a : t) (b : t option) : t =
        (fun () -> ntt_convolve ntt_p2 ntt_g2 n lg a b) |]
   in
   let cs =
-    if Stdlib.min la lb >= !parallel_mul_threshold then
+    if Stdlib.min la lb >= parallel_mul_cutoff then
       Parallel.Pool.map ~chunk:1 (fun f -> f ()) jobs
     else Array.map (fun f -> f ()) jobs
   in
@@ -607,10 +583,10 @@ let rec mul (a : t) (b : t) : t =
   if la = 0 || lb = 0 then zero
   else begin
     let lmin = Stdlib.min la lb and lmax = Stdlib.max la lb in
-    if lmin < !karatsuba_threshold then mul_school a b
-    else if lmin >= !ntt_threshold && 2 * lmin > lmax && ntt_fits (la + lb)
+    if lmin < karatsuba_cutoff then mul_school a b
+    else if lmin >= ntt_cutoff && 2 * lmin > lmax && ntt_fits (la + lb)
     then mul_ntt a b
-    else if lmin >= !toom3_threshold && 2 * lmin > lmax then mul_toom3 a b
+    else if lmin >= toom3_cutoff && 2 * lmin > lmax then mul_toom3 a b
     else mul_karatsuba a b
   end
 
@@ -625,7 +601,7 @@ and mul_karatsuba (a : t) (b : t) : t =
   let a0, a1 = split_at a k and b0, b1 = split_at b k in
   let zs =
     run_products
-      (Stdlib.min la lb >= !parallel_mul_threshold)
+      (Stdlib.min la lb >= parallel_mul_cutoff)
       [| (fun () -> mul a0 b0);
          (fun () -> mul a1 b1);
          (fun () -> mul (add a0 a1) (add b0 b1)) |]
@@ -655,7 +631,7 @@ and mul_toom3 (a : t) (b : t) : t =
   let pb1, (nb1, mb1), (nb2, mb2) = toom3_eval b0 b1 b2 in
   let zs =
     run_products
-      (Stdlib.min la lb >= !parallel_mul_threshold)
+      (Stdlib.min la lb >= parallel_mul_cutoff)
       [| (fun () -> mul a0 b0);
          (fun () -> mul pa1 pb1);
          (fun () -> mul ma1 mb1);
@@ -708,9 +684,9 @@ let sqr_school (a : t) : t =
 let rec sqr (a : t) : t =
   let la = Array.length a in
   if la = 0 then zero
-  else if la < !karatsuba_threshold then sqr_school a
-  else if la >= !ntt_threshold && ntt_fits (2 * la) then sqr_ntt a
-  else if la >= !toom3_threshold then sqr_toom3 a
+  else if la < karatsuba_cutoff then sqr_school a
+  else if la >= ntt_cutoff && ntt_fits (2 * la) then sqr_ntt a
+  else if la >= toom3_cutoff then sqr_toom3 a
   else sqr_karatsuba a
 
 and sqr_karatsuba (a : t) : t =
@@ -722,7 +698,7 @@ and sqr_karatsuba (a : t) : t =
   let a0, a1 = split_at a k in
   let zs =
     run_products
-      (la >= !parallel_mul_threshold)
+      (la >= parallel_mul_cutoff)
       [| (fun () -> sqr a0);
          (fun () -> sqr a1);
          (fun () -> sqr (add a0 a1)) |]
@@ -746,7 +722,7 @@ and sqr_toom3 (a : t) : t =
   let p1, (_, m1), (_, m2) = toom3_eval a0 a1 a2 in
   let zs =
     run_products
-      (la >= !parallel_mul_threshold)
+      (la >= parallel_mul_cutoff)
       [| (fun () -> sqr a0);
          (fun () -> sqr p1);
          (fun () -> sqr m1);
@@ -894,13 +870,13 @@ let rem_knuth (a : t) (b : t) : t = snd (knuth_core ~want_q:false a b)
    Arithmetic, Algorithm 1.8 (RecursiveDivRem). [recursive_divrem a b]
    requires b normalized (top bit of top limb set), len a - len b = m
    with m <= len b, and a < b * base^m. Falls back to Knuth D below the
-   threshold. *)
+   cutoff. *)
 let rec recursive_divrem (a : t) (b : t) : t * t =
   let n = Array.length b in
   let m = Array.length a - n in
   if m <= 0 then
     if compare a b < 0 then (zero, a) else divmod_knuth a b
-  else if m < !burnikel_ziegler_threshold then divmod_knuth a b
+  else if m < bz_cutoff then divmod_knuth a b
   else begin
     let k = m / 2 in
     let b0, b1 = split_at b k in
@@ -952,7 +928,7 @@ let divmod (a : t) (b : t) : t * t =
     let q, r = divmod_int a b.(0) in
     (q, of_int r)
   else if compare a b < 0 then (zero, a)
-  else if n < !burnikel_ziegler_threshold then divmod_knuth a b
+  else if n < bz_cutoff then divmod_knuth a b
   else begin
     (* Normalize for the recursive algorithm, then shift back. *)
     let s = limb_bits - bits_of_limb b.(n - 1) in
@@ -963,7 +939,7 @@ let divmod (a : t) (b : t) : t * t =
 
 let div a b = fst (divmod a b)
 
-(* Remainder-only entry point: below the Burnikel-Ziegler threshold the
+(* Remainder-only entry point: below the Burnikel-Ziegler cutoff the
    quotient is never materialised. Above it the recursion needs its
    intermediate quotients, so it falls back to full division. *)
 let rem (a : t) (b : t) : t =
@@ -971,190 +947,8 @@ let rem (a : t) (b : t) : t =
   if n = 0 then raise Division_by_zero
   else if n = 1 then of_int (snd (divmod_int a b.(0)))
   else if compare a b < 0 then a
-  else if n < !burnikel_ziegler_threshold then rem_knuth a b
+  else if n < bz_cutoff then rem_knuth a b
   else snd (divmod a b)
-
-(* ------------------------------------------------------------------ *)
-(* Newton reciprocal and Barrett reduction                             *)
-(* ------------------------------------------------------------------ *)
-
-(* a / base^k without materialising the low part (split_at allocates
-   both halves; the reciprocal hot path only ever wants the top). *)
-let drop_limbs (a : t) k =
-  let la = Array.length a in
-  if k <= 0 then a
-  else if k >= la then zero
-  else norm (Array.sub a k (la - k))
-
-(* recip_core b n = floor(base^(2n) / b) for b of exactly n limbs with
-   a nonzero top limb. Newton-Raphson on the shifted reciprocal,
-   walked iteratively up a precision ladder n, ceil(n/2), ... down to
-   [recip_threshold]. The seed is one short Knuth division at the base
-   precision; each level lifts the previous estimate and applies one
-   quadratically convergent step against the top m limbs of b. The
-   step's correction multiply runs on a truncated error window (the
-   dropped low limbs cannot reach the kept result limbs), and no
-   per-level exact repair is done: the estimate drifts by a bounded
-   number of limbs per level, all repaired at once by the closing
-   short division at full precision — which is exact for any positive
-   estimate, so the drift only ever costs time, never correctness.
-   Division is therefore used once at the seed and once at the end,
-   and the cost is dominated by the two top-level half-size
-   multiplies. *)
-(* x * y for y roughly twice as long as x (the reciprocal ladder's
-   shape): split y into |x|-limb blocks so every block multiply runs
-   balanced -- the generic [mul] pads its unbalanced path and loses
-   about a third here. Near-balanced operands go straight through. *)
-let mul_blocks (x : t) (y : t) : t =
-  let lx = Array.length x and ly = Array.length y in
-  if lx = 0 || ly = 0 then zero
-    (* Block-splitting pays when both operands are wide but unbalanced
-       (each block multiply runs the balanced fast path). For a narrow
-       [x] the schoolbook row is already O(lx*ly) with one result
-       allocation, while ly/lx blocks would re-allocate the running
-       sum per block — O(ly^2/lx) words of garbage. *)
-  else if ly <= lx + lx / 4 || lx < 2 * !karatsuba_threshold then mul x y
-  else begin
-    let acc = ref zero in
-    let off = ref 0 in
-    while !off < ly do
-      let len = Stdlib.min lx (ly - !off) in
-      let blk = norm (Array.sub y !off len) in
-      if not (is_zero blk) then
-        acc := add !acc (shift_limbs (mul x blk) !off);
-      off := !off + lx
-    done;
-    !acc
-  end
-
-let recip_core (b : t) n : t =
-  if n <= !recip_threshold then div (shift_limbs one (2 * n)) b
-  else begin
-    (* Precision ladder, seed size first. The seed division costs
-       ~s^1.47 while every lift level carries a fixed overhead on top
-       of its multiplies, so descending far below n is a loss: stop
-       near n/5 (2-3 lifts) and pay one slightly larger — still
-       cheap — exact short division instead. *)
-    let stop = Stdlib.max !recip_threshold (n / 5) in
-    let rec ladder acc m =
-      if m <= stop then m :: acc else ladder (m :: acc) ((m + 1) / 2)
-    in
-    let sizes = ladder [] n in
-    let s = List.hd sizes in
-    (* One-shot seed: exact short division at the base precision. *)
-    let x = ref (div (shift_limbs one (2 * s))
-                   (norm (Array.sub b (n - s) s))) in
-    let h = ref s in
-    (* Residual bookkeeping: after the last level,
-       base^(2n) - x1*b = e -+ t*b (sign by branch), so the closing
-       repair reuses the level's exact e instead of multiplying
-       x1 * b from scratch. *)
-    let last_e = ref zero and last_t = ref zero and last_neg = ref false in
-    List.iter
-      (fun m ->
-        let xh = !x in
-        let bm = if m = n then b else norm (Array.sub b (n - m) m) in
-        (* x0 = xh * base^(m-h) lifts the level-h estimate; the Newton
-           step is x1 = x0 +- x0*e/base^(2m) for e = |base^(2m) - x0*bm|,
-           computed exactly (e is a cancellation down to scale
-           base^(2m-h): bm's low limbs all reach it). x0's trailing
-           zero limbs never enter a multiply. *)
-        let p0 = shift_limbs (mul_blocks xh bm) (m - !h) in
-        let beta2m = shift_limbs one (2 * m) in
-        let neg = compare p0 beta2m > 0 in
-        let e = if neg then sub p0 beta2m else sub beta2m p0 in
-        (* Only the top window of e reaches the kept limbs of the
-           correction t = xh*e/base^(m+h): dropping e's low m-4 limbs
-           perturbs t by under a unit. *)
-        let de = Stdlib.max 0 (m - 4) in
-        let t = drop_limbs (mul xh (drop_limbs e de)) (m + !h - de) in
-        let x0 = shift_limbs xh (m - !h) in
-        let x1, t_applied =
-          if not neg then (add x0 t, t)
-          else if compare t x0 < 0 then (sub x0 t, t)
-          else (x0, zero) (* degenerate drift; repaired below *)
-        in
-        last_e := e;
-        last_t := t_applied;
-        last_neg := neg;
-        x := x1;
-        h := m)
-      (List.tl sizes);
-    (* Exact closing repair from the threaded residual: the ladder's
-       accumulated drift is a few limbs at scale base^n, so the
-       closing divmod is of a short number by b and costs O(M(n)) not
-       O(n^2). *)
-    let x1 = !x in
-    let tb = mul_blocks !last_t b in
-    let pos_part, neg_part =
-      if !last_neg then (tb, !last_e) else (!last_e, tb) in
-    if compare pos_part neg_part >= 0 then
-      let q, _ = divmod (sub pos_part neg_part) b in
-      add x1 q
-    else begin
-      let q, r = divmod (sub neg_part pos_part) b in
-      let x = sub x1 q in
-      if is_zero r then x else sub x one
-    end
-  end
-
-let recip (b : t) : t =
-  let n = Array.length b in
-  if n = 0 then raise Division_by_zero else recip_core b n
-
-(* Precomputed divisor state for repeated reduction by the same
-   modulus. Below [barrett_threshold] the reciprocal would cost more
-   than it saves, so [pc_mu] is omitted and rem_precomp falls back to
-   plain [rem]. *)
-type precomp = { pc_d : t; pc_mu : t option; pc_n : int }
-
-let precompute (b : t) : precomp =
-  let n = Array.length b in
-  if n = 0 then raise Division_by_zero
-  else if n < !barrett_threshold then { pc_d = b; pc_mu = None; pc_n = n }
-  else { pc_d = b; pc_mu = Some (recip_core b n); pc_n = n }
-
-let precomp_divisor p = p.pc_d
-
-(* One Barrett step (HAC 14.42): for a < base^(2n), the estimate
-   qhat = floor(floor(a / base^(n-1)) * mu / base^(n+1)) satisfies
-   q - 2 <= qhat <= q, so after subtracting qhat*b at most two
-   corrective subtractions remain. *)
-let barrett_step ~mu ~b ~n (a : t) : t =
-  if compare a b < 0 then a
-  else begin
-    let qhat = drop_limbs (mul (drop_limbs a (n - 1)) mu) (n + 1) in
-    let r = ref (sub a (mul qhat b)) in
-    while compare !r b >= 0 do
-      r := sub !r b
-    done;
-    !r
-  end
-
-let rem_precomp (a : t) (p : precomp) : t =
-  match p.pc_mu with
-  | None -> rem a p.pc_d
-  | Some mu ->
-    let b = p.pc_d and n = p.pc_n in
-    let la = Array.length a in
-    if compare a b < 0 then a
-    else if la <= 2 * n then barrett_step ~mu ~b ~n a
-    else begin
-      (* Fold base^n-sized blocks from the top down, maintaining
-         r < b so each step's input r*base^n + block < b*base^n
-         <= base^(2n) stays within Barrett's domain. *)
-      let nblocks = (la + n - 1) / n in
-      let r = ref (norm (Array.sub a ((nblocks - 1) * n)
-                           (la - ((nblocks - 1) * n)))) in
-      for i = nblocks - 2 downto 0 do
-        let lr = Array.length !r in
-        let x = Array.make (n + lr) 0 in
-        Array.blit a (i * n) x 0 n;
-        Array.blit !r 0 x n lr;
-        r := barrett_step ~mu ~b ~n (norm x)
-      done;
-      !r
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Powers, roots                                                       *)
@@ -1245,11 +1039,12 @@ let gcd_binary a b =
    native-int headroom (q*uc <= mask^2, matrix-apply via the mul_int
    fast path) at ~30 bits of progress per round, which is why the
    cofactor-matrix form needs no multiprecision scratch state, unlike
-   a recursive half-GCD. *)
-let gcd_lehmer a0 b0 =
+   a recursive half-GCD. Rounds run while the smaller operand has more
+   than [floor] limbs; the binary loop finishes from there. *)
+let gcd_lehmer ~floor a0 b0 =
   let x = ref a0 and y = ref b0 in
   (* Invariant: x >= y. *)
-  while Array.length !y > !hgcd_threshold do
+  while Array.length !y > floor do
     if num_bits !x - num_bits !y > limb_bits then begin
       (* Too unbalanced for the leading digits to share a window: one
          full Euclidean step, as in the binary path. *)
@@ -1330,8 +1125,8 @@ let gcd a b =
   else if is_zero b then a
   else begin
     let a, b = if compare a b >= 0 then (a, b) else (b, a) in
-    if Array.length b <= !hgcd_threshold then gcd_binary a b
-    else gcd_lehmer a b
+    if Array.length b <= lehmer_cutoff then gcd_binary a b
+    else gcd_lehmer ~floor:lehmer_cutoff a b
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1546,6 +1341,51 @@ let random_below gen bound =
     in
     draw ()
   end
+
+(* ------------------------------------------------------------------ *)
+(* Individual rungs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each rung runs its own algorithm at the top level on any operands;
+   the recursive rungs hand their sub-products back to the dispatcher.
+   Only the wrappers below differ from the internal kernels: they
+   accept the operand shapes the dispatcher never routes to a rung. *)
+module Kernel = struct
+  let mul_school = mul_school
+  let mul_karatsuba = mul_karatsuba
+  let mul_toom3 = mul_toom3
+  let sqr_school = sqr_school
+  let sqr_karatsuba = sqr_karatsuba
+  let sqr_toom3 = sqr_toom3
+
+  let check_ntt l =
+    if not (ntt_fits l) then
+      invalid_arg "Nat.Kernel: product too large for the NTT primes"
+
+  let mul_ntt a b =
+    check_ntt (Array.length a + Array.length b);
+    mul_ntt a b
+
+  let sqr_ntt a =
+    check_ntt (2 * Array.length a);
+    sqr_ntt a
+
+  let divmod_knuth (a : t) (b : t) =
+    match Array.length b with
+    | 0 -> raise Division_by_zero
+    | 1 ->
+      let q, r = divmod_int a b.(0) in
+      (q, of_int r)
+    | _ -> divmod_knuth a b
+
+  let gcd_binary = gcd_binary
+
+  let gcd_lehmer a b =
+    let a, b = if compare a b >= 0 then (a, b) else (b, a) in
+    gcd_lehmer ~floor:0 a b
+
+  let gcd_euclid = gcd_euclid
+end
 
 module Infix = struct
   let ( + ) = add

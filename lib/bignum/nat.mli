@@ -6,9 +6,10 @@
 
     This module exists because the reproduction container has no zarith /
     GMP binding; it provides everything the batch-GCD pipeline needs:
-    schoolbook and Karatsuba multiplication, Knuth Algorithm-D and
-    Burnikel-Ziegler division, binary and Euclidean GCD, and modular
-    exponentiation. *)
+    schoolbook, Karatsuba, Toom-3 and NTT multiplication, Knuth
+    Algorithm-D and Burnikel-Ziegler division, binary and Lehmer GCD,
+    and modular exponentiation. Each operation dispatches on operand
+    size through one fixed ladder; there are no tuning knobs. *)
 
 type t
 
@@ -90,71 +91,42 @@ val sub : t -> t -> t
 val sub_int : t -> int -> t
 
 val mul : t -> t -> t
-(** Schoolbook below [karatsuba_threshold] limbs, Karatsuba above,
-    Toom-Cook-3 once both operands reach [toom3_threshold] limbs and
-    are near-balanced, and a two-prime CRT number-theoretic transform
-    (quasi-linear) once they reach [ntt_threshold] limbs. Past
-    [parallel_mul_threshold] limbs the independent sub-products of one
-    recursion level (or the NTT's per-prime convolutions) fan out onto
-    {!Parallel.Pool}; the pool's nesting guard keeps recursive and
-    tree-level parallel calls inline, so this composes with
-    [Product_tree]/[Remainder_tree] level parallelism deadlock-free. *)
+(** Schoolbook below 24 limbs in the smaller operand, Karatsuba above,
+    Toom-Cook-3 once both operands reach 96 limbs and are
+    near-balanced, and a two-prime CRT number-theoretic transform
+    (quasi-linear) once they reach 2048 limbs. Past 512 limbs the
+    independent sub-products of one recursion level (or the NTT's
+    per-prime convolutions) fan out onto {!Parallel.Pool}; the pool's
+    nesting guard keeps recursive and tree-level parallel calls
+    inline, so this composes with [Product_tree]/[Remainder_tree]
+    level parallelism deadlock-free. *)
 
 val mul_int : t -> int -> t
 
 val sqr : t -> t
 (** Dedicated squaring: schoolbook with the symmetric cross products
-    computed once below [karatsuba_threshold] limbs, Karatsuba with
-    three recursive squarings above, Toom-3 with five recursive
-    squarings above [toom3_threshold], and the NTT tier (one forward
-    transform per prime instead of two) above [ntt_threshold] —
-    measurably cheaper than [mul a a] on the remainder tree's
-    mod-square descent. Parallelises like {!mul}. *)
+    computed once below 24 limbs, Karatsuba with three recursive
+    squarings above, Toom-3 with five recursive squarings from 96
+    limbs, and the NTT tier (one forward transform per prime instead
+    of two) from 2048 limbs — measurably cheaper than [mul a a] on
+    the remainder tree's mod-square descent. Parallelises like
+    {!mul}. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r] and [0 <= r < b].
-    Knuth Algorithm D below [burnikel_ziegler_threshold] limbs in the
-    divisor, Burnikel-Ziegler recursive division above.
+    Knuth Algorithm D below 40 limbs in the divisor, Burnikel-Ziegler
+    recursive division above.
     @raise Division_by_zero if [b] is zero. *)
 
 val div : t -> t -> t
 
 val rem : t -> t -> t
-(** Remainder only. Below the Burnikel-Ziegler threshold this runs a
+(** Remainder only. Below the Burnikel-Ziegler cutoff this runs a
     dedicated Algorithm-D variant that never allocates or writes the
     quotient. *)
 
 val divmod_int : t -> int -> t * int
 val mod_int : t -> int -> int
-
-(** {1 Precomputed reduction}
-
-    Bernstein's scaled-remainder trick for the remainder-tree descent:
-    compute the shifted reciprocal of a divisor once, then replace each
-    division by it with two multiplies (Barrett reduction). *)
-
-val recip : t -> t
-(** [recip b] is [floor (base^(2n) / b)] for [n = size_limbs b],
-    computed by Newton-Raphson iteration on the top halves (so its cost
-    is a constant number of multiplies at each size, inheriting the
-    subquadratic kernels) with an exact final correction.
-    @raise Division_by_zero if [b] is zero. *)
-
-type precomp
-(** A divisor together with its cached Barrett state. *)
-
-val precompute : t -> precomp
-(** [precompute b] caches [b] and, when [size_limbs b >=
-    !barrett_threshold], its shifted reciprocal.
-    @raise Division_by_zero if [b] is zero. *)
-
-val precomp_divisor : precomp -> t
-(** The divisor the precomp was built from. *)
-
-val rem_precomp : t -> precomp -> t
-(** [rem_precomp a p = rem a (precomp_divisor p)], via Barrett block
-    reduction when the reciprocal is cached (any dividend length; large
-    dividends fold base^n blocks from the top), plain {!rem} otherwise. *)
 
 val pow : t -> int -> t
 (** [pow b e] with a non-negative native exponent. *)
@@ -165,20 +137,13 @@ val sqrt : t -> t
 (** {1 Number theory} *)
 
 val gcd : t -> t -> t
-(** Lehmer/half-GCD above [hgcd_threshold] limbs: single-precision
+(** Lehmer above 8 limbs in the smaller operand: single-precision
     extended Euclid on the top 62 bits of both operands accumulates a
     2x2 cofactor matrix that is applied to the full values once per
     round, so each O(n) pass retires ~30 quotient bits instead of the
-    binary loop's one or two. At or below the threshold this is the
+    binary loop's one or two. At or below the cutoff this is the
     binary (Stein) GCD with a Euclidean first step for unbalanced
     sizes. *)
-
-val gcd_binary : t -> t -> t
-(** The binary (Stein) GCD the dispatcher falls back to, exposed for
-    the ablation bench and cross-kernel equivalence tests. *)
-
-val gcd_euclid : t -> t -> t
-(** Pure Euclidean GCD, kept for the ablation bench. *)
 
 val pow_mod : t -> t -> t -> t
 (** [pow_mod b e m] is [b^e mod m]. @raise Division_by_zero if [m] is 0. *)
@@ -200,49 +165,49 @@ val random_below : (int -> string) -> t -> t
 (** Uniform in [\[0, bound)] by rejection sampling.
     @raise Invalid_argument if the bound is zero. *)
 
-(** {1 Tuning}
-
-    Kernel dispatch thresholds, in limbs. Each can be overridden at
-    startup from the environment (EXPERIMENTS.md threshold-sweep
-    recipe): [WEAKKEYS_KARATSUBA_THRESHOLD], [WEAKKEYS_TOOM_THRESHOLD],
-    [WEAKKEYS_NTT_THRESHOLD], [WEAKKEYS_BZ_THRESHOLD],
-    [WEAKKEYS_RECIP_THRESHOLD], [WEAKKEYS_BARRETT_THRESHOLD],
-    [WEAKKEYS_PARMUL_THRESHOLD] and [WEAKKEYS_HGCD_THRESHOLD];
-    malformed or dangerously small values raise [Invalid_argument] at
-    module initialisation, mirroring [WEAKKEYS_DOMAINS]. *)
-
-val karatsuba_threshold : int ref
-val burnikel_ziegler_threshold : int ref
-
-val toom3_threshold : int ref
-(** Minimum limb count of the {e smaller} operand before [mul]/[sqr]
-    switch from Karatsuba to Toom-3 (default 96). *)
-
-val ntt_threshold : int ref
-(** Minimum limb count of the {e smaller} operand before near-balanced
-    [mul]/[sqr] switch from Toom-3 to the two-prime CRT NTT (default
-    2048). Products too large for the primes' 2-adicity (~1 Gbit)
-    stay on Toom-3 regardless. *)
-
-val hgcd_threshold : int ref
-(** Maximum limb count of the smaller operand for which {!gcd} runs
-    the plain binary loop; above it the Lehmer leading-digit rounds
-    drive the reduction (default 8). *)
-
-val recip_threshold : int ref
-(** Divisor size (limbs) at or below which {!recip} just divides; also
-    the seed precision of the Newton ladder above it (default 64). *)
-
-val barrett_threshold : int ref
-(** Minimum divisor size (limbs) for {!precompute} to cache a
-    reciprocal; smaller divisors reduce via plain {!rem} (default 48). *)
-
-val parallel_mul_threshold : int ref
-(** Minimum size (limbs) of the smaller operand before one level of
-    [mul]/[sqr] recursion fans its sub-products onto the domain pool
-    (default 512). *)
-
 val pp : Format.formatter -> t -> unit
+
+(** {1 Individual rungs}
+
+    The kernels behind {!mul}, {!sqr}, {!divmod} and {!gcd}, for
+    equivalence tests and benches only; product code calls the
+    dispatchers, whose cutoffs are fixed. Each rung runs its own
+    algorithm at the top level on any operands, including shapes the
+    dispatcher never routes to it (unbalanced Toom-3, a 1-limb
+    Karatsuba, Lehmer rounds on small operands); the recursive rungs
+    hand their sub-products back to the dispatcher. *)
+module Kernel : sig
+  val mul_school : t -> t -> t
+  (** Schoolbook multiplication, the multiply oracle. *)
+
+  val mul_karatsuba : t -> t -> t
+  val mul_toom3 : t -> t -> t
+
+  val mul_ntt : t -> t -> t
+  (** @raise Invalid_argument when the product exceeds the transform
+      sizes the two NTT primes support (about 1 Gbit). *)
+
+  val sqr_school : t -> t
+  val sqr_karatsuba : t -> t
+  val sqr_toom3 : t -> t
+
+  val sqr_ntt : t -> t
+  (** @raise Invalid_argument as {!mul_ntt}. *)
+
+  val divmod_knuth : t -> t -> t * t
+  (** Knuth Algorithm D at every divisor size, the division oracle.
+      @raise Division_by_zero if the divisor is zero. *)
+
+  val gcd_binary : t -> t -> t
+  (** The binary (Stein) GCD that {!gcd} runs at or below its cutoff,
+      after one Euclidean step. *)
+
+  val gcd_lehmer : t -> t -> t
+  (** Lehmer rounds down to a zero remainder, at any operand size. *)
+
+  val gcd_euclid : t -> t -> t
+  (** Pure Euclidean GCD, the gcd oracle. *)
+end
 
 (** Infix operators, meant to be used via [Nat.Infix]. *)
 module Infix : sig

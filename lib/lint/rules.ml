@@ -472,10 +472,10 @@ let boxed_limb_array ctx =
 (* Rule 15: leaf GCDs go through the Nat.gcd dispatcher                *)
 (* ------------------------------------------------------------------ *)
 
-(* [Nat.gcd] picks binary vs Lehmer by operand size; calling
-   [gcd_binary]/[gcd_euclid]/[gcd_lehmer] directly — or hand-rolling a
-   [let rec gcd] loop — pins the caller to one kernel and silently
-   bypasses the WEAKKEYS_HGCD_THRESHOLD dispatch. The variants stay
+(* [Nat.gcd] picks binary vs Lehmer by operand size; calling one of
+   the [Nat.Kernel] gcd rungs ([gcd_binary]/[gcd_euclid]/[gcd_lehmer])
+   directly — or hand-rolling a [let rec gcd] loop — pins the caller
+   to one kernel and silently bypasses that dispatch. The rungs are
    exported precisely for the ablation bench and the cross-kernel
    equivalence tests, so bench/ and test/ are exempt alongside
    lib/bignum itself. *)
@@ -667,13 +667,13 @@ let all =
     { id = "gcd-outside-nat";
       severity = Warning;
       doc =
-        "direct calls to gcd_euclid/gcd_binary/gcd_lehmer — or \
-         hand-rolled `let rec gcd` loops — outside lib/bignum pin a \
-         caller to one kernel and bypass the size-dispatched Lehmer \
-         path and its WEAKKEYS_HGCD_THRESHOLD knob";
+        "direct calls to the Nat.Kernel gcd rungs \
+         (gcd_euclid/gcd_binary/gcd_lehmer) — or hand-rolled `let rec \
+         gcd` loops — outside lib/bignum pin a caller to one kernel and \
+         bypass the size-dispatched Lehmer path";
       hint =
         "call Nat.gcd and let the dispatcher pick the kernel (the \
-         variants stay exported for bench/ ablations and test/ \
+         Nat.Kernel rungs are for bench/ ablations and test/ \
          equivalence suites)";
       check = gcd_outside_nat };
     { id = "batchgcd-outside-backend";

@@ -217,13 +217,7 @@ let make_cert cfg ~ca ~ca_dn (m : Device_model.t) ~dev_path ~epoch_idx ~date key
     Cert.self_sign ~serial ~subject ~subject_alt_names:sans ~not_before
       ~not_after ~key ()
 
-(* Set WEAKKEYS_DEBUG_DEVICES=1 to trace device materialization (used
-   to localize pathological inputs). *)
-let debug_devices = Sys.getenv_opt "WEAKKEYS_DEBUG_DEVICES" <> None
-
 let materialize cfg ~ca ~ca_dn (p : proto) =
-  (* lint: allow lib-stdout — env-gated stderr trace, off by default *)
-  if debug_devices then Printf.eprintf "dev %s\n%!" p.p_id;
   let m = p.p_model in
   let weak_unit =
     Device_model.is_weak_at m p.p_deploy

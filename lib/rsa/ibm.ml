@@ -5,31 +5,37 @@ let pool_size = 9
 
 (* One fixed DRBG stream per key size reproduces the same nine primes
    on every call, like the buggy firmware reproduced the same nine RNG
-   states on every device. The memo tables are shared across the
-   domain pool that materializes device keys, so they are guarded. *)
+   states on every device. The memo is shared across the domain pool
+   that materializes device keys: an immutable list behind an
+   [Atomic], read without locking and extended only under
+   [pool_mutex], so each pool is generated once. *)
 let pool_mutex = Mutex.create ()
-let primes_tbl : (int, N.t array) Hashtbl.t = Hashtbl.create 4
+let primes_memo : (int * N.t array) list Atomic.t = Atomic.make []
 
 let with_lock f =
   Mutex.lock pool_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock pool_mutex) f
 
 let primes ~bits =
-  with_lock (fun () ->
-      match Hashtbl.find_opt primes_tbl bits with
-      | Some a -> a
-      | None ->
-        let drbg =
-          Hashes.Drbg.create ~seed:(Printf.sprintf "ibm-rsa2-pool-%d" bits) ()
-        in
-        let gen = Hashes.Drbg.gen_fn drbg in
-        (* OpenSSL-style: IBM sits in the "satisfy fingerprint" column
-           of the paper's Table 5. *)
-        let arr =
-          Array.init pool_size (fun _ -> P.generate_openssl_style ~gen ~bits)
-        in
-        Hashtbl.replace primes_tbl bits arr;
-        arr)
+  match List.assoc_opt bits (Atomic.get primes_memo) with
+  | Some a -> a
+  | None ->
+    with_lock (fun () ->
+        let memo = Atomic.get primes_memo in
+        match List.assoc_opt bits memo with
+        | Some a -> a
+        | None ->
+          let drbg =
+            Hashes.Drbg.create ~seed:(Printf.sprintf "ibm-rsa2-pool-%d" bits) ()
+          in
+          let gen = Hashes.Drbg.gen_fn drbg in
+          (* OpenSSL-style: IBM sits in the "satisfy fingerprint"
+             column of the paper's Table 5. *)
+          let arr =
+            Array.init pool_size (fun _ -> P.generate_openssl_style ~gen ~bits)
+          in
+          Atomic.set primes_memo ((bits, arr) :: memo);
+          arr)
 
 let all_moduli ~bits =
   let pool = primes ~bits:(bits / 2) in

@@ -75,21 +75,9 @@ let test_remainder_tree_matches_direct () =
     inputs
 
 (* Both descents against per-leaf oracles, [N.rem v (N.sqr m)] and
-   [N.rem v m], over random trees: a single leaf and odd widths, a [v]
-   at or above root^2 (so the root skip is not taken) next to the
-   tree's own root product (so it is), and leaf widths straddling the
-   Barrett cutoff, at the default cutoff and with it lowered so the
-   node tables hold real reciprocals. *)
-let with_barrett b f =
-  let b0 = !N.barrett_threshold and r0 = !N.recip_threshold in
-  N.barrett_threshold := b;
-  N.recip_threshold := 2;
-  Fun.protect
-    ~finally:(fun () ->
-      N.barrett_threshold := b0;
-      N.recip_threshold := r0)
-    f
-
+   [N.rem v m], over random trees: a single leaf and odd widths, and a
+   [v] at or above root^2 (so the root skip is not taken) next to the
+   tree's own root product (so it is). *)
 let check_descents name t v =
   let leaves = PT.leaves t in
   let sq = RT.remainders_mod_square t v and plain = RT.remainders t v in
@@ -107,57 +95,24 @@ let test_descent_oracle () =
   let st = Random.State.make [| 12 |] in
   let gen = mk_gen 12 in
   List.iter
-    (fun barrett ->
-      with_barrett barrett (fun () ->
-          List.iter
-            (fun width ->
-              (* 1..9 limbs: both sides of the lowered cutoff of 4 *)
-              let inputs =
-                Array.init width (fun _ ->
-                    N.add
-                      (N.random_bits gen (64 + Random.State.int st 450))
-                      N.two)
-              in
-              let t = PT.build inputs in
-              let root = PT.root t in
-              let big = N.random_bits gen ((2 * N.num_bits root) + 64) in
-              let name what =
-                Printf.sprintf "barrett>=%d width %d %s" barrett width what
-              in
-              check_descents (name "root product") t root;
-              (* at, just above and far above root^2 *)
-              check_descents (name "v = root^2") t (N.sqr root);
-              check_descents (name "v just above root^2") t
-                (N.add (N.sqr root) (N.random_bits gen (N.num_bits root)));
-              check_descents (name "v >> root^2") t (N.add big (N.sqr root));
-              check_descents (name "random v") t
-                (N.random_bits gen (1 + Random.State.int st 3000)))
-            [ 1; 2; 3; 5; 7; 13; 40 ]))
-    [ 4; 1000; !N.barrett_threshold ]
-
-(* Node tables are a cache: a descent over a cold tree, over one whose
-   tables a previous descent filled, and over one precomputed eagerly
-   (twice, plus the documented no-op [~squares:true]) all equal the
-   per-leaf oracles. *)
-let test_node_tables_cold_warm () =
-  let gen = mk_gen 16 in
-  with_barrett 2 (fun () ->
-      List.iter
-        (fun width ->
-          let inputs =
-            Array.init width (fun _ -> N.add (N.random_bits gen 200) N.two)
-          in
-          let v = N.random_bits gen 4000 in
-          let cold = PT.build inputs in
-          check_descents (Printf.sprintf "cold %d" width) cold v;
-          check_descents (Printf.sprintf "warm after descent %d" width) cold v;
-          let eager = PT.build inputs in
-          PT.precompute ~squares:true eager;
-          check_descents (Printf.sprintf "squares no-op %d" width) eager v;
-          PT.precompute ~squares:false eager;
-          PT.precompute ~squares:false eager;
-          check_descents (Printf.sprintf "eager %d" width) eager v)
-        [ 1; 6; 17 ])
+    (fun width ->
+      let inputs =
+        Array.init width (fun _ ->
+            N.add (N.random_bits gen (64 + Random.State.int st 450)) N.two)
+      in
+      let t = PT.build inputs in
+      let root = PT.root t in
+      let big = N.random_bits gen ((2 * N.num_bits root) + 64) in
+      let name what = Printf.sprintf "width %d %s" width what in
+      check_descents (name "root product") t root;
+      (* at, just above and far above root^2 *)
+      check_descents (name "v = root^2") t (N.sqr root);
+      check_descents (name "v just above root^2") t
+        (N.add (N.sqr root) (N.random_bits gen (N.num_bits root)));
+      check_descents (name "v >> root^2") t (N.add big (N.sqr root));
+      check_descents (name "random v") t
+        (N.random_bits gen (1 + Random.State.int st 3000)))
+    [ 1; 2; 3; 5; 7; 13; 40 ]
 
 (* The level_parallel width gate must look at the widest node: a level
    led by a narrow odd-one-out still classifies as parallel, and the
@@ -1030,8 +985,6 @@ let tests =
     Alcotest.test_case "descent = per-leaf rem oracle" `Quick
       test_descent_oracle;
     Alcotest.test_case "mixed-width level" `Quick test_mixed_width_level;
-    Alcotest.test_case "node tables cold = warm" `Quick
-      test_node_tables_cold_warm;
     Alcotest.test_case "planted factor recovered" `Quick
       test_planted_factor_recovered;
     Alcotest.test_case "clean corpus" `Quick test_clean_corpus_no_findings;

@@ -230,15 +230,15 @@ let test_gcd_outside_nat () =
   let rule = "gcd-outside-nat" in
   let path = "lib/batchgcd/batch_gcd.ml" in
   check_flagged "qualified variant call" rule ~path
-    "let g = Nat.gcd_binary m z";
+    "let g = Nat.Kernel.gcd_binary m z";
   check_flagged "fully qualified variant call" rule ~path
-    "let g = Bignum.Nat.gcd_euclid m z";
+    "let g = Bignum.Nat.Kernel.gcd_euclid m z";
   check_flagged "unqualified inside an opened module" rule ~path
     "let g = gcd_lehmer m z";
   check_flagged "hand-rolled Euclid loop" rule ~path
     "let rec gcd a b = if N.is_zero b then a else gcd b (N.rem a b)";
   check_flagged "binaries are in scope" rule ~path:"bin/weakkeys_cli.ml"
-    "let g = Nat.gcd_euclid m z";
+    "let g = Nat.Kernel.gcd_euclid m z";
   check_clean "dispatcher call is the sanctioned path" rule ~path
     "let g = Nat.gcd m z";
   check_clean "non-rec alias of the dispatcher" rule ~path
@@ -250,9 +250,9 @@ let test_gcd_outside_nat () =
     ~path:"lib/bignum/nat.ml"
     "let gcd a b = if small b then gcd_binary a b else gcd_lehmer a b";
   check_clean "ablation bench is exempt" rule ~path:"bench/main.ml"
-    "let r = N.gcd_euclid a b";
+    "let r = N.Kernel.gcd_euclid a b";
   check_clean "equivalence tests are exempt" rule ~path:"test/test_nat.ml"
-    "let bin = N.gcd_binary a b"
+    "let bin = N.Kernel.gcd_binary a b"
 
 let test_batchgcd_outside_backend () =
   let rule = "batchgcd-outside-backend" in

@@ -1,5 +1,5 @@
 (* Unit and property tests for Nat: ring axioms, division invariants,
-   Karatsuba vs schoolbook, Burnikel-Ziegler vs Knuth D, conversions. *)
+   every kernel rung against its oracle, conversions. *)
 
 module N = Bignum.Nat
 
@@ -108,7 +108,7 @@ let test_gcd_known () =
   let a = N.mul p (N.of_string "999999937") in
   let b = N.mul p (N.of_string "1000000021") in
   Alcotest.check nat "shared prime" p (N.gcd a b);
-  Alcotest.check nat "euclid agrees" (N.gcd a b) (N.gcd_euclid a b);
+  Alcotest.check nat "euclid agrees" (N.gcd a b) (N.Kernel.gcd_euclid a b);
   Alcotest.check nat "gcd 0 b" b (N.gcd N.zero b);
   Alcotest.check nat "gcd a 0" a (N.gcd a N.zero)
 
@@ -159,8 +159,10 @@ let props =
     prop "division invariant" (pair g) (fun (a, b) ->
         if N.is_zero b then true
         else begin
-          let q, r = N.divmod a b in
-          N.equal a (N.add (N.mul q b) r) && N.compare r b < 0
+          let q, r = N.divmod a b and kq, kr = N.Kernel.divmod_knuth a b in
+          N.equal a (N.add (N.mul q b) r)
+          && N.compare r b < 0
+          && N.equal q kq && N.equal r kr
         end);
     prop "string roundtrip" g (fun a -> N.equal a (N.of_string (N.to_string a)));
     prop "hex roundtrip" g (fun a ->
@@ -168,7 +170,10 @@ let props =
     prop "bytes roundtrip" g (fun a -> N.equal a (N.of_bytes_be (N.to_bytes_be a)));
     prop "limbs roundtrip" g (fun a -> N.equal a (N.of_limbs (N.to_limbs a)));
     prop "gcd binary = euclid" (pair g) (fun (a, b) ->
-        N.equal (N.gcd a b) (N.gcd_euclid a b));
+        let e = N.Kernel.gcd_euclid a b in
+        List.for_all
+          (fun gcd -> N.equal e (gcd a b))
+          [ N.gcd; N.Kernel.gcd_binary; N.Kernel.gcd_lehmer ]);
     prop "gcd divides both" (pair g) (fun (a, b) ->
         if N.is_zero a && N.is_zero b then true
         else begin
@@ -185,132 +190,138 @@ let props =
         N.compare a b = -N.compare b a);
   ]
 
-(* Cross-check the kernels against each other by moving dispatch
-   thresholds for the duration of a test. Every knob not passed is
-   pinned so each test exercises exactly the ladder rung it names. *)
-let with_kernels ?(kara = !N.karatsuba_threshold) ?(toom = max_int)
-    ?(ntt = max_int) ?(bz = !N.burnikel_ziegler_threshold)
-    ?(recip = !N.recip_threshold) ?(barrett = !N.barrett_threshold)
-    ?(hgcd = !N.hgcd_threshold) f =
-  let k0 = !N.karatsuba_threshold
-  and t0 = !N.toom3_threshold
-  and n0 = !N.ntt_threshold
-  and b0 = !N.burnikel_ziegler_threshold
-  and r0 = !N.recip_threshold
-  and ba0 = !N.barrett_threshold
-  and h0 = !N.hgcd_threshold in
-  N.karatsuba_threshold := kara;
-  N.toom3_threshold := toom;
-  N.ntt_threshold := ntt;
-  N.burnikel_ziegler_threshold := bz;
-  N.recip_threshold := recip;
-  N.barrett_threshold := barrett;
-  N.hgcd_threshold := hgcd;
-  Fun.protect
-    ~finally:(fun () ->
-      N.karatsuba_threshold := k0;
-      N.toom3_threshold := t0;
-      N.ntt_threshold := n0;
-      N.burnikel_ziegler_threshold := b0;
-      N.recip_threshold := r0;
-      N.barrett_threshold := ba0;
-      N.hgcd_threshold := h0)
-    f
+(* Each dispatcher rung against its oracle: schoolbook for the
+   multiplies, Knuth D for division, Euclid for gcd. The rungs come
+   from [N.Kernel], so a test names the rung it exercises and the
+   dispatch cutoffs (24, 96 and 2048 limbs for mul/sqr, 40 for
+   division, 8 for gcd) stay fixed. [limbs k] is a random value of
+   exactly [k] limbs. *)
+module K = N.Kernel
 
-let with_thresholds km bz f = with_kernels ~kara:km ~bz f
+let limbs gen k =
+  if k = 0 then N.zero
+  else
+    let top = N.add (N.random_bits gen (N.limb_bits - 1)) N.one in
+    N.add
+      (N.shift_left top ((k - 1) * N.limb_bits))
+      (N.random_bits gen ((k - 1) * N.limb_bits))
 
+(* Every rung on random operands from 0 to ~700 bits, zero and one
+   limb included: shapes the dispatcher never routes to a rung. *)
+let kernel_props =
+  let g = arb_nat () in
+  [
+    prop "mul rungs = schoolbook" ~count:200 (pair g) (fun (a, b) ->
+        let s = K.mul_school a b in
+        List.for_all
+          (fun f -> N.equal s (f a b))
+          [ N.mul; K.mul_karatsuba; K.mul_toom3; K.mul_ntt ]);
+    prop "sqr rungs = schoolbook" ~count:200 g (fun a ->
+        let s = K.mul_school a a in
+        List.for_all
+          (fun f -> N.equal s (f a))
+          [ N.sqr; K.sqr_school; K.sqr_karatsuba; K.sqr_toom3; K.sqr_ntt ]);
+  ]
+
+(* Balanced shapes one limb either side of the 24-limb Karatsuba
+   cutoff, and unbalanced ones well past it. *)
 let test_karatsuba_vs_schoolbook () =
   let gen = mk_gen 7 in
-  for _ = 1 to 30 do
-    let a = N.random_bits gen 4000 and b = N.random_bits gen 3500 in
-    let fast = with_thresholds 4 1000 (fun () -> N.mul a b) in
-    let slow = with_thresholds 100000 1000 (fun () -> N.mul a b) in
-    Alcotest.check nat "karatsuba = schoolbook" slow fast
-  done
+  List.iter
+    (fun (la, lb) ->
+      let a = limbs gen la and b = limbs gen lb in
+      let school = K.mul_school a b in
+      Alcotest.check nat "karatsuba = schoolbook" school (K.mul_karatsuba a b);
+      Alcotest.check nat "mul = schoolbook" school (N.mul a b);
+      Alcotest.check nat "sqr karatsuba = schoolbook" (K.sqr_school a)
+        (K.sqr_karatsuba a))
+    [ (23, 23); (24, 24); (25, 25); (23, 60); (24, 300); (130, 113) ]
 
+(* Divisors one limb either side of the 40-limb Burnikel-Ziegler
+   cutoff, and larger ones whose recursion runs several levels. *)
 let test_bz_vs_knuth () =
   let gen = mk_gen 9 in
-  for _ = 1 to 20 do
-    let a = N.random_bits gen 9000 and b = N.random_bits gen 2500 in
-    let fast_q, fast_r = with_thresholds 4 4 (fun () -> N.divmod a b) in
-    let slow_q, slow_r = with_thresholds 24 100000 (fun () -> N.divmod a b) in
-    Alcotest.check nat "bz quotient = knuth" slow_q fast_q;
-    Alcotest.check nat "bz remainder = knuth" slow_r fast_r
-  done
+  List.iter
+    (fun (la, lb) ->
+      let a = limbs gen la and b = limbs gen lb in
+      let q, r = N.divmod a b and kq, kr = K.divmod_knuth a b in
+      Alcotest.check nat "bz quotient = knuth" kq q;
+      Alcotest.check nat "bz remainder = knuth" kr r;
+      Alcotest.check nat "rem = knuth" kr (N.rem a b))
+    [ (80, 39); (80, 40); (80, 41); (123, 41); (291, 81); (800, 200);
+      (400, 200); (401, 200) ]
 
+(* Edge shapes for the dispatcher, most above the 40-limb cutoff, and
+   Knuth D on the divisors the dispatcher keeps from it. *)
 let test_bz_balanced_and_edge_shapes () =
   let gen = mk_gen 11 in
   List.iter
     (fun (abits, bbits) ->
       let a = N.random_bits gen abits and b = N.add (N.random_bits gen bbits) N.one in
-      let q, r = with_thresholds 4 4 (fun () -> N.divmod a b) in
+      let q, r = N.divmod a b in
       Alcotest.check nat "invariant" a (N.add (N.mul q b) r);
-      Alcotest.(check bool) "r < b" true (N.compare r b < 0))
+      Alcotest.(check bool) "r < b" true (N.compare r b < 0);
+      let kq, kr = K.divmod_knuth a b in
+      Alcotest.check nat "knuth quotient" q kq;
+      Alcotest.check nat "knuth remainder" r kr)
     [
       (5000, 5000); (5000, 4999); (5000, 2501); (5000, 2500); (10000, 1300);
       (2600, 2600); (2600, 1300); (1, 5000); (0, 5000); (5000, 1);
-    ]
+    ];
+  Alcotest.check_raises "knuth by zero" Division_by_zero (fun () ->
+      ignore (K.divmod_knuth N.one N.zero))
 
-(* Toom-3 against Karatsuba and schoolbook across shapes straddling
-   the dispatch boundaries: balanced at/around a lowered threshold,
-   unbalanced enough to fall back to Karatsuba, aliased operands. *)
+(* Toom-3 against schoolbook: balanced one limb either side of the
+   96-limb cutoff, unbalanced shapes the dispatcher sends to
+   Karatsuba, a zero operand, aliased squaring. *)
 let test_toom3_vs_karatsuba () =
   let gen = mk_gen 13 in
   List.iter
     (fun (abits, bbits) ->
       let a = N.random_bits gen abits and b = N.random_bits gen bbits in
-      let school =
-        with_kernels ~kara:max_int (fun () -> N.mul a b)
-      in
-      let kara = with_kernels ~kara:4 (fun () -> N.mul a b) in
-      let toom = with_kernels ~kara:4 ~toom:8 (fun () -> N.mul a b) in
-      Alcotest.check nat "karatsuba = schoolbook" school kara;
-      Alcotest.check nat "toom3 = schoolbook" school toom;
-      let sq_school = with_kernels ~kara:max_int (fun () -> N.sqr a) in
-      let sq_toom = with_kernels ~kara:4 ~toom:8 (fun () -> N.sqr a) in
-      Alcotest.check nat "sqr toom3 = schoolbook" sq_school sq_toom;
-      let mul_self = with_kernels ~kara:4 ~toom:8 (fun () -> N.mul a a) in
-      Alcotest.check nat "sqr = mul a a (aliased)" sq_toom mul_self)
+      let school = K.mul_school a b in
+      Alcotest.check nat "karatsuba = schoolbook" school (K.mul_karatsuba a b);
+      Alcotest.check nat "toom3 = schoolbook" school (K.mul_toom3 a b);
+      Alcotest.check nat "mul = schoolbook" school (N.mul a b);
+      let sq_school = K.sqr_school a in
+      Alcotest.check nat "sqr toom3 = schoolbook" sq_school (K.sqr_toom3 a);
+      Alcotest.check nat "sqr = schoolbook" sq_school (N.sqr a);
+      Alcotest.check nat "sqr = mul a a (aliased)" sq_school (K.mul_toom3 a a))
     [
-      (200, 200); (247, 247); (248, 248); (249, 230); (300, 160);
-      (4000, 3500); (6000, 1000); (5000, 5000); (5000, 0);
+      (200, 200); (300, 160); (2945, 2945); (2976, 2976); (3007, 3007);
+      (4000, 3500); (6000, 1000); (6000, 31); (5000, 5000); (5000, 0);
     ]
 
-(* Around the default 96-limb boundary with production thresholds:
-   2976 bits is exactly 96 limbs. *)
+(* The full ladder around the 96-limb cutoff: 2976 bits is exactly 96
+   limbs. *)
 let test_toom3_default_boundary () =
   let gen = mk_gen 15 in
   List.iter
     (fun bits ->
       let a = N.random_bits gen bits and b = N.random_bits gen bits in
-      let def = with_kernels ~toom:!N.toom3_threshold (fun () -> N.mul a b) in
-      let kara = with_kernels (fun () -> N.mul a b) in
-      Alcotest.check nat "default ladder = karatsuba-only" kara def)
+      Alcotest.check nat "default ladder = karatsuba" (K.mul_karatsuba a b)
+        (N.mul a b))
     [ 2940; 2976; 3007; 6200 ]
 
-(* Cross-kernel GCD equivalence: the Lehmer/half-GCD dispatch, the
-   binary loop and pure Euclid must agree pairwise on 10k random pairs
-   whose sizes straddle the hgcd threshold, plus the structured edge
-   shapes (equal, zero, one-limb, shared factor, powers of two). The
-   hgcd threshold is dropped to 1 so even small pairs exercise the
-   Lehmer rounds. *)
+(* Cross-kernel GCD equivalence: the dispatcher, Lehmer rounds at
+   every size, the binary loop and pure Euclid must agree on 10k
+   random pairs whose sizes straddle the 8-limb Lehmer cutoff, plus
+   the structured edge shapes (equal, zero, one-limb, shared factor,
+   powers of two). *)
 let test_hgcd_equivalence () =
   let gen = mk_gen 37 in
   let st = Random.State.make [| 41 |] in
   let check_triple tag a b =
-    let h = with_kernels ~hgcd:1 (fun () -> N.gcd a b) in
-    let bin = N.gcd_binary a b in
-    if not (N.equal h bin) then
-      Alcotest.failf "%s: hgcd <> binary (a=%s b=%s)" tag (N.to_hex a)
-        (N.to_hex b);
-    if not (N.equal h (N.gcd_euclid a b)) then
-      Alcotest.failf "%s: hgcd <> euclid (a=%s b=%s)" tag (N.to_hex a)
-        (N.to_hex b)
+    let e = K.gcd_euclid a b in
+    List.iter
+      (fun (rung, g) ->
+        if not (N.equal e (g a b)) then
+          Alcotest.failf "%s: %s <> euclid (a=%s b=%s)" tag rung (N.to_hex a)
+            (N.to_hex b))
+      [ ("gcd", N.gcd); ("lehmer", K.gcd_lehmer); ("binary", K.gcd_binary) ]
   in
   for i = 1 to 10_000 do
-    (* Sizes from one bit to ~700 bits: the default threshold is 8
-       limbs = 248 bits, so both sides of the dispatch get hit even
-       before the ~hgcd:1 override. *)
+    (* Sizes from one bit to ~700 bits: 8 limbs = 248 bits. *)
     let bits () = 1 + Random.State.int st 700 in
     let a = N.random_bits gen (bits ()) and b = N.random_bits gen (bits ()) in
     let a, b =
@@ -332,145 +343,73 @@ let test_hgcd_equivalence () =
     in
     check_triple (Printf.sprintf "pair %d" i) a b
   done;
+  (* At and just above the cutoff: an 8-limb pair never reaches the
+     Lehmer rounds through the dispatcher, a 9-limb pair runs one. *)
+  for i = 1 to 200 do
+    let k = 8 + (i mod 2) in
+    let f = limbs gen (1 + (i mod 3)) in
+    check_triple (Printf.sprintf "%d limbs %d" k i) (limbs gen k) (limbs gen k);
+    check_triple (Printf.sprintf "%d limbs shared %d" k i)
+      (N.mul f (limbs gen (k - 3))) (N.mul f (limbs gen (k - 3)))
+  done;
   (* A few large pairs so several Lehmer rounds run back to back. *)
   for i = 1 to 10 do
     let a = N.random_bits gen 6000 and b = N.random_bits gen 6000 in
     check_triple (Printf.sprintf "large %d" i) a b
   done
 
-(* The default dispatch (threshold 8) against binary on
-   batch-GCD-shaped inputs: modulus x (z below modulus^2). *)
+(* The default dispatch against binary on batch-GCD-shaped inputs:
+   modulus x (z below modulus^2). *)
 let test_hgcd_default_dispatch () =
   let gen = mk_gen 43 in
   for _ = 1 to 50 do
     let m = N.add (N.random_bits gen 2048) N.one in
     let z = N.rem (N.random_bits gen 4096) (N.sqr m) in
-    Alcotest.check nat "default gcd = binary" (N.gcd_binary m z) (N.gcd m z)
+    Alcotest.check nat "default gcd = binary" (K.gcd_binary m z) (N.gcd m z)
   done
 
-(* NTT against Toom-3, Karatsuba and schoolbook on sizes bracketing
-   every threshold, including all-ones operands (maximal convolution
-   coefficients, the worst case for the CRT carry chain), unbalanced
-   shapes that must fall back, and aliased squaring. *)
+(* NTT against Toom-3, Karatsuba and schoolbook on shapes the
+   dispatcher never sends it (small, unbalanced, one piece, piece and
+   transform-size power-of-two edges), all-ones operands (maximal
+   convolution coefficients, the worst case for the CRT carry chain)
+   and aliased squaring. *)
 let test_ntt_vs_toom3 () =
   let gen = mk_gen 47 in
   List.iter
     (fun (abits, bbits) ->
       let a = N.random_bits gen abits and b = N.random_bits gen bbits in
-      let school = with_kernels ~kara:max_int (fun () -> N.mul a b) in
-      let kara = with_kernels ~kara:4 (fun () -> N.mul a b) in
-      let toom = with_kernels ~kara:4 ~toom:8 (fun () -> N.mul a b) in
-      let ntt = with_kernels ~kara:4 ~ntt:8 (fun () -> N.mul a b) in
-      Alcotest.check nat "karatsuba = schoolbook" school kara;
-      Alcotest.check nat "toom3 = schoolbook" school toom;
-      Alcotest.check nat "ntt = schoolbook" school ntt;
-      let sq_school = with_kernels ~kara:max_int (fun () -> N.sqr a) in
-      let sq_ntt = with_kernels ~kara:4 ~ntt:8 (fun () -> N.sqr a) in
-      Alcotest.check nat "sqr ntt = schoolbook" sq_school sq_ntt;
-      let mul_self = with_kernels ~kara:4 ~ntt:8 (fun () -> N.mul a a) in
-      Alcotest.check nat "sqr = mul a a (aliased)" sq_ntt mul_self)
+      let school = K.mul_school a b in
+      Alcotest.check nat "toom3 = schoolbook" school (K.mul_toom3 a b);
+      Alcotest.check nat "ntt = schoolbook" school (K.mul_ntt a b);
+      let sq_ntt = K.sqr_ntt a in
+      Alcotest.check nat "sqr ntt = schoolbook" (K.sqr_school a) sq_ntt;
+      Alcotest.check nat "sqr = mul a a (aliased)" sq_ntt (K.mul_ntt a a))
     [
       (200, 200); (247, 247); (248, 248); (249, 230); (300, 160);
       (4000, 3500); (6000, 1000); (5000, 5000); (5000, 0); (5000, 2600);
-      (* one piece, piece boundaries, transform-size power-of-two edges *)
       (14, 14); (15, 15); (16, 16); (960, 960); (961, 961);
     ];
-  (* all-ones operands: every 15-bit piece is 2^15 - 1, so convolution
-     coefficients and the carry chain peak *)
+  (* all-ones operands: every 15-bit piece is 2^15 - 1 *)
   List.iter
     (fun bits ->
       let a = N.sub (N.shift_left N.one bits) N.one in
-      let toom = with_kernels ~kara:4 ~toom:8 (fun () -> N.mul a a) in
-      let ntt = with_kernels ~kara:4 ~ntt:8 (fun () -> N.mul a a) in
-      Alcotest.check nat "all-ones ntt = toom3" toom ntt;
-      Alcotest.check nat "all-ones sqr"
-        (with_kernels ~kara:4 ~toom:8 (fun () -> N.sqr a))
-        (with_kernels ~kara:4 ~ntt:8 (fun () -> N.sqr a)))
-    [ 496; 4096; 7688 ]
+      let b = N.sub (N.shift_left N.one (bits / 3)) N.one in
+      Alcotest.check nat "all-ones ntt = toom3" (K.mul_toom3 a a) (K.mul_ntt a a);
+      Alcotest.check nat "all-ones sqr" (K.sqr_toom3 a) (K.sqr_ntt a);
+      Alcotest.check nat "all-ones unbalanced" (K.mul_school a b)
+        (K.mul_ntt a b))
+    [ 15; 496; 4096; 7688 ]
 
-(* Around the default 2048-limb boundary with production thresholds:
-   63488 bits is exactly 2048 limbs. Toom-3 alone vs the full ladder
-   with the NTT rung live. *)
+(* The full ladder around the 2048-limb NTT cutoff: 63488 bits is
+   exactly 2048 limbs. Toom-3 at the top level vs the dispatcher. *)
 let test_ntt_default_boundary () =
   let gen = mk_gen 53 in
   List.iter
     (fun bits ->
       let a = N.random_bits gen bits and b = N.random_bits gen bits in
-      let toom =
-        with_kernels ~toom:!N.toom3_threshold (fun () -> N.mul a b)
-      in
-      let ladder =
-        with_kernels ~toom:!N.toom3_threshold ~ntt:!N.ntt_threshold (fun () ->
-            N.mul a b)
-      in
-      Alcotest.check nat "default ladder = toom3-only" toom ladder;
-      Alcotest.check nat "sqr default ladder = toom3-only"
-        (with_kernels ~toom:!N.toom3_threshold (fun () -> N.sqr a))
-        (with_kernels ~toom:!N.toom3_threshold ~ntt:!N.ntt_threshold
-           (fun () -> N.sqr a)))
+      Alcotest.check nat "default ladder = toom3" (K.mul_toom3 a b) (N.mul a b);
+      Alcotest.check nat "sqr default ladder = toom3" (K.sqr_toom3 a) (N.sqr a))
     [ 63300; 63488; 63700; 127000 ]
-
-let test_recip_bounds () =
-  let gen = mk_gen 17 in
-  with_kernels ~recip:4 (fun () ->
-      List.iter
-        (fun bits ->
-          let b = N.add (N.random_bits gen bits) N.one in
-          let n = N.size_limbs b in
-          let q = N.recip b in
-          let beta2n = N.shift_left N.one (2 * n * N.limb_bits) in
-          Alcotest.(check bool)
-            "q*b <= beta^2n" true
-            (N.compare (N.mul q b) beta2n <= 0);
-          Alcotest.(check bool)
-            "(q+1)*b > beta^2n" true
-            (N.compare (N.mul (N.add q N.one) b) beta2n > 0))
-        (* below/at/above the lowered recursion base, through several
-           doublings, plus a power of two and a top-heavy divisor *)
-        [ 31; 124; 125; 155; 300; 1000; 4000 ]);
-  Alcotest.check nat "recip 1" (N.shift_left N.one (2 * N.limb_bits))
-    (N.recip N.one);
-  Alcotest.check_raises "recip 0" Division_by_zero (fun () ->
-      ignore (N.recip N.zero))
-
-let test_rem_precomp_matches_rem () =
-  let gen = mk_gen 19 in
-  with_kernels ~recip:4 ~barrett:6 (fun () ->
-      List.iter
-        (fun dlimbs ->
-          (* divisors one limb below/at/above the barrett cutoff *)
-          let b = N.add (N.random_bits gen (dlimbs * N.limb_bits)) N.one in
-          let p = N.precompute b in
-          Alcotest.check nat "precomp_divisor" b (N.precomp_divisor p);
-          List.iter
-            (fun abits ->
-              let a = N.random_bits gen abits in
-              Alcotest.check nat
-                (Printf.sprintf "rem_precomp %d-limb div, %d-bit a" dlimbs
-                   abits)
-                (N.rem a b) (N.rem_precomp a p))
-            [ 0; 50; dlimbs * N.limb_bits; 2 * dlimbs * N.limb_bits;
-              (7 * dlimbs * N.limb_bits / 2); 9 * dlimbs * N.limb_bits ])
-        [ 5; 6; 7; 12; 40 ]);
-  (* a = multiple of b reduces to zero through the barrett path *)
-  with_kernels ~recip:4 ~barrett:4 (fun () ->
-      let b = N.add (N.random_bits (mk_gen 23) 400) N.one in
-      let p = N.precompute b in
-      let a = N.mul b (N.random_bits (mk_gen 29) 900) in
-      Alcotest.check nat "exact multiple" N.zero (N.rem_precomp a p))
-
-(* Production-scale spot check: default thresholds, divisor above the
-   48-limb barrett cutoff, dividend spanning several blocks. *)
-let test_rem_precomp_default_thresholds () =
-  let gen = mk_gen 31 in
-  let b = N.add (N.random_bits gen 1600) N.one in
-  let p = N.precompute b in
-  List.iter
-    (fun abits ->
-      let a = N.random_bits gen abits in
-      Alcotest.check nat "default-threshold rem_precomp" (N.rem a b)
-        (N.rem_precomp a p))
-    [ 1500; 1600; 3200; 9000 ]
 
 let test_infix () =
   let open N.Infix in
@@ -510,10 +449,6 @@ let tests =
     Alcotest.test_case "ntt default boundary" `Slow test_ntt_default_boundary;
     Alcotest.test_case "burnikel-ziegler vs knuth" `Slow test_bz_vs_knuth;
     Alcotest.test_case "division edge shapes" `Quick test_bz_balanced_and_edge_shapes;
-    Alcotest.test_case "recip bounds" `Quick test_recip_bounds;
-    Alcotest.test_case "rem_precomp vs rem" `Quick test_rem_precomp_matches_rem;
-    Alcotest.test_case "rem_precomp default thresholds" `Quick
-      test_rem_precomp_default_thresholds;
     Alcotest.test_case "infix operators" `Quick test_infix;
   ]
-  @ props
+  @ props @ kernel_props

@@ -401,46 +401,6 @@ let test_sharded_pipeline_equal () =
         [ 2; 8 ])
     [ (5, 0); (5, 1); (5, 2) ]
 
-(* The kernel-threshold contract behind WEAKKEYS_HGCD_THRESHOLD /
-   WEAKKEYS_NTT_THRESHOLD (the env knobs set these same refs at module
-   init): forcing the Lehmer GCD and the NTT multiply onto every
-   operand size must leave the full pipeline's findings — and a
-   rendered report table, byte for byte — identical to the default
-   dispatch, across three scan subsets ("seeds", the same convention
-   as the sharded test above). *)
-let test_kernel_thresholds_pipeline_equal () =
-  let world = Lazy.force Worlds.small in
-  let scans = Lazy.force Worlds.small_scans in
-  let with_min_kernel_thresholds f =
-    let h0 = !N.hgcd_threshold and n0 = !N.ntt_threshold in
-    N.hgcd_threshold := 1;
-    N.ntt_threshold := 1;
-    Fun.protect
-      ~finally:(fun () ->
-        N.hgcd_threshold := h0;
-        N.ntt_threshold := n0)
-      f
-  in
-  List.iter
-    (fun phase ->
-      let subset = List.filteri (fun i _ -> i mod 5 = phase) scans in
-      let default = P.of_scans world subset in
-      let forced = with_min_kernel_thresholds (fun () -> P.of_scans world subset) in
-      Alcotest.(check bool)
-        (Printf.sprintf "findings equal (seed %d)" phase)
-        true
-        (Batchgcd.Batch_gcd.findings_equal default.P.findings forced.P.findings);
-      Alcotest.(check bool)
-        (Printf.sprintf "attributions equal (seed %d)" phase)
-        true
-        (Fingerprint.Attribution.equal_evidence default.P.attribution
-           forced.P.attribution);
-      Alcotest.(check string)
-        (Printf.sprintf "table1 byte-identical (seed %d)" phase)
-        (Weakkeys.Report.table1 default)
-        (Weakkeys.Report.table1 forced))
-    [ 0; 1; 2 ]
-
 (* extend on a sharded pipeline continues in sharded mode and still
    matches the flat pipeline extended with the same snapshot. *)
 let test_sharded_extend_matches_flat () =
@@ -518,8 +478,6 @@ let tests =
     Alcotest.test_case "checkpoint resume" `Slow test_checkpoint_resume;
     Alcotest.test_case "sharded pipeline = flat" `Slow
       test_sharded_pipeline_equal;
-    Alcotest.test_case "min kernel thresholds = default" `Slow
-      test_kernel_thresholds_pipeline_equal;
     Alcotest.test_case "sharded extend = flat extend" `Slow
       test_sharded_extend_matches_flat;
     Alcotest.test_case "backend pipeline = default" `Slow
