@@ -1041,8 +1041,8 @@ let gcd_binary a b =
    cofactor-matrix form needs no multiprecision scratch state, unlike
    a recursive half-GCD. Rounds run while the smaller operand has more
    than [floor] limbs; the binary loop finishes from there. *)
-let gcd_lehmer ~floor a0 b0 =
-  let x = ref a0 and y = ref b0 in
+let gcd_lehmer ~floor a b =
+  let x = ref (max a b) and y = ref (min a b) in
   (* Invariant: x >= y. *)
   while Array.length !y > floor do
     if num_bits !x - num_bits !y > limb_bits then begin
@@ -1120,14 +1120,7 @@ let gcd_lehmer ~floor a0 b0 =
   done;
   gcd_binary !x !y
 
-let gcd a b =
-  if is_zero a then b
-  else if is_zero b then a
-  else begin
-    let a, b = if compare a b >= 0 then (a, b) else (b, a) in
-    if Array.length b <= lehmer_cutoff then gcd_binary a b
-    else gcd_lehmer ~floor:lehmer_cutoff a b
-  end
+let gcd a b = gcd_lehmer ~floor:lehmer_cutoff a b
 
 (* ------------------------------------------------------------------ *)
 (* Modular arithmetic                                                  *)
@@ -1380,9 +1373,7 @@ module Kernel = struct
 
   let gcd_binary = gcd_binary
 
-  let gcd_lehmer a b =
-    let a, b = if compare a b >= 0 then (a, b) else (b, a) in
-    gcd_lehmer ~floor:0 a b
+  let gcd_lehmer a b = gcd_lehmer ~floor:0 a b
 
   let gcd_euclid = gcd_euclid
 end
