@@ -298,10 +298,8 @@ let attr_ctx =
        factored = p.Weakkeys.Pipeline.factored;
        factored_index = p.Weakkeys.Pipeline.factored_index;
        unrecovered = p.Weakkeys.Pipeline.unrecovered;
-       scans = p.Weakkeys.Pipeline.scans;
-       page_titles =
-         Analysis.Dataset.page_title_index p.Weakkeys.Pipeline.scans;
-       cert_fp = p.Weakkeys.Pipeline.cert_fp;
+       scans = p.Weakkeys.Pipeline.scan_ids;
+       certs = p.Weakkeys.Pipeline.certs;
        modulus_bits =
          (Netsim.World.config p.Weakkeys.Pipeline.world)
            .Netsim.World.modulus_bits;

@@ -267,8 +267,7 @@ let () =
       factored_index;
       unrecovered;
       scans = [];
-      page_titles = Hashtbl.create 1;
-      cert_fp = (fun _ -> "");
+      certs = X509lite.Cert_store.create ();
       modulus_bits = 96;
     }
   in

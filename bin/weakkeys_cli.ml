@@ -430,14 +430,15 @@ let export_cmd =
       Printf.eprintf "[weakkeys] wrote %s\n%!" (Filename.concat out name)
     in
     write "host_records.csv"
-      (Analysis.Export.host_records_csv p.Weakkeys.Pipeline.scans);
+      (Analysis.Export.host_records_csv p.Weakkeys.Pipeline.certs
+         p.Weakkeys.Pipeline.scan_ids);
     write "moduli.txt" (Analysis.Export.moduli_lines p.Weakkeys.Pipeline.corpus);
     write "findings.csv" (Analysis.Export.findings_csv p.Weakkeys.Pipeline.findings);
     write "overall.csv"
       (Analysis.Export.series_csv
          (Analysis.Timeseries.overall
-            ~vulnerable:(Weakkeys.Pipeline.is_vulnerable p)
-            p.Weakkeys.Pipeline.monthly));
+            ~vulnerable:p.Weakkeys.Pipeline.vuln_index
+            p.Weakkeys.Pipeline.monthly_ids));
     List.iter
       (fun vendor ->
         let fname =
@@ -446,11 +447,7 @@ let export_cmd =
           ^ ".csv"
         in
         write fname
-          (Analysis.Export.series_csv
-             (Analysis.Timeseries.vendor
-                ~label:(Weakkeys.Pipeline.vendor_of_record p)
-                ~vulnerable:(Weakkeys.Pipeline.is_vulnerable p)
-                p.Weakkeys.Pipeline.monthly vendor)))
+          (Analysis.Export.series_csv (Weakkeys.Pipeline.vendor_series p vendor)))
       [ "Juniper"; "Innominate"; "IBM"; "Cisco"; "HP"; "Technicolor"; "AVM";
         "Linksys"; "Fortinet"; "ZyXEL"; "Dell"; "Kronos"; "Xerox"; "McAfee";
         "TP-Link"; "ADTRAN"; "D-Link"; "Huawei"; "Sangfor"; "Schmid Telecom" ]

@@ -24,7 +24,7 @@ let () =
   Printf.printf "building world at scale %.2f...\n%!" scale;
   let p = P.run ~progress:(fun m -> Printf.printf "  %s\n%!" m) cfg in
 
-  let overall = Ts.overall ~vulnerable:(P.is_vulnerable p) p.P.monthly in
+  let overall = Ts.overall ~vulnerable:p.P.vuln_index p.P.monthly_ids in
   (match Ts.largest_vulnerable_drop overall with
   | Some (d, k) ->
     Printf.printf
@@ -40,10 +40,7 @@ let () =
     "vulnerable 03->05" "shock";
   List.iter
     (fun name ->
-      let s =
-        Ts.vendor ~label:(P.vendor_of_record p)
-          ~vulnerable:(P.is_vulnerable p) p.P.monthly name
-      in
+      let s = P.vendor_series p name in
       match
         ( Ts.value_at s (Date.of_ymd 2014 3 15),
           Ts.value_at s (Date.of_ymd 2014 5 15) )

@@ -28,10 +28,7 @@ let () =
   List.iter
     (fun name ->
       let v = Netsim.Vendor.find name in
-      let s =
-        Ts.vendor ~label:(P.vendor_of_record p)
-          ~vulnerable:(P.is_vulnerable p) p.P.monthly name
-      in
+      let s = P.vendor_series p name in
       let at y m =
         match Ts.value_at s (Date.of_ymd y m 15) with
         | Some pt -> string_of_int pt.Ts.vulnerable
@@ -46,10 +43,7 @@ let () =
     vendors;
 
   (* The paper's Juniper deep dive: transition counting. *)
-  let tr =
-    Analysis.Transitions.for_vendor ~label:(P.vendor_of_record p)
-      ~vulnerable:(P.is_vulnerable p) p.P.monthly "Juniper"
-  in
+  let tr = P.transitions p "Juniper" in
   Printf.printf
     "\nJuniper IP transitions over the whole corpus:\n\
     \  %d IPs ever served a Juniper certificate, %d ever vulnerable\n\

@@ -2,38 +2,46 @@ module Sc = Netsim.Scanner
 module Cert = X509lite.Certificate
 module Dn = X509lite.Dn
 module Date = X509lite.Date
+module Id_set = Corpus.Id_set
+module Scan_ids = Fingerprint.Scan_ids
 
-let exclude_intermediates (scan : Sc.scan) =
-  (* Group records by IP; drop any record whose certificate subject is
-     the issuer of another certificate at the same address (it is an
-     intermediate, not the host certificate). *)
+(* Indices of the records [exclude_intermediates] keeps, in its output
+   order. Records are grouped by IP; a record whose certificate subject
+   is the issuer of another (non-self-signed) certificate at the same
+   address is an intermediate, not the host certificate. The detection
+   is purely structural, no [is_intermediate] peeking. *)
+let host_record_indices (scan : Sc.scan) =
+  let records = scan.Sc.records in
   let by_ip = Hashtbl.create 1024 in
-  Array.iter
-    (fun (r : Sc.host_record) ->
+  Array.iteri
+    (fun i (r : Sc.host_record) ->
       Hashtbl.replace by_ip r.Sc.ip
-        (r :: Option.value ~default:[] (Hashtbl.find_opt by_ip r.Sc.ip)))
-    scan.Sc.records;
+        (i :: Option.value ~default:[] (Hashtbl.find_opt by_ip r.Sc.ip)))
+    records;
   let keep = ref [] in
   Hashtbl.iter
-    (fun _ip records ->
+    (fun _ip group ->
       let issuers =
         List.filter_map
-          (fun (r : Sc.host_record) ->
-            let c = r.Sc.cert in
+          (fun i ->
+            let c = records.(i).Sc.cert in
             if Dn.equal c.Cert.issuer c.Cert.subject then None
             else Some (Dn.to_string c.Cert.issuer))
-          records
+          group
       in
-      (* A record is an intermediate iff its subject is the issuer of
-         some other (non-self-signed) certificate at the same IP; the
-         detection is purely structural, no [is_intermediate] peeking. *)
       List.iter
-        (fun (r : Sc.host_record) ->
-          let subj = Dn.to_string r.Sc.cert.Cert.subject in
-          if not (List.mem subj issuers) then keep := r :: !keep)
-        records)
+        (fun i ->
+          let subj = Dn.to_string records.(i).Sc.cert.Cert.subject in
+          if not (List.mem subj issuers) then keep := i :: !keep)
+        group)
     by_ip;
-  { scan with Sc.records = Array.of_list !keep }
+  Array.of_list !keep
+
+let exclude_intermediates (scan : Sc.scan) =
+  {
+    scan with
+    Sc.records = Array.map (Array.get scan.Sc.records) (host_record_indices scan);
+  }
 
 let month_key d =
   let y, m, _ = Date.to_ymd d in
@@ -46,21 +54,32 @@ let source_priority = function
   | Sc.Pq -> 2
   | Sc.Eff -> 1
 
-let representative_monthly scans =
+(* The highest-priority scan of each month, chronological. *)
+let monthly_picks scan_of xs =
   let best = Hashtbl.create 80 in
   List.iter
-    (fun (s : Sc.scan) ->
+    (fun x ->
+      let s = scan_of x in
       let k = month_key s.Sc.scan_date in
       match Hashtbl.find_opt best k with
-      | Some (prev : Sc.scan)
-        when source_priority prev.Sc.scan_source
+      | Some prev
+        when source_priority (scan_of prev).Sc.scan_source
              >= source_priority s.Sc.scan_source ->
         ()
-      | _ -> Hashtbl.replace best k s)
-    scans;
-  Hashtbl.fold (fun _ s acc -> s :: acc) best []
-  |> List.sort (fun a b -> Date.compare a.Sc.scan_date b.Sc.scan_date)
-  |> List.map exclude_intermediates
+      | _ -> Hashtbl.replace best k x)
+    xs;
+  Hashtbl.fold (fun _ x acc -> x :: acc) best []
+  |> List.sort (fun a b ->
+         Date.compare (scan_of a).Sc.scan_date (scan_of b).Sc.scan_date)
+
+let representative_monthly scans =
+  List.map exclude_intermediates (monthly_picks Fun.id scans)
+
+let representative_monthly_ids ids =
+  List.map
+    (fun (s : Scan_ids.t) ->
+      Scan_ids.sub s (host_record_indices s.Scan_ids.scan))
+    (monthly_picks (fun (s : Scan_ids.t) -> s.Scan_ids.scan) ids)
 
 type stats = {
   host_records : int;
@@ -68,54 +87,18 @@ type stats = {
   distinct_moduli : int;
 }
 
-let fold_records f init scans =
-  List.fold_left
-    (fun acc (s : Sc.scan) -> Array.fold_left f acc s.Sc.records)
-    init scans
-
-let distinct_certs scans =
-  let seen = Hashtbl.create 4096 in
-  let out = ref [] in
-  let n =
-    fold_records
-      (fun () (r : Sc.host_record) ->
-        let fp = Cert.fingerprint r.Sc.cert in
-        if not (Hashtbl.mem seen fp) then begin
-          Hashtbl.replace seen fp ();
-          out := r.Sc.cert :: !out
-        end)
-      () scans
-  in
-  ignore n;
-  Array.of_list (List.rev !out)
-
-let distinct_moduli scans =
-  let seen = Corpus.Store.create ~size:4096 () in
-  fold_records
-    (fun () (r : Sc.host_record) ->
-      ignore (Corpus.Store.intern seen r.Sc.cert.Cert.public_key.Rsa.Keypair.n))
-    () scans;
-  Corpus.Store.to_array seen
-
-let stats_of_scans scans =
+let stats ids =
+  let certs = Id_set.create () and moduli = Id_set.create () in
   let host_records =
-    List.fold_left (fun acc (s : Sc.scan) -> acc + Array.length s.Sc.records)
-      0 scans
+    List.fold_left
+      (fun acc (s : Scan_ids.t) ->
+        Array.iter (Id_set.add certs) s.Scan_ids.cert_ids;
+        Array.iter (Id_set.add moduli) s.Scan_ids.modulus_ids;
+        acc + Array.length s.Scan_ids.cert_ids)
+      0 ids
   in
   {
     host_records;
-    distinct_certs = Array.length (distinct_certs scans);
-    distinct_moduli = Array.length (distinct_moduli scans);
+    distinct_certs = Id_set.cardinal certs;
+    distinct_moduli = Id_set.cardinal moduli;
   }
-
-let page_title_index scans =
-  let tbl = Hashtbl.create 1024 in
-  fold_records
-    (fun () (r : Sc.host_record) ->
-      match r.Sc.page_title with
-      | Some t ->
-        let fp = Cert.fingerprint r.Sc.cert in
-        if not (Hashtbl.mem tbl fp) then Hashtbl.replace tbl fp t
-      | None -> ())
-    () scans;
-  tbl

@@ -14,23 +14,16 @@ val representative_monthly :
     fidelity source available that month (Censys > Rapid7 > Ecosystem
     > P&Q > EFF), chronological. *)
 
+val representative_monthly_ids :
+  Fingerprint.Scan_ids.t list -> Fingerprint.Scan_ids.t list
+(** {!representative_monthly} over interned scans: the same scans and
+    records, each record keeping its ids, so nothing is re-interned. *)
+
 type stats = {
   host_records : int;
-  distinct_certs : int;
-  distinct_moduli : int;
+  distinct_certs : int;  (** distinct certificate ids *)
+  distinct_moduli : int;  (** distinct modulus ids *)
 }
 
-val stats_of_scans : Netsim.Scanner.scan list -> stats
-
-val distinct_moduli : Netsim.Scanner.scan list -> Bignum.Nat.t array
-(** Distinct RSA moduli over every record of the given scans, in first-
-    seen order. *)
-
-val distinct_certs :
-  Netsim.Scanner.scan list -> X509lite.Certificate.t array
-(** Distinct certificates (by fingerprint), first-seen order. *)
-
-val page_title_index :
-  Netsim.Scanner.scan list -> (string, string) Hashtbl.t
-(** cert fingerprint -> a page title observed with it, for content-
-    based fingerprinting. *)
+val stats : Fingerprint.Scan_ids.t list -> stats
+(** Record count and distinct ids over the given interned scans. *)

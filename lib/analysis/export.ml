@@ -2,23 +2,24 @@ module Sc = Netsim.Scanner
 module N = Bignum.Nat
 module Cert = X509lite.Certificate
 
-let host_records_csv scans =
+let host_records_csv certs ids =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "source,date,ip,cert_fingerprint,modulus_hex,intermediate\n";
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
+    (fun (s : Fingerprint.Scan_ids.t) ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
           Buffer.add_string buf
             (Printf.sprintf "%s,%s,%s,%s,%s,%b\n"
                (Sc.source_name r.Sc.source)
                (X509lite.Date.to_string r.Sc.date)
                (Netsim.Ipv4.to_string r.Sc.ip)
-               (Cert.fingerprint r.Sc.cert)
+               (X509lite.Cert_store.fingerprint certs
+                  s.Fingerprint.Scan_ids.cert_ids.(i))
                (N.to_hex r.Sc.cert.Cert.public_key.Rsa.Keypair.n)
                r.Sc.is_intermediate))
-        s.Sc.records)
-    scans;
+        s.Fingerprint.Scan_ids.scan.Sc.records)
+    ids;
   Buffer.contents buf
 
 let moduli_lines moduli =

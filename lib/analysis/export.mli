@@ -2,9 +2,11 @@
     downstream tooling (or a rerun of [weakkeys factor]) can consume a
     study without rebuilding the world. *)
 
-val host_records_csv : Netsim.Scanner.scan list -> string
+val host_records_csv :
+  X509lite.Cert_store.t -> Fingerprint.Scan_ids.t list -> string
 (** One row per host record:
-    [source,date,ip,cert_fingerprint,modulus_hex,intermediate]. *)
+    [source,date,ip,cert_fingerprint,modulus_hex,intermediate]. The
+    fingerprint is read from the certificate table by id. *)
 
 val moduli_lines : Bignum.Nat.t array -> string
 (** One hex modulus per line — the input format of [weakkeys factor]. *)

@@ -6,10 +6,10 @@ type outcome = {
   decline_fraction : float;
 }
 
-let outcomes ~label ~vulnerable scans vendors =
+let outcomes table vendors =
   List.map
     (fun name ->
-      let s = Timeseries.vendor ~label ~vulnerable scans name in
+      let s = Timeseries.series table name in
       let peak = Timeseries.peak_vulnerable s in
       let final =
         match List.rev s.Timeseries.points with

@@ -11,11 +11,9 @@ type outcome = {
       (** (peak - final) / peak; 0 when never vulnerable *)
 }
 
-val outcomes :
-  label:(Netsim.Scanner.host_record -> string option) ->
-  vulnerable:(Bignum.Nat.t -> bool) ->
-  Netsim.Scanner.scan list -> string list -> outcome list
-(** Per-vendor peak and final vulnerable populations over the scans. *)
+val outcomes : Timeseries.table -> string list -> outcome list
+(** Per-vendor peak and final vulnerable populations, read from a
+    scans x vendor {!Timeseries.table}. *)
 
 val by_category :
   outcome list -> (Netsim.Vendor.response * float * int) list

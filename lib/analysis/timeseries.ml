@@ -10,43 +10,78 @@ type point = {
 
 type series = { name : string; points : point list }
 
-let modulus_of (r : Sc.host_record) =
-  r.Sc.cert.X509lite.Certificate.public_key.Rsa.Keypair.n
+module Scan_ids = Fingerprint.Scan_ids
+module Id_set = Corpus.Id_set
 
-let count ~keep ~vulnerable scans name =
+let point (s : Sc.scan) total vulnerable =
+  { date = s.Sc.scan_date; source = s.Sc.scan_source; total; vulnerable }
+
+let overall ~vulnerable ids =
   let points =
     List.map
-      (fun (s : Sc.scan) ->
+      (fun (s : Scan_ids.t) ->
         let total = ref 0 and vuln = ref 0 in
-        Array.iter
-          (fun (r : Sc.host_record) ->
-            if (not r.Sc.is_intermediate) && keep r then begin
+        Array.iteri
+          (fun i (r : Sc.host_record) ->
+            if not r.Sc.is_intermediate then begin
               incr total;
-              if vulnerable (modulus_of r) then incr vuln
+              if Id_set.mem vulnerable s.Scan_ids.modulus_ids.(i) then
+                incr vuln
             end)
-          s.Sc.records;
-        {
-          date = s.Sc.scan_date;
-          source = s.Sc.scan_source;
-          total = !total;
-          vulnerable = !vuln;
-        })
-      scans
+          s.Scan_ids.scan.Sc.records;
+        point s.Scan_ids.scan !total !vuln)
+      ids
   in
-  { name; points }
+  { name = "all hosts"; points }
 
-let overall ~vulnerable scans =
-  count ~keep:(fun _ -> true) ~vulnerable scans "all hosts"
+type keyed = { ids : Scan_ids.t; keys : int array }
 
-let vendor ~label ~vulnerable scans vendor_name =
-  count
-    ~keep:(fun r -> label r = Some vendor_name)
-    ~vulnerable scans vendor_name
+(* [totals] and [vulnerables] are scans x keys, row-major. *)
+type table = {
+  names : string array;
+  by_name : (string, int) Hashtbl.t;
+  scans : Sc.scan array;
+  totals : int array;
+  vulnerables : int array;
+}
 
-let model ~model_label ~vulnerable scans model_id =
-  count
-    ~keep:(fun r -> model_label r = Some model_id)
-    ~vulnerable scans model_id
+let tabulate ~names ~vulnerable keyed =
+  let nk = Array.length names in
+  let scans = Array.of_list (List.map (fun k -> k.ids.Scan_ids.scan) keyed) in
+  let totals = Array.make (Array.length scans * nk) 0 in
+  let vulnerables = Array.make (Array.length scans * nk) 0 in
+  List.iteri
+    (fun row { ids; keys } ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
+          let k = keys.(i) in
+          if k >= 0 && not r.Sc.is_intermediate then begin
+            let cell = (row * nk) + k in
+            totals.(cell) <- totals.(cell) + 1;
+            if Id_set.mem vulnerable ids.Scan_ids.modulus_ids.(i) then
+              vulnerables.(cell) <- vulnerables.(cell) + 1
+          end)
+        ids.Scan_ids.scan.Sc.records)
+    keyed;
+  let by_name = Hashtbl.create (Stdlib.max 16 nk) in
+  Array.iteri (fun k name -> Hashtbl.replace by_name name k) names;
+  { names; by_name; scans; totals; vulnerables }
+
+let names t = t.names
+let index t name = Hashtbl.find_opt t.by_name name
+
+let series t name =
+  let cell =
+    match index t name with
+    | Some k -> fun row a -> a.((row * Array.length t.names) + k)
+    | None -> fun _ _ -> 0
+  in
+  let points =
+    Array.mapi
+      (fun row s -> point s (cell row t.totals) (cell row t.vulnerables))
+      t.scans
+  in
+  { name; points = Array.to_list points }
 
 let peak_total s =
   List.fold_left (fun acc p -> Stdlib.max acc p.total) 0 s.points

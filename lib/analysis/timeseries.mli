@@ -1,5 +1,11 @@
 (** Longitudinal series: per-scan totals and vulnerable counts, whole-
-    internet or per vendor — the data behind Figures 1, 3-6 and 8-10. *)
+    internet or per vendor — the data behind Figures 1, 3-6 and 8-10.
+
+    Series are read from interned scans ({!Fingerprint.Scan_ids}): a
+    record is vulnerable when its modulus id is in the flagged set,
+    and a vendor or model series is one key of a {!table} that counts
+    every key in one pass over the records. Intermediate-certificate
+    records are never counted. *)
 
 type point = {
   date : X509lite.Date.t;
@@ -11,20 +17,32 @@ type point = {
 type series = { name : string; points : point list }
 
 val overall :
-  vulnerable:(Bignum.Nat.t -> bool) -> Netsim.Scanner.scan list -> series
+  vulnerable:Corpus.Id_set.t -> Fingerprint.Scan_ids.t list -> series
 (** Total hosts and vulnerable hosts per scan (Figure 1). *)
 
-val vendor :
-  label:(Netsim.Scanner.host_record -> string option) ->
-  vulnerable:(Bignum.Nat.t -> bool) ->
-  Netsim.Scanner.scan list -> string -> series
-(** Counts restricted to records labeled with the given vendor. *)
+type keyed = {
+  ids : Fingerprint.Scan_ids.t;
+  keys : int array;
+      (** per record: index of its key (vendor or model) in the
+          table's names, or [-1] for none *)
+}
 
-val model :
-  model_label:(Netsim.Scanner.host_record -> string option) ->
-  vulnerable:(Bignum.Nat.t -> bool) ->
-  Netsim.Scanner.scan list -> string -> series
-(** Counts restricted to a specific product line (Figure 7). *)
+type table
+(** Per-scan totals and vulnerable counts for every key at once. *)
+
+val tabulate :
+  names:string array -> vulnerable:Corpus.Id_set.t -> keyed list -> table
+(** One pass over the records of the keyed scans. *)
+
+val names : table -> string array
+(** Key index -> name. *)
+
+val index : table -> string -> int option
+(** The key index of a name. *)
+
+val series : table -> string -> series
+(** The series of one key. A name no record carries gives the
+    all-zero series. *)
 
 val peak_total : series -> int
 val peak_vulnerable : series -> int

@@ -1,5 +1,6 @@
 module Sc = Netsim.Scanner
 module Date = X509lite.Date
+module Scan_ids = Fingerprint.Scan_ids
 
 type summary = {
   ips_ever : int;
@@ -9,22 +10,22 @@ type summary = {
   flapping : int;
 }
 
-let for_vendor ~label ~vulnerable scans vendor_name =
+let for_key ~vulnerable keyed key =
   (* ip -> chronological vulnerability observations *)
   let per_ip : (Netsim.Ipv4.t, bool list) Hashtbl.t = Hashtbl.create 1024 in
+  let date (k : Timeseries.keyed) = k.Timeseries.ids.Scan_ids.scan.Sc.scan_date in
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
-          if (not r.Sc.is_intermediate) && label r = Some vendor_name then begin
-            let v =
-              vulnerable r.Sc.cert.X509lite.Certificate.public_key.Rsa.Keypair.n
-            in
+    (fun (k : Timeseries.keyed) ->
+      let ids = k.Timeseries.ids in
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
+          if (not r.Sc.is_intermediate) && k.Timeseries.keys.(i) = key then begin
+            let v = Corpus.Id_set.mem vulnerable ids.Scan_ids.modulus_ids.(i) in
             Hashtbl.replace per_ip r.Sc.ip
               (v :: Option.value ~default:[] (Hashtbl.find_opt per_ip r.Sc.ip))
           end)
-        s.Sc.records)
-    (List.sort (fun a b -> Date.compare a.Sc.scan_date b.Sc.scan_date) scans);
+        ids.Scan_ids.scan.Sc.records)
+    (List.sort (fun a b -> Date.compare (date a) (date b)) keyed);
   let ips_ever = ref 0
   and vuln_ever = ref 0
   and to_ok = ref 0

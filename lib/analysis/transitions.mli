@@ -11,7 +11,8 @@ type summary = {
   flapping : int;  (** IPs with more than one transition *)
 }
 
-val for_vendor :
-  label:(Netsim.Scanner.host_record -> string option) ->
-  vulnerable:(Bignum.Nat.t -> bool) ->
-  Netsim.Scanner.scan list -> string -> summary
+val for_key :
+  vulnerable:Corpus.Id_set.t -> Timeseries.keyed list -> int -> summary
+(** [for_key ~vulnerable keyed k]: the transitions of the IPs whose
+    records carry key [k] (a vendor index), vulnerable meaning the
+    record's modulus id is in [vulnerable]. *)

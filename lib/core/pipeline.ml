@@ -1,6 +1,5 @@
 module N = Bignum.Nat
 module Sc = Netsim.Scanner
-module Cert = X509lite.Certificate
 module BG = Batchgcd.Batch_gcd
 module Inc = Batchgcd.Incremental
 module Sh = Batchgcd.Sharded
@@ -12,6 +11,10 @@ module FPass = Fingerprint.Pass
 module Registry = Fingerprint.Registry
 module Store = Corpus.Store
 module Id_set = Corpus.Id_set
+module Cert_store = X509lite.Cert_store
+module Scan_ids = Fingerprint.Scan_ids
+module Dataset = Analysis.Dataset
+module Ts = Analysis.Timeseries
 
 (* The cached GCD artifact: the classic single-address-space segment
    forest, or the id-range-sharded arena-backed driver when the run
@@ -52,6 +55,12 @@ let stride_for ~shards n =
   let rec pow2 s = if s >= per then s else pow2 (2 * s) in
   pow2 1
 
+type view = {
+  vendors : Ts.table;
+  models : Ts.table;
+  by_vendor : Ts.keyed list;
+}
+
 type t = {
   world : Netsim.World.t;
   scans : Sc.scan list;
@@ -59,7 +68,11 @@ type t = {
   protocol_snapshots : Sc.protocol_snapshot list;
   https_moduli : N.t array;
   store : Store.t;
+  certs : Cert_store.t;
+  scan_ids : Scan_ids.t list;
+  monthly_ids : Scan_ids.t list;
   corpus : N.t array;
+  k : int option;
   gcd : gcd_state;
   findings : BG.finding list;
   factored : Fp.t list;
@@ -67,38 +80,9 @@ type t = {
   attribution : Attribution.t;
   vuln_index : Id_set.t;
   factored_index : Fp.t option array;
-  cert_fp : Cert.t -> string;
+  view : view Lazy.t;
   timings : Stage.timing list;
 }
-
-let modulus_of_record (r : Sc.host_record) =
-  r.Sc.cert.Cert.public_key.Rsa.Keypair.n
-
-(* Certificates are shared across every record that observed them, and
-   the report renders dozens of series over millions of records:
-   memoize the (SHA-256) fingerprint per certificate value. The memo
-   lives in the pipeline value (not a process global) and is handed to
-   the attribution passes through their context, so its lifetime is
-   bounded by the run that owns the certificates it keys on. A mutex
-   keeps it safe for passes running concurrently on the pool. *)
-let cert_fp_memo () =
-  let cache : (Cert.t, string) Hashtbl.t = Hashtbl.create 65536 in
-  let lock = Mutex.create () in
-  fun c ->
-    Mutex.lock lock;
-    match Hashtbl.find_opt cache c with
-    | Some fp ->
-      Mutex.unlock lock;
-      fp
-    | None ->
-      (* Hash outside the lock; a duplicate computation is harmless
-         and both domains store the same digest. *)
-      Mutex.unlock lock;
-      let fp = Cert.fingerprint c in
-      Mutex.lock lock;
-      Hashtbl.replace cache c fp;
-      Mutex.unlock lock;
-      fp
 
 let majority_vendor = Attribution.majority_vendor
 
@@ -109,17 +93,21 @@ let majority_vendor = Attribution.majority_vendor
 let intern_all store moduli =
   Array.iter (fun m -> ignore (Store.intern store m)) moduli
 
-(* Corpus assembly: HTTPS moduli in first-observation order, then the
-   other protocols' — the same order the pre-interning corpus used, so
-   batch-GCD finding indexes are store ids. *)
-let stage_intern store scans protocol_snapshots =
-  let https_moduli = Analysis.Dataset.distinct_moduli scans in
-  intern_all store https_moduli;
+(* Distinct HTTPS moduli in first-observation order. *)
+let https_moduli_of store scan_ids =
+  let seen = Id_set.create ~size:(Store.size store) () in
+  let firsts = ref [] in
   List.iter
-    (fun (p : Sc.protocol_snapshot) ->
-      if p.Sc.protocol <> Sc.Https then intern_all store p.Sc.rsa_moduli)
-    protocol_snapshots;
-  https_moduli
+    (fun (s : Scan_ids.t) ->
+      Array.iter
+        (fun id ->
+          if not (Id_set.mem seen id) then begin
+            Id_set.add seen id;
+            firsts := id :: !firsts
+          end)
+        s.Scan_ids.modulus_ids)
+    scan_ids;
+  Array.of_list (List.rev_map (Store.get store) !firsts)
 
 (* Checkpoint key: the GCD artifact is valid only for the exact corpus
    (content and order) and driver parameters that produced it. *)
@@ -138,21 +126,23 @@ let corpus_key corpus tag =
 (* The attribution table additionally depends on the scan records the
    labeling passes read (certificates, page titles, IPs): digest them
    so a checkpoint from a different scan history never restores. *)
-let scans_digest cert_fp scans =
+let scans_digest certs scan_ids =
   let h = Hashes.Sha256.init () in
   List.iter
-    (fun (s : Sc.scan) ->
+    (fun (ids : Scan_ids.t) ->
+      let s = ids.Scan_ids.scan in
       Hashes.Sha256.update h (Sc.source_name s.Sc.scan_source);
       Hashes.Sha256.update h (X509lite.Date.to_string s.Sc.scan_date);
       Hashes.Sha256.update h (string_of_int (Array.length s.Sc.records));
-      Array.iter
-        (fun (r : Sc.host_record) ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
           Hashes.Sha256.update h (Netsim.Ipv4.to_string r.Sc.ip);
-          Hashes.Sha256.update h (cert_fp r.Sc.cert);
+          Hashes.Sha256.update h
+            (Cert_store.fingerprint certs ids.Scan_ids.cert_ids.(i));
           Hashes.Sha256.update h (if r.Sc.is_intermediate then "i" else "-");
           Hashes.Sha256.update h (Option.value ~default:"" r.Sc.page_title))
         s.Sc.records)
-    scans;
+    scan_ids;
   Hashes.Sha256.to_hex (Hashes.Sha256.finalize h)
 
 let stage_index store findings factored =
@@ -173,8 +163,8 @@ let stage_index store findings factored =
    Per-pass wall clocks land in the stage timing table as "pass:NAME";
    with a checkpoint dir the whole table is content-addressed like the
    GCD artifact. *)
-let stage_attribution sctx ~checkpointed ?pool ?only_passes world scans store
-    corpus findings factored factored_index unrecovered cert_fp =
+let stage_attribution sctx ~checkpointed ?pool ?only_passes world certs
+    scan_ids store corpus findings factored factored_index unrecovered =
   let bits = (Netsim.World.config world).Netsim.World.modulus_bits in
   let compute () =
     let ctx =
@@ -185,9 +175,8 @@ let stage_attribution sctx ~checkpointed ?pool ?only_passes world scans store
         factored;
         factored_index;
         unrecovered;
-        scans;
-        page_titles = Analysis.Dataset.page_title_index scans;
-        cert_fp;
+        scans = scan_ids;
+        certs;
         modulus_bits = bits;
       }
     in
@@ -207,7 +196,7 @@ let stage_attribution sctx ~checkpointed ?pool ?only_passes world scans store
     let tag =
       Printf.sprintf "/attribution/bits=%d/passes=%s/scans=%s" bits
         (String.concat "," selected)
-        (scans_digest cert_fp scans)
+        (scans_digest certs scan_ids)
     in
     Stage.run_cached sctx "attribution" ~key:(corpus_key corpus tag)
       ~save:Attribution.save
@@ -215,10 +204,89 @@ let stage_attribution sctx ~checkpointed ?pool ?only_passes world scans store
       compute
   end
 
+(* Dense indexes for names, in first-seen order. *)
+let namer () =
+  let index = Hashtbl.create 64 in
+  let names = ref [] in
+  let id name =
+    match Hashtbl.find_opt index name with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length index in
+      Hashtbl.replace index name k;
+      names := name :: !names;
+      k
+  in
+  (id, fun () -> Array.of_list (List.rev !names))
+
+(* Resolve every monthly record once: vendor (the certificate's
+   subject-rule label, else what its modulus proves — clique
+   membership, then shared-prime pools, never the subject majority of
+   other certificates) and model (from the label). Labels are looked
+   up once per certificate id, the fallback once per modulus id; the
+   records themselves cost array reads. Then count every vendor and
+   model in one pass. *)
+let build_view ~attribution ~certs ~vuln_index ~moduli monthly_ids =
+  let vendor_id, vendor_names = namer () in
+  let model_id, model_names = namer () in
+  let labels =
+    let by_fp = Attribution.cert_labels attribution in
+    Array.init (Cert_store.size certs) (fun c ->
+        Option.bind by_fp (fun h ->
+            Option.join (Hashtbl.find_opt h (Cert_store.fingerprint certs c))))
+  in
+  let cert_vendor =
+    Array.map
+      (function
+        | Some { Fingerprint.Rules.vendor; _ } -> vendor_id vendor | None -> -1)
+      labels
+  in
+  let cert_model =
+    Array.map
+      (function
+        | Some { Fingerprint.Rules.model_id = Some m; _ } -> model_id m
+        | _ -> -1)
+      labels
+  in
+  let unresolved = -2 in
+  let fallback = Array.make moduli unresolved in
+  let modulus_vendor m =
+    if fallback.(m) = unresolved then
+      fallback.(m) <-
+        (match
+           Attribution.vendor_of
+             ~use:[ Evidence.Prime_clique; Evidence.Shared_prime ]
+             attribution m
+         with
+        | Some v -> vendor_id v
+        | None -> -1);
+    fallback.(m)
+  in
+  let keyed keys_of =
+    List.map
+      (fun (s : Scan_ids.t) ->
+        let n = Array.length s.Scan_ids.cert_ids in
+        { Ts.ids = s; keys = Array.init n (keys_of s) })
+      monthly_ids
+  in
+  let by_vendor =
+    keyed (fun s i ->
+        match cert_vendor.(s.Scan_ids.cert_ids.(i)) with
+        | -1 -> modulus_vendor s.Scan_ids.modulus_ids.(i)
+        | v -> v)
+  in
+  let by_model = keyed (fun s i -> cert_model.(s.Scan_ids.cert_ids.(i))) in
+  let tabulate names = Ts.tabulate ~names ~vulnerable:vuln_index in
+  {
+    vendors = tabulate (vendor_names ()) by_vendor;
+    models = tabulate (model_names ()) by_model;
+    by_vendor;
+  }
+
 (* Downstream of the GCD artifact, of_scans and extend are identical:
    recover factorizations, index, and run the attribution passes. *)
-let finish sctx ?pool ?only_passes ~checkpointed world scans monthly
-    protocol_snapshots https_moduli store corpus gcd =
+let finish sctx ?pool ?only_passes ~checkpointed ~k world certs scan_ids
+    monthly_ids protocol_snapshots https_moduli store corpus gcd =
   let findings = gcd_findings gcd in
   let factored, unrecovered =
     Stage.run sctx "fingerprint" (fun () -> Fp.recover findings)
@@ -228,19 +296,23 @@ let finish sctx ?pool ?only_passes ~checkpointed world scans monthly
   let vuln_index, factored_index =
     Stage.run sctx "index" (fun () -> stage_index store findings factored)
   in
-  let cert_fp = cert_fp_memo () in
   let attribution =
-    stage_attribution sctx ~checkpointed ?pool ?only_passes world scans store
-      corpus findings factored factored_index unrecovered cert_fp
+    stage_attribution sctx ~checkpointed ?pool ?only_passes world certs
+      scan_ids store corpus findings factored factored_index unrecovered
   in
+  let scan_of (s : Scan_ids.t) = s.Scan_ids.scan in
   {
     world;
-    scans;
-    monthly;
+    scans = List.map scan_of scan_ids;
+    monthly = List.map scan_of monthly_ids;
     protocol_snapshots;
     https_moduli;
     store;
+    certs;
+    scan_ids;
+    monthly_ids;
     corpus;
+    k;
     gcd;
     findings;
     factored;
@@ -248,7 +320,10 @@ let finish sctx ?pool ?only_passes ~checkpointed world scans monthly
     attribution;
     vuln_index;
     factored_index;
-    cert_fp;
+    view =
+      lazy
+        (build_view ~attribution ~certs ~vuln_index
+           ~moduli:(Store.size store) monthly_ids);
     timings = Stage.timings sctx;
   }
 
@@ -256,15 +331,27 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
     ?only_passes world scans =
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
   let say = match progress with Some f -> f | None -> fun _ -> () in
-  let monthly, protocol_snapshots =
+  let certs = Cert_store.create ~size:4096 () in
+  let store = Store.create ~size:4096 () in
+  (* Every HTTPS record gets its certificate and modulus ids here, so
+     HTTPS moduli take the first store ids, in first-observation order. *)
+  let scan_ids, monthly_ids, protocol_snapshots =
     Stage.run sctx "scan" (fun () ->
-        ( Analysis.Dataset.representative_monthly scans,
+        let scan_ids = List.map (Scan_ids.intern certs store) scans in
+        ( scan_ids,
+          Dataset.representative_monthly_ids scan_ids,
           Sc.protocol_snapshots world ))
   in
-  let store = Store.create ~size:4096 () in
+  (* Corpus assembly: the other protocols' moduli after the HTTPS ones
+     — the same order the pre-interning corpus used, so batch-GCD
+     finding indexes are store ids. *)
   let https_moduli =
     Stage.run sctx "intern" (fun () ->
-        stage_intern store scans protocol_snapshots)
+        List.iter
+          (fun (p : Sc.protocol_snapshot) ->
+            if p.Sc.protocol <> Sc.Https then intern_all store p.Sc.rsa_moduli)
+          protocol_snapshots;
+        https_moduli_of store scan_ids)
   in
   let corpus = Store.to_array store in
   (* One persistent pool for the whole pipeline run; [domains] sizes
@@ -293,9 +380,16 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
         (fun () -> Sharded (Sh.create ~pool ~stride corpus))
   in
   say (Printf.sprintf "%d moduli factored" (List.length (gcd_findings gcd)));
+  (* The k-subset split clamps k to the corpus size. *)
+  let k =
+    match shards with
+    | None -> Some (Stdlib.max 1 (Stdlib.min k (Array.length corpus)))
+    | Some _ -> None
+  in
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
-    world scans monthly protocol_snapshots https_moduli store corpus gcd
+    ~k world certs scan_ids monthly_ids protocol_snapshots https_moduli store
+    corpus gcd
 
 let of_world ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes
     world =
@@ -310,24 +404,26 @@ let run ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes config =
 
 let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
-  let scans, monthly =
-    Stage.run sctx "scan" (fun () ->
-        let scans = List.concat [ t.scans; new_scans ] in
-        (scans, Analysis.Dataset.representative_monthly scans))
-  in
-  (* A fresh store seeded with the old corpus (same ids), so the input
-     pipeline value stays fully usable after this call. *)
+  (* Fresh tables seeded with the old ones (same ids), so the input
+     pipeline value stays fully usable after this call; only the new
+     scans' records are interned. *)
   let store = Store.create ~size:(2 * Array.length t.corpus) () in
-  intern_all store t.corpus;
+  let certs = Cert_store.copy t.certs in
+  let scan_ids, monthly_ids =
+    Stage.run sctx "scan" (fun () ->
+        intern_all store t.corpus;
+        let scan_ids =
+          List.concat
+            [ t.scan_ids; List.map (Scan_ids.intern certs store) new_scans ]
+        in
+        (scan_ids, Dataset.representative_monthly_ids scan_ids))
+  in
   let https_moduli, fresh =
     Stage.run sctx "intern" (fun () ->
-        let https = Analysis.Dataset.distinct_moduli scans in
-        let before = Store.size store in
-        let fresh = ref [] in
-        Array.iter
-          (fun m -> if Store.intern store m >= before then fresh := m :: !fresh)
-          https;
-        (https, Array.of_list (List.rev !fresh)))
+        let before = Array.length t.corpus in
+        ( https_moduli_of store scan_ids,
+          Array.init (Store.size store - before) (fun i ->
+              Store.get store (before + i)) ))
   in
   let corpus = Store.to_array store in
   let pool = Parallel.Pool.get ?domains () in
@@ -352,7 +448,8 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   in
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
-    t.world scans monthly t.protocol_snapshots https_moduli store corpus gcd
+    ~k:t.k t.world certs scan_ids monthly_ids t.protocol_snapshots
+    https_moduli store corpus gcd
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -373,51 +470,36 @@ let rimon t = Option.value ~default:[] (Attribution.mitm t.attribution)
 let openssl_table t = Attribution.openssl_table t.attribution
 let passes_run t = Stage.timings_named "pass:" t.timings
 
-let cert_label t fp =
-  match Attribution.cert_labels t.attribution with
-  | None -> None
-  | Some labels -> (
-    match Hashtbl.find_opt labels fp with Some l -> l | None -> None)
+let view t = Lazy.force t.view
+let vendor_series t name = Ts.series (view t).vendors name
+let model_series t model_id = Ts.series (view t).models model_id
 
-let vendor_of_record t (r : Sc.host_record) =
-  match cert_label t (t.cert_fp r.Sc.cert) with
-  | Some { Fingerprint.Rules.vendor; _ } -> Some vendor
-  | None -> (
-    match id_of t (modulus_of_record r) with
-    | None -> None
-    | Some id ->
-      (* The certificate matched no rule: fall back to what the
-         modulus itself proves — clique membership, then shared-prime
-         pools — never the subject majority of other certificates. *)
-      Attribution.vendor_of
-        ~use:[ Evidence.Prime_clique; Evidence.Shared_prime ]
-        t.attribution id)
-
-let model_of_record t (r : Sc.host_record) =
-  match cert_label t (t.cert_fp r.Sc.cert) with
-  | Some { Fingerprint.Rules.model_id = Some m; _ } -> Some m
-  | _ -> None
+let transitions t vendor =
+  let v = view t in
+  match Ts.index v.vendors vendor with
+  | Some k ->
+    Analysis.Transitions.for_key ~vulnerable:t.vuln_index v.by_vendor k
+  | None -> Analysis.Transitions.for_key ~vulnerable:t.vuln_index [] 0
 
 let vulnerable_https_host_records t =
   List.fold_left
-    (fun acc (s : Sc.scan) ->
+    (fun acc (s : Scan_ids.t) ->
       Array.fold_left
-        (fun acc r ->
-          if is_vulnerable t (modulus_of_record r) then acc + 1 else acc)
-        acc s.Sc.records)
-    0 t.scans
+        (fun acc id -> if Id_set.mem t.vuln_index id then acc + 1 else acc)
+        acc s.Scan_ids.modulus_ids)
+    0 t.scan_ids
 
 let vulnerable_https_certs t =
-  let seen = Hashtbl.create 1024 in
+  let certs = Id_set.create ~size:(Cert_store.size t.certs) () in
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
-          if is_vulnerable t (modulus_of_record r) then
-            Hashtbl.replace seen (t.cert_fp r.Sc.cert) ())
-        s.Sc.records)
-    t.scans;
-  Hashtbl.length seen
+    (fun (s : Scan_ids.t) ->
+      Array.iteri
+        (fun i id ->
+          if Id_set.mem t.vuln_index id then
+            Id_set.add certs s.Scan_ids.cert_ids.(i))
+        s.Scan_ids.modulus_ids)
+    t.scan_ids;
+  Id_set.cardinal certs
 
 let vulnerable_by_protocol t =
   List.map

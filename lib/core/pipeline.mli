@@ -5,9 +5,14 @@
 
     The pipeline is a chain of named stages
     (scan → intern → batchgcd → fingerprint → index → attribution) run
-    through the {!Stage} graph runner: every distinct modulus is
-    interned to a dense id in a {!Corpus.Store} and downstream indexes
-    are id-keyed arrays and bitsets; the expensive GCD stage keeps its
+    through the {!Stage} graph runner. The scan stage interns every
+    record once: its certificate to a dense id in an
+    {!X509lite.Cert_store} (one fingerprint per distinct certificate)
+    and its modulus to a dense id in a {!Corpus.Store}. Everything
+    downstream — passes, statistics, labels, series — reads those ids
+    through id-keyed arrays and bitsets, and the per-record vendor
+    resolution behind the report's series is a lazy {!view} built
+    once per pipeline. The expensive GCD stage keeps its
     product-tree forest ({!Batchgcd.Incremental.t}) and can checkpoint
     it to disk; {!extend} folds a fresh scan snapshot into an existing
     pipeline paying only for the delta.
@@ -33,6 +38,20 @@ type gcd_state =
 val gcd_corpus_size : gcd_state -> int
 val gcd_segment_count : gcd_state -> int
 
+type view = {
+  vendors : Analysis.Timeseries.table;
+      (** monthly scans x vendor: total and vulnerable hosts *)
+  models : Analysis.Timeseries.table;  (** monthly scans x model id *)
+  by_vendor : Analysis.Timeseries.keyed list;
+      (** every monthly record's vendor, as an index into the names of
+          [vendors] ([-1] unlabeled) *)
+}
+(** Every monthly record resolved once — vendor, model, vulnerability —
+    and counted for every vendor and model in one pass. The vendor is
+    the certificate's subject-rule label, or for a certificate that
+    matches no rule what its modulus itself proves: IBM-clique
+    membership, then shared-prime extrapolation. *)
+
 type t = {
   world : Netsim.World.t;
   scans : Netsim.Scanner.scan list;  (** all raw scans *)
@@ -42,9 +61,19 @@ type t = {
   https_moduli : Bignum.Nat.t array;  (** distinct, from HTTPS scans *)
   store : Corpus.Store.t;
       (** modulus → dense id; ids are corpus positions *)
+  certs : X509lite.Cert_store.t;
+      (** certificate → dense id and its one fingerprint; {!extend}
+          keeps the parent's ids *)
+  scan_ids : Fingerprint.Scan_ids.t list;
+      (** [scans] with every record's certificate and modulus id *)
+  monthly_ids : Fingerprint.Scan_ids.t list;
+      (** [monthly] with every record's certificate and modulus id *)
   corpus : Bignum.Nat.t array;
       (** distinct moduli fed to batch GCD (HTTPS + SSH + mail), in
           store-id order: [corpus.(id)] is the modulus with that id *)
+  k : int option;
+      (** the subset count the flat sweep ran with, clamped to the
+          corpus; [None] for a sharded run, which ignores [k] *)
   gcd : gcd_state;
       (** cached GCD state: segment forest(s) + findings; feed to
           {!extend} or serialize via {!Batchgcd.Incremental.save} /
@@ -59,10 +88,8 @@ type t = {
      below). *)
   vuln_index : Corpus.Id_set.t;
   factored_index : Fingerprint.Factored.t option array;  (** per store id *)
-  cert_fp : X509lite.Certificate.t -> string;
-      (** per-run memoized certificate fingerprint (mutex-protected,
-          safe from pool domains); bounded by this run's certificate
-          population, unlike the former process global *)
+  view : view Lazy.t;
+      (** built on first use by {!view}; {!extend} never builds it *)
   timings : Stage.timing list;  (** per-stage wall clock, in order *)
 }
 
@@ -119,7 +146,9 @@ val extend :
     sharded state goes through {!Batchgcd.Sharded.extend}, one delta
     tree per touched shard), and the
     fingerprint/index/attribution stages rerun over the combined
-    corpus. Findings are exactly those of a from-scratch run over the
+    corpus. Only the new scans' records are interned: the
+    certificate and modulus ids of [t] stay the same, and only new
+    certificates are fingerprinted. Findings are exactly those of a from-scratch run over the
     union. [t] itself is not mutated and remains usable. *)
 
 (** {1 Queries} *)
@@ -130,15 +159,18 @@ val is_vulnerable : t -> Bignum.Nat.t -> bool
 val id_of : t -> Bignum.Nat.t -> int option
 (** Store id of a modulus seen by this pipeline. *)
 
-val vendor_of_record :
-  t -> Netsim.Scanner.host_record -> string option
-(** Full labeling: subject rules (with page content), then — for
-    certificates matching no rule — what the record's modulus itself
-    proves: IBM-clique membership, then shared-prime extrapolation. *)
+val view : t -> view
+(** The resolved monthly records, built on the first call. Like any
+    [Lazy.t], do not force it from two domains at once. *)
 
-val model_of_record :
-  t -> Netsim.Scanner.host_record -> string option
-(** Product-line id when determinable from the subject. *)
+val vendor_series : t -> string -> Analysis.Timeseries.series
+(** Monthly totals and vulnerable hosts of one vendor's records. *)
+
+val model_series : t -> string -> Analysis.Timeseries.series
+(** Monthly totals and vulnerable hosts of one product line (Figure 7). *)
+
+val transitions : t -> string -> Analysis.Transitions.summary
+(** Per-IP vulnerability transitions of one vendor's monthly records. *)
 
 val vulnerable_https_host_records : t -> int
 val vulnerable_https_certs : t -> int

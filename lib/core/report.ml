@@ -6,20 +6,14 @@ let line = String.make 72 '-' ^ "\n"
 
 let header title = Printf.sprintf "%s%s\n%s" line title line
 
-let vulnerable t = Pipeline.is_vulnerable t
-let vendor_label t r = Pipeline.vendor_of_record t r
-let model_label t r = Pipeline.model_of_record t r
-
-let vendor_series t name =
-  Ts.vendor ~label:(vendor_label t) ~vulnerable:(vulnerable t) t.Pipeline.monthly
-    name
+module Scan_ids = Fingerprint.Scan_ids
 
 (* ------------------------------------------------------------------ *)
 (* Tables                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let table1 t =
-  let stats = Analysis.Dataset.stats_of_scans t.Pipeline.scans in
+  let stats = Analysis.Dataset.stats t.Pipeline.scan_ids in
   let vulnerable_moduli = List.length t.Pipeline.findings in
   let buf = Buffer.create 512 in
   Buffer.add_string buf (header "Table 1: dataset summary");
@@ -67,17 +61,15 @@ let table2 () =
   Buffer.contents buf
 
 let table3 t =
-  let earliest =
-    List.find (fun s -> s.Sc.scan_source = Sc.Eff) t.Pipeline.scans
-  in
+  let source (s : Scan_ids.t) = s.Scan_ids.scan.Sc.scan_source in
+  let earliest = List.find (fun s -> source s = Sc.Eff) t.Pipeline.scan_ids in
   let latest =
     List.fold_left
-      (fun acc s ->
-        if s.Sc.scan_source = Sc.Censys then Some s else acc)
-      None t.Pipeline.scans
+      (fun acc s -> if source s = Sc.Censys then Some s else acc)
+      None t.Pipeline.scan_ids
   in
   let row s =
-    let st = Analysis.Dataset.stats_of_scans [ s ] in
+    let st = Analysis.Dataset.stats [ s ] in
     ( st.Analysis.Dataset.host_records,
       st.Analysis.Dataset.distinct_certs,
       st.Analysis.Dataset.distinct_moduli )
@@ -87,10 +79,11 @@ let table3 t =
   (match latest with
   | Some latest ->
     let h1, c1, m1 = row earliest and h2, c2, m2 = row latest in
+    let month (s : Scan_ids.t) = Date.month_label s.Scan_ids.scan.Sc.scan_date in
     Buffer.add_string buf
       (Printf.sprintf "  %-24s %14s %14s\n" ""
-         (Date.month_label earliest.Sc.scan_date ^ " (EFF)")
-         (Date.month_label latest.Sc.scan_date ^ " (Censys)"));
+         (month earliest ^ " (EFF)")
+         (month latest ^ " (Censys)"));
     List.iter
       (fun (label, a, b) ->
         Buffer.add_string buf (Printf.sprintf "  %-24s %14d %14d\n" label a b))
@@ -157,12 +150,11 @@ let figure1 t =
      methodology artifacts (coverage steps at source boundaries,
      double scans in overlap months) are part of what the paper's
      Figure 1 shows. *)
+  let date (s : Scan_ids.t) = s.Scan_ids.scan.Sc.scan_date in
   let sorted =
-    List.sort
-      (fun a b -> Date.compare a.Sc.scan_date b.Sc.scan_date)
-      t.Pipeline.scans
+    List.sort (fun a b -> Date.compare (date a) (date b)) t.Pipeline.scan_ids
   in
-  let s = Ts.overall ~vulnerable:(vulnerable t) sorted in
+  let s = Ts.overall ~vulnerable:t.Pipeline.vuln_index sorted in
   let sources =
     String.concat " "
       (List.map
@@ -180,14 +172,25 @@ let figure2 t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (header "Figure 2: k-subset batch GCD (algorithm structure)");
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  corpus: %d distinct moduli; k = 16 subsets; 16x16 = 256 reduction\n\
-       \  jobs executed on a domain pool. Total work grows ~quadratically\n\
-       \  in k while the per-node tree shrinks, trading work for\n\
-       \  parallelism exactly as in the paper's cluster run (86 min on 22\n\
-       \  machines vs 500 min on one).\n"
-       n);
+  (match t.Pipeline.k with
+  | Some k ->
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  corpus: %d distinct moduli; k = %d subsets; %dx%d = %d reduction\n\
+         \  jobs executed on a domain pool. Total work grows ~quadratically\n\
+         \  in k while the per-node tree shrinks, trading work for\n\
+         \  parallelism exactly as in the paper's cluster run (86 min on 22\n\
+         \  machines vs 500 min on one).\n"
+         n k k k (k * k))
+  | None ->
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  corpus: %d distinct moduli; sharded run, so k is ignored: each\n\
+         \  id-range shard is swept as its own tree. The paper's k-subset\n\
+         \  split instead runs k x k reduction jobs, trading work for\n\
+         \  parallelism as in its cluster run (86 min on 22 machines vs\n\
+         \  500 min on one).\n"
+         n));
   let sub = Stdlib.min n 2000 in
   let sample = Array.sub t.Pipeline.corpus 0 sub in
   (* Through Batchgcd.Backend (the batchgcd-outside-backend lint
@@ -205,7 +208,7 @@ let figure2 t =
   Buffer.contents buf
 
 let annotated_vendor_figure t ~fig ~vendor_name ~notes =
-  let s = vendor_series t vendor_name in
+  let s = Pipeline.vendor_series t vendor_name in
   let drop =
     match Ts.largest_vulnerable_drop s with
     | Some (d, k) ->
@@ -218,10 +221,7 @@ let annotated_vendor_figure t ~fig ~vendor_name ~notes =
   ^ drop ^ notes
 
 let figure3 t =
-  let tr =
-    Analysis.Transitions.for_vendor ~label:(vendor_label t)
-      ~vulnerable:(vulnerable t) t.Pipeline.monthly "Juniper"
-  in
+  let tr = Pipeline.transitions t "Juniper" in
   let notes =
     Printf.sprintf
       "advisory: 04/2012 (Security Bulletin), 07/2012 (out-of-cycle notice)\n\
@@ -265,10 +265,7 @@ let figure7 t =
       match m.Netsim.Device_model.dynamics.Netsim.Device_model.eol with
       | None -> ()
       | Some eol ->
-        let s =
-          Ts.model ~model_label:(model_label t) ~vulnerable:(vulnerable t)
-            t.Pipeline.monthly m.Netsim.Device_model.id
-        in
+        let s = Pipeline.model_series t m.Netsim.Device_model.id in
         let peak = Ts.peak_total s in
         let at_end =
           match List.rev s.Ts.points with
@@ -297,7 +294,7 @@ let figure9 t =
     (header "Figure 9: vendors that never responded to notification");
   List.iter
     (fun vendor_name ->
-      let s = vendor_series t vendor_name in
+      let s = Pipeline.vendor_series t vendor_name in
       Buffer.add_string buf
         (Printf.sprintf "  %-14s total:%s  vulnerable:%s  (peaks %d / %d)\n"
            vendor_name
@@ -317,7 +314,7 @@ let figure10 t =
     (header "Figure 10: newly vulnerable products since 2012");
   List.iter
     (fun (vendor_name, first_vuln) ->
-      let s = vendor_series t vendor_name in
+      let s = Pipeline.vendor_series t vendor_name in
       let before =
         List.fold_left
           (fun acc p ->
@@ -407,8 +404,8 @@ let response_correlation_section t =
     ]
   in
   let outs =
-    Analysis.Response_correlation.outcomes ~label:(vendor_label t)
-      ~vulnerable:(vulnerable t) t.Pipeline.monthly vendors
+    Analysis.Response_correlation.outcomes (Pipeline.view t).Pipeline.vendors
+      vendors
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

@@ -22,7 +22,8 @@ val figure1 : Pipeline.t -> string
 (** Total and vulnerable hosts over time, all sources. *)
 
 val figure2 : Pipeline.t -> string
-(** The k-subset batch GCD: structure, work accounting and an
+(** The k-subset batch GCD: structure, work accounting for the k the
+    run used (a sharded run says that k was ignored) and an
     equivalence check against the single-tree algorithm. *)
 
 val figure3 : Pipeline.t -> string

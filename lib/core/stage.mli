@@ -1,7 +1,7 @@
 (** Tiny stage-graph runner for the measurement pipeline.
 
     {!Pipeline.of_scans} is a linear chain of named stages
-    (scan → intern → batchgcd → fingerprint → label → index); this
+    (scan → intern → batchgcd → fingerprint → index → attribution); this
     module times each stage, reports progress, and — for the expensive
     ones — serializes the stage artifact to a checkpoint directory so
     a rerun (or {!Pipeline.extend}) can restore instead of recompute.

@@ -6,9 +6,8 @@ module Ctx = struct
     factored : Factored.t list;
     factored_index : Factored.t option array;
     unrecovered : Bignum.Nat.t list;
-    scans : Netsim.Scanner.scan list;
-    page_titles : (string, string) Hashtbl.t;
-    cert_fp : X509lite.Certificate.t -> string;
+    scans : Scan_ids.t list;
+    certs : X509lite.Cert_store.t;
     modulus_bits : int;
   }
 end

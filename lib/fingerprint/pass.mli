@@ -21,12 +21,12 @@ module Ctx : sig
     factored_index : Factored.t option array;  (** per store id *)
     unrecovered : Bignum.Nat.t list;
         (** flagged moduli that did not split into two primes *)
-    scans : Netsim.Scanner.scan list;  (** all raw scans *)
-    page_titles : (string, string) Hashtbl.t;
-        (** certificate fingerprint -> an observed page title *)
-    cert_fp : X509lite.Certificate.t -> string;
-        (** memoized certificate fingerprint; safe to call from
-            concurrently running passes *)
+    scans : Scan_ids.t list;
+        (** all raw scans, every record's certificate and modulus
+            interned *)
+    certs : X509lite.Cert_store.t;
+        (** certificate id -> certificate and fingerprint: exactly the
+            certificates of [scans], ids in first-seen order *)
     modulus_bits : int;  (** the world's RSA modulus size *)
   }
 end

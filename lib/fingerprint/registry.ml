@@ -1,36 +1,44 @@
 module Sc = Netsim.Scanner
-module Cert = X509lite.Certificate
+module Cert_store = X509lite.Cert_store
 module Store = Corpus.Store
 module BG = Batchgcd.Batch_gcd
 
 exception Unknown_pass of string
 
-let modulus_of_record (r : Sc.host_record) =
-  r.Sc.cert.Cert.public_key.Rsa.Keypair.n
-
 (* ------------------------------------------------------------------ *)
 (* subject-rules: certificate subject / page-content labeling          *)
 (* ------------------------------------------------------------------ *)
 
-(* One rule evaluation per distinct certificate fingerprint. *)
-let build_cert_labels (ctx : Pass.Ctx.t) =
-  let labels : (string, Rules.label option) Hashtbl.t = Hashtbl.create 4096 in
+(* One rule evaluation per certificate id, with the first page title
+   observed alongside that certificate. Ids are in first-seen order,
+   so the fingerprint-keyed artifact (the form checkpoints store) is
+   filled in the order the records first show each certificate. *)
+let cert_labels (ctx : Pass.Ctx.t) =
+  let certs = ctx.Pass.Ctx.certs in
+  let titles = Array.make (Cert_store.size certs) None in
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
-          let fp = ctx.Pass.Ctx.cert_fp r.Sc.cert in
-          if not (Hashtbl.mem labels fp) then begin
-            let page_title = Hashtbl.find_opt ctx.Pass.Ctx.page_titles fp in
-            Hashtbl.replace labels fp
-              (Rules.of_certificate ?page_title r.Sc.cert)
-          end)
-        s.Sc.records)
+    (fun (s : Scan_ids.t) ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
+          let c = s.Scan_ids.cert_ids.(i) in
+          if titles.(c) = None then titles.(c) <- r.Sc.page_title)
+        s.Scan_ids.scan.Sc.records)
     ctx.Pass.Ctx.scans;
-  labels
+  let labels =
+    Array.mapi
+      (fun c page_title ->
+        Rules.of_certificate ?page_title (Cert_store.get certs c))
+      titles
+  in
+  let by_fingerprint = Hashtbl.create (Array.length labels) in
+  Array.iteri
+    (fun c label ->
+      Hashtbl.replace by_fingerprint (Cert_store.fingerprint certs c) label)
+    labels;
+  (labels, by_fingerprint)
 
 let subject_run (ctx : Pass.Ctx.t) _attr =
-  let labels = build_cert_labels ctx in
+  let labels, by_fingerprint = cert_labels ctx in
   (* Vote per (modulus id, vendor): one vote per host record whose
      certificate matched a rule, exactly the tally the majority label
      used. A model id rides along when any voting certificate carries
@@ -39,36 +47,32 @@ let subject_run (ctx : Pass.Ctx.t) _attr =
     Hashtbl.create 4096
   in
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
-          let fp = ctx.Pass.Ctx.cert_fp r.Sc.cert in
-          match Hashtbl.find_opt labels fp with
-          | Some (Some { Rules.vendor; model_id }) -> (
-            match Store.find ctx.Pass.Ctx.store (modulus_of_record r) with
-            | None -> ()
-            | Some id ->
-              let tally =
-                match Hashtbl.find_opt votes id with
-                | Some t -> t
-                | None ->
-                  let t = Hashtbl.create 4 in
-                  Hashtbl.replace votes id t;
-                  t
-              in
-              let count, model =
-                Option.value ~default:(0, None)
-                  (Hashtbl.find_opt tally vendor)
-              in
-              let model =
-                match (model, model_id) with
-                | None, m -> m
-                | Some a, Some m when String.compare m a < 0 -> Some m
-                | m, _ -> m
-              in
-              Hashtbl.replace tally vendor (count + 1, model))
-          | _ -> ())
-        s.Sc.records)
+    (fun (s : Scan_ids.t) ->
+      Array.iteri
+        (fun i c ->
+          match labels.(c) with
+          | Some { Rules.vendor; model_id } ->
+            let id = s.Scan_ids.modulus_ids.(i) in
+            let tally =
+              match Hashtbl.find_opt votes id with
+              | Some t -> t
+              | None ->
+                let t = Hashtbl.create 4 in
+                Hashtbl.replace votes id t;
+                t
+            in
+            let count, model =
+              Option.value ~default:(0, None) (Hashtbl.find_opt tally vendor)
+            in
+            let model =
+              match (model, model_id) with
+              | None, m -> m
+              | Some a, Some m when String.compare m a < 0 -> Some m
+              | m, _ -> m
+            in
+            Hashtbl.replace tally vendor (count + 1, model)
+          | None -> ())
+        s.Scan_ids.cert_ids)
     ctx.Pass.Ctx.scans;
   let evidence =
     Hashtbl.fold
@@ -92,7 +96,7 @@ let subject_run (ctx : Pass.Ctx.t) _attr =
         | c -> c)
       evidence
   in
-  { Pass.evidence; artifacts = [ Attribution.Cert_labels labels ] }
+  { Pass.evidence; artifacts = [ Attribution.Cert_labels by_fingerprint ] }
 
 let subject_rules =
   {
@@ -189,7 +193,10 @@ let bit_errors =
 (* ------------------------------------------------------------------ *)
 
 let mitm_run (ctx : Pass.Ctx.t) _attr =
-  let detections = Rimon.detect ctx.Pass.Ctx.scans in
+  let detections =
+    Rimon.detect
+      (List.map (fun (s : Scan_ids.t) -> s.Scan_ids.scan) ctx.Pass.Ctx.scans)
+  in
   let evidence =
     List.filter_map
       (fun (d : Rimon.detection) ->

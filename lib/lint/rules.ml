@@ -555,6 +555,31 @@ let batchgcd_outside_backend ctx =
       ctx
 
 (* ------------------------------------------------------------------ *)
+(* Rule 17: certificates are fingerprinted once, by the cert table     *)
+(* ------------------------------------------------------------------ *)
+
+(* X509lite.Cert_store computes one SHA-256 per distinct certificate,
+   and everything downstream reads its ids and stored fingerprints. A
+   [fingerprint] call on a Certificate value anywhere else is
+   per-record hashing coming back. Lexical limitation: the module is
+   recognised as [Certificate] or its conventional [Cert] alias; other
+   aliases slip through. Tests hash records directly as oracles. *)
+let certificate_modules = [ "Certificate"; "Cert" ]
+
+let cert_fingerprint_outside_store ctx =
+  if in_dir "lib/x509lite" ctx.path || in_dir "test" ctx.path then []
+  else
+    flag_idents
+      (fun s ->
+        match List.rev (String.split_on_char '.' (strip_stdlib s)) with
+        | "fingerprint" :: m :: _ -> List.mem m certificate_modules
+        | _ -> false)
+      (fun s ->
+        Printf.sprintf
+          "certificate `%s` outside the cert table hashes per record" s)
+      ctx
+
+(* ------------------------------------------------------------------ *)
 (* Catalogue                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -687,6 +712,16 @@ let all =
          Backend.ksubset_k (bench/ timings and test/ equality suites \
          stay exempt)";
       check = batchgcd_outside_backend };
+    { id = "cert-fingerprint-outside-store";
+      severity = Warning;
+      doc =
+        "certificates are hashed once per distinct value by \
+         X509lite.Cert_store; a certificate fingerprint call outside \
+         lib/x509lite re-hashes per record";
+      hint =
+        "intern the certificate (Cert_store.intern) and read \
+         Cert_store.fingerprint by id (test/ oracles stay exempt)";
+      check = cert_fingerprint_outside_store };
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -10,6 +10,20 @@ module Ts = Analysis.Timeseries
 
 let scans () = Lazy.force Worlds.small_scans
 
+(* Scans with every record's certificate and modulus interned. *)
+let interned ?(certs = X509lite.Cert_store.create ())
+    ?(store = Corpus.Store.create ()) scans =
+  List.map (Fingerprint.Scan_ids.intern certs store) scans
+
+(* The flagged-modulus set holding every id of the scans. *)
+let all_moduli ids =
+  let set = Corpus.Id_set.create () in
+  List.iter
+    (fun (s : Fingerprint.Scan_ids.t) ->
+      Array.iter (Corpus.Id_set.add set) s.Fingerprint.Scan_ids.modulus_ids)
+    ids;
+  set
+
 let test_exclude_intermediates () =
   (* Every Rapid7 scan contains intermediates; exclusion must remove
      exactly the records the scanner marked, using only structure. *)
@@ -57,8 +71,12 @@ let test_representative_monthly () =
     monthly
 
 let test_stats_counts () =
-  let monthly = Ds.representative_monthly (scans ()) in
-  let st = Ds.stats_of_scans monthly in
+  let monthly = Ds.representative_monthly_ids (interned (scans ())) in
+  Alcotest.(check bool) "interned monthly = raw monthly" true
+    (List.map (fun (s : Fingerprint.Scan_ids.t) -> s.Fingerprint.Scan_ids.scan)
+       monthly
+    = Ds.representative_monthly (scans ()));
+  let st = Ds.stats monthly in
   Alcotest.(check bool) "records > certs" true
     (st.Ds.host_records > st.Ds.distinct_certs);
   Alcotest.(check bool) "certs >= moduli" true
@@ -66,13 +84,13 @@ let test_stats_counts () =
   Alcotest.(check bool) "moduli positive" true (st.Ds.distinct_moduli > 0)
 
 let test_overall_series_invariants () =
-  let monthly = Ds.representative_monthly (scans ()) in
-  let s = Ts.overall ~vulnerable:(fun _ -> false) monthly in
+  let monthly = Ds.representative_monthly_ids (interned (scans ())) in
+  let s = Ts.overall ~vulnerable:(Corpus.Id_set.create ()) monthly in
   List.iter
     (fun p ->
       Alcotest.(check int) "no vulnerable with false oracle" 0 p.Ts.vulnerable)
     s.Ts.points;
-  let s2 = Ts.overall ~vulnerable:(fun _ -> true) monthly in
+  let s2 = Ts.overall ~vulnerable:(all_moduli monthly) monthly in
   List.iter
     (fun p ->
       Alcotest.(check int) "all vulnerable with true oracle" p.Ts.total
@@ -80,8 +98,8 @@ let test_overall_series_invariants () =
     s2.Ts.points
 
 let test_series_chronological () =
-  let monthly = Ds.representative_monthly (scans ()) in
-  let s = Ts.overall ~vulnerable:(fun _ -> false) monthly in
+  let monthly = Ds.representative_monthly_ids (interned (scans ())) in
+  let s = Ts.overall ~vulnerable:(Corpus.Id_set.create ()) monthly in
   let rec check = function
     | a :: (b :: _ as rest) ->
       Alcotest.(check bool) "sorted" true Date.(a.Ts.date <= b.Ts.date);
@@ -156,9 +174,19 @@ let test_transitions_synthetic () =
       scan (Date.of_ymd 2013 3 15) k1;
     ]
   in
-  let vulnerable n = N.equal n k1.Rsa.Keypair.pub.Rsa.Keypair.n in
-  let label _ = Some "Juniper" in
-  let tr = Analysis.Transitions.for_vendor ~label ~vulnerable scans "Juniper" in
+  let store = Corpus.Store.create () in
+  let ids = interned ~store scans in
+  let vulnerable = Corpus.Id_set.create () in
+  Corpus.Id_set.add vulnerable
+    (Corpus.Store.intern store k1.Rsa.Keypair.pub.Rsa.Keypair.n);
+  (* Every record carries the one key, index 0. *)
+  let keyed =
+    List.map
+      (fun (s : Fingerprint.Scan_ids.t) ->
+        { Ts.ids = s; keys = Array.map (fun _ -> 0) s.Fingerprint.Scan_ids.cert_ids })
+      ids
+  in
+  let tr = Analysis.Transitions.for_key ~vulnerable keyed 0 in
   Alcotest.(check int) "one ip" 1 tr.Analysis.Transitions.ips_ever;
   Alcotest.(check int) "vulnerable ever" 1
     tr.Analysis.Transitions.ips_vulnerable_ever;

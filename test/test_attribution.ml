@@ -230,8 +230,7 @@ let dummy_ctx () =
     factored_index = [||];
     unrecovered = [];
     scans = [];
-    page_titles = Hashtbl.create 1;
-    cert_fp = (fun _ -> "");
+    certs = X509lite.Cert_store.create ();
     modulus_bits = 512;
   }
 

@@ -20,7 +20,11 @@ let test_moduli_roundtrip () =
     moduli
 
 let test_host_records_csv_shape () =
-  let csv = Analysis.Export.host_records_csv [ List.hd (scans ()) ] in
+  let certs = X509lite.Cert_store.create () in
+  let ids =
+    [ Fingerprint.Scan_ids.intern certs (Corpus.Store.create ()) (List.hd (scans ())) ]
+  in
+  let csv = Analysis.Export.host_records_csv certs ids in
   let lines = String.split_on_char '\n' csv in
   (match lines with
   | header :: _ ->
@@ -41,8 +45,14 @@ let test_host_records_csv_shape () =
     lines
 
 let test_series_csv () =
-  let monthly = Analysis.Dataset.representative_monthly (scans ()) in
-  let s = Analysis.Timeseries.overall ~vulnerable:(fun _ -> false) monthly in
+  let monthly =
+    Analysis.Dataset.representative_monthly_ids
+      (List.map
+         (Fingerprint.Scan_ids.intern (X509lite.Cert_store.create ())
+            (Corpus.Store.create ()))
+         (scans ()))
+  in
+  let s = Analysis.Timeseries.overall ~vulnerable:(Corpus.Id_set.create ()) monthly in
   let csv = Analysis.Export.series_csv s in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)

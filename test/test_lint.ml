@@ -23,7 +23,7 @@ let check_clean name rule ?path ?mli_exists src =
 (* ------------------------------------------------------------------ *)
 
 let test_catalogue () =
-  Alcotest.(check int) "sixteen lexical rules" 16 (List.length R.all);
+  Alcotest.(check int) "seventeen lexical rules" 17 (List.length R.all);
   Alcotest.(check int) "four deep analyses" 4 (List.length R.deep);
   let ids = List.map (fun (r : R.t) -> r.R.id) (R.all @ R.deep) in
   Alcotest.(check int) "ids unique"
@@ -591,6 +591,24 @@ let test_positions_and_output () =
     (String.length (E.to_text fs) > 0);
   Alcotest.(check string) "clean json is empty array" "[\n]" (E.to_json [])
 
+let test_cert_fingerprint_outside_store () =
+  let rule = "cert-fingerprint-outside-store" in
+  check_flagged "aliased module in lib/analysis" rule
+    ~path:"lib/analysis/dataset.ml" "let fp = Cert.fingerprint r.Sc.cert";
+  check_flagged "fully qualified in lib/core" rule ~path:"lib/core/pipeline.ml"
+    "let fp = X509lite.Certificate.fingerprint c";
+  check_flagged "binaries are in scope" rule ~path:"bin/weakkeys_cli.ml"
+    "let fp = X509lite.Certificate.fingerprint r.Sc.cert";
+  check_clean "the cert table reads by id" rule ~path:"lib/analysis/export.ml"
+    "let fp = X509lite.Cert_store.fingerprint certs id";
+  check_clean "lib/x509lite owns the hash" rule
+    ~path:"lib/x509lite/cert_store.ml" "let fp = Certificate.fingerprint c";
+  check_clean "tests hash records as oracles" rule
+    ~path:"test/test_pipeline.ml" "let fp = X509lite.Certificate.fingerprint c";
+  check_clean "other fingerprints are not certificates" rule
+    ~path:"lib/bignum/prime.ml"
+    "let ok = Openssl_fp.fingerprint p && satisfies_openssl_fingerprint p"
+
 let tests =
   [
     Alcotest.test_case "catalogue" `Quick test_catalogue;
@@ -613,6 +631,8 @@ let tests =
     Alcotest.test_case "gcd-outside-nat" `Quick test_gcd_outside_nat;
     Alcotest.test_case "batchgcd-outside-backend" `Quick
       test_batchgcd_outside_backend;
+    Alcotest.test_case "cert-fingerprint-outside-store" `Quick
+      test_cert_fingerprint_outside_store;
     Alcotest.test_case "suppressions" `Quick test_suppressions;
     Alcotest.test_case "positions-and-output" `Quick test_positions_and_output;
     Alcotest.test_case "layering" `Quick test_layering;

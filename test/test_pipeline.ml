@@ -78,12 +78,15 @@ let test_vendor_labeling_against_world () =
         d.W.epochs)
     (W.devices p.P.world);
   let checked = ref 0 and mismatches = ref 0 in
+  let view = P.view p in
+  let names = Ts.names view.P.vendors in
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
+    (fun (k : Ts.keyed) ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
+          let key = k.Ts.keys.(i) in
           match
-            ( P.vendor_of_record p r,
+            ( (if key >= 0 then Some names.(key) else None),
               Hashtbl.find_opt devices_by_ip_date
                 (X509lite.Certificate.fingerprint r.Sc.cert) )
           with
@@ -91,8 +94,8 @@ let test_vendor_labeling_against_world () =
             incr checked;
             if vendor <> d.W.model.Netsim.Device_model.vendor then incr mismatches
           | _ -> ())
-        s.Sc.records)
-    p.P.monthly;
+        k.Ts.ids.Fingerprint.Scan_ids.scan.Sc.records)
+    view.P.by_vendor;
   Alcotest.(check bool) "many labels checked" true (!checked > 1000);
   (* The Rimon middlebox substitutes keys on generic hosts; those can
      gain a pool label. Allow a tiny mismatch rate. *)
@@ -105,7 +108,7 @@ let test_heartbleed_drop_is_largest () =
   (* Figure 1's qualitative headline: the largest vulnerable-host drop
      lands on the 04/2014-05/2014 scans. *)
   let p = pipeline () in
-  let s = Ts.overall ~vulnerable:(P.is_vulnerable p) p.P.monthly in
+  let s = Ts.overall ~vulnerable:p.P.vuln_index p.P.monthly_ids in
   match Ts.largest_vulnerable_drop s with
   | Some (d, _) ->
     let y, m, _ = X509lite.Date.to_ymd d in
@@ -117,10 +120,7 @@ let test_heartbleed_drop_is_largest () =
 
 let test_juniper_series_shape () =
   let p = pipeline () in
-  let s =
-    Ts.vendor ~label:(P.vendor_of_record p) ~vulnerable:(P.is_vulnerable p)
-      p.P.monthly "Juniper"
-  in
+  let s = P.vendor_series p "Juniper" in
   (* Note: the corpus has no scans in most of 2011; probe the December
      2010 EFF scan and a 2014 pre-Heartbleed scan. *)
   (match
@@ -145,10 +145,7 @@ let test_juniper_series_shape () =
 let test_newly_vulnerable_rise () =
   let p = pipeline () in
   let check vendor start =
-    let s =
-      Ts.vendor ~label:(P.vendor_of_record p) ~vulnerable:(P.is_vulnerable p)
-        p.P.monthly vendor
-    in
+    let s = P.vendor_series p vendor in
     let before, after =
       List.fold_left
         (fun (b, a) pt ->
@@ -279,18 +276,22 @@ let test_majority_vendor_tie_break () =
    late ones; findings must exactly match a from-scratch run over the
    combined corpus, and the cached forest must grow by one segment
    (no rebuild of old trees). *)
+let split_pipelines =
+  lazy
+    (let world = Lazy.force Worlds.small in
+     let scans = Lazy.force Worlds.small_scans in
+     let cutoff = X509lite.Date.of_ymd 2014 1 1 in
+     let early, late =
+       List.partition
+         (fun (s : Sc.scan) -> X509lite.Date.(s.Sc.scan_date < cutoff))
+         scans
+     in
+     let p0 = P.of_scans world early in
+     (early, late, p0, P.extend p0 late))
+
 let test_extend_matches_full () =
-  let world = Lazy.force Worlds.small in
-  let scans = Lazy.force Worlds.small_scans in
-  let cutoff = X509lite.Date.of_ymd 2014 1 1 in
-  let early, late =
-    List.partition
-      (fun (s : Sc.scan) -> X509lite.Date.(s.Sc.scan_date < cutoff))
-      scans
-  in
+  let early, late, p0, pe = Lazy.force split_pipelines in
   Alcotest.(check bool) "both halves non-empty" true (early <> [] && late <> []);
-  let p0 = P.of_scans world early in
-  let pe = P.extend p0 late in
   Alcotest.(check int) "one delta segment added"
     (P.gcd_segment_count p0.P.gcd + 1)
     (P.gcd_segment_count pe.P.gcd);
@@ -315,6 +316,221 @@ let test_extend_matches_full () =
       Alcotest.(check bool) "is_vulnerable agrees with one-shot pipeline"
         (P.is_vulnerable p m) (P.is_vulnerable pe m))
     pe.P.corpus
+
+(* ------------------------------------------------------------------ *)
+(* Differential: interned ids vs the per-record closure path           *)
+(* ------------------------------------------------------------------ *)
+
+(* The report's series before certificates were interned, kept here as
+   the oracle: per-record closures over [Certificate.fingerprint]
+   (memoised by value, as the pipeline once did) and modulus lookups. *)
+module Oracle = struct
+  let modulus (r : Sc.host_record) =
+    r.Sc.cert.X509lite.Certificate.public_key.Rsa.Keypair.n
+
+  let fingerprint =
+    let memo : (X509lite.Certificate.t, string) Hashtbl.t = Hashtbl.create 4096 in
+    fun c ->
+      match Hashtbl.find_opt memo c with
+      | Some fp -> fp
+      | None ->
+        let fp = X509lite.Certificate.fingerprint c in
+        Hashtbl.replace memo c fp;
+        fp
+
+  let label p (r : Sc.host_record) =
+    match Fingerprint.Attribution.cert_labels p.P.attribution with
+    | None -> None
+    | Some labels -> Option.join (Hashtbl.find_opt labels (fingerprint r.Sc.cert))
+
+  let vendor p r =
+    match label p r with
+    | Some l -> Some l.Fingerprint.Rules.vendor
+    | None -> (
+      match P.id_of p (modulus r) with
+      | None -> None
+      | Some id ->
+        Fingerprint.Attribution.vendor_of
+          ~use:[ Fingerprint.Evidence.Prime_clique; Fingerprint.Evidence.Shared_prime ]
+          p.P.attribution id)
+
+  let model p r =
+    match label p r with
+    | Some { Fingerprint.Rules.model_id = Some m; _ } -> Some m
+    | _ -> None
+
+  let count ~keep ~vulnerable scans name =
+    let points =
+      List.map
+        (fun (s : Sc.scan) ->
+          let total = ref 0 and vuln = ref 0 in
+          Array.iter
+            (fun (r : Sc.host_record) ->
+              if (not r.Sc.is_intermediate) && keep r then begin
+                incr total;
+                if vulnerable (modulus r) then incr vuln
+              end)
+            s.Sc.records;
+          {
+            Ts.date = s.Sc.scan_date;
+            source = s.Sc.scan_source;
+            total = !total;
+            vulnerable = !vuln;
+          })
+        scans
+    in
+    { Ts.name; points }
+
+  let transitions ~label ~vulnerable scans vendor =
+    let per_ip = Hashtbl.create 1024 in
+    List.iter
+      (fun (s : Sc.scan) ->
+        Array.iter
+          (fun (r : Sc.host_record) ->
+            if (not r.Sc.is_intermediate) && label r = Some vendor then
+              Hashtbl.replace per_ip r.Sc.ip
+                (vulnerable (modulus r)
+                :: Option.value ~default:[] (Hashtbl.find_opt per_ip r.Sc.ip)))
+          s.Sc.records)
+      (List.sort
+         (fun a b -> X509lite.Date.compare a.Sc.scan_date b.Sc.scan_date)
+         scans);
+    let ever = ref 0 and vuln_ever = ref 0 and to_ok = ref 0 in
+    let to_vuln = ref 0 and flapping = ref 0 in
+    Hashtbl.iter
+      (fun _ obs ->
+        let obs = List.rev obs in
+        incr ever;
+        if List.exists Fun.id obs then incr vuln_ever;
+        let rec changes prev acc = function
+          | [] -> acc
+          | v :: rest ->
+            if Some v = prev then changes prev acc rest
+            else
+              changes (Some v)
+                (match prev with None -> acc | Some q -> (q, v) :: acc)
+                rest
+        in
+        match List.rev (changes None [] obs) with
+        | [ (true, false) ] -> incr to_ok
+        | [ (false, true) ] -> incr to_vuln
+        | _ :: _ :: _ -> incr flapping
+        | _ -> ())
+      per_ip;
+    {
+      Analysis.Transitions.ips_ever = !ever;
+      ips_vulnerable_ever = !vuln_ever;
+      to_ok = !to_ok;
+      to_vulnerable = !to_vuln;
+      flapping = !flapping;
+    }
+
+  let vulnerable_records p =
+    List.fold_left
+      (fun acc (s : Sc.scan) ->
+        Array.fold_left
+          (fun acc r -> if P.is_vulnerable p (modulus r) then acc + 1 else acc)
+          acc s.Sc.records)
+      0 p.P.scans
+
+  let distinct_certs ?(keep = fun _ -> true) scans =
+    let seen = Hashtbl.create 4096 in
+    List.iter
+      (fun (s : Sc.scan) ->
+        Array.iter
+          (fun (r : Sc.host_record) ->
+            if keep r then Hashtbl.replace seen (fingerprint r.Sc.cert) ())
+          s.Sc.records)
+      scans;
+    Hashtbl.length seen
+end
+
+(* Every vendor the report plots (Figures 3-6 and 8-10, Section 5.2). *)
+let report_vendors =
+  [
+    "Juniper"; "Innominate"; "IBM"; "Cisco"; "HP"; "Technicolor"; "AVM";
+    "Linksys"; "Fortinet"; "ZyXEL"; "Dell"; "Kronos"; "Xerox"; "McAfee";
+    "TP-Link"; "D-Link"; "ADTRAN"; "Huawei"; "Sangfor"; "Schmid Telecom";
+  ]
+
+let check_against_oracle what p =
+  let vulnerable = P.is_vulnerable p in
+  let series = Alcotest.testable (fun ppf (s : Ts.series) ->
+      Format.fprintf ppf "%s: %s" s.Ts.name
+        (String.concat " "
+           (List.map (fun (q : Ts.point) ->
+                Printf.sprintf "%d/%d" q.Ts.total q.Ts.vulnerable)
+              s.Ts.points)))
+      ( = )
+  in
+  List.iter
+    (fun vendor ->
+      Alcotest.check series
+        (Printf.sprintf "%s: %s series" what vendor)
+        (Oracle.count
+           ~keep:(fun r -> Oracle.vendor p r = Some vendor)
+           ~vulnerable p.P.monthly vendor)
+        (P.vendor_series p vendor))
+    report_vendors;
+  List.iter
+    (fun (m : Netsim.Device_model.t) ->
+      let id = m.Netsim.Device_model.id in
+      Alcotest.check series
+        (Printf.sprintf "%s: model %s series" what id)
+        (Oracle.count ~keep:(fun r -> Oracle.model p r = Some id) ~vulnerable
+           p.P.monthly id)
+        (P.model_series p id))
+    Netsim.Device_model.cisco_eol_models;
+  Alcotest.(check bool)
+    (what ^ ": Juniper transitions")
+    true
+    (Oracle.transitions ~label:(Oracle.vendor p) ~vulnerable p.P.monthly
+       "Juniper"
+    = P.transitions p "Juniper");
+  Alcotest.(check int)
+    (what ^ ": vulnerable host records")
+    (Oracle.vulnerable_records p)
+    (P.vulnerable_https_host_records p);
+  Alcotest.(check int)
+    (what ^ ": vulnerable certificates")
+    (Oracle.distinct_certs
+       ~keep:(fun r -> vulnerable (Oracle.modulus r))
+       p.P.scans)
+    (P.vulnerable_https_certs p);
+  Alcotest.(check int)
+    (what ^ ": distinct certificates")
+    (Oracle.distinct_certs p.P.scans)
+    (Analysis.Dataset.stats p.P.scan_ids).Analysis.Dataset.distinct_certs
+
+let test_ids_match_closure_oracle () =
+  check_against_oracle "of_scans" (pipeline ());
+  let _, _, p0, pe = Lazy.force split_pipelines in
+  check_against_oracle "extended" pe;
+  (* Cert ids are stable across extend: the parent's ids keep their
+     fingerprints, the parent's records keep their ids, and every
+     record's id names its own certificate. *)
+  let module Cs = X509lite.Cert_store in
+  Alcotest.(check bool) "cert table grew" true
+    (Cs.size pe.P.certs >= Cs.size p0.P.certs);
+  for c = 0 to Cs.size p0.P.certs - 1 do
+    Alcotest.(check string) "parent id keeps its fingerprint"
+      (Cs.fingerprint p0.P.certs c) (Cs.fingerprint pe.P.certs c)
+  done;
+  List.iteri
+    (fun i (s : Fingerprint.Scan_ids.t) ->
+      let s' = List.nth pe.P.scan_ids i in
+      Alcotest.(check (array int)) "parent records keep their cert ids"
+        s.Fingerprint.Scan_ids.cert_ids s'.Fingerprint.Scan_ids.cert_ids)
+    p0.P.scan_ids;
+  List.iter
+    (fun (s : Fingerprint.Scan_ids.t) ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
+          if Cs.fingerprint pe.P.certs s.Fingerprint.Scan_ids.cert_ids.(i)
+             <> Oracle.fingerprint r.Sc.cert
+          then Alcotest.fail "record id names another certificate")
+        s.Fingerprint.Scan_ids.scan.Sc.records)
+    pe.P.scan_ids
 
 let with_temp_dir f =
   let dir = Filename.temp_file "weakkeys-ckpt" "" in
@@ -475,6 +691,8 @@ let tests =
     Alcotest.test_case "report renders" `Slow test_report_renders;
     Alcotest.test_case "table5 styles" `Slow test_table5_ground_truth_styles;
     Alcotest.test_case "extend = full recompute" `Slow test_extend_matches_full;
+    Alcotest.test_case "ids = closure oracle" `Slow
+      test_ids_match_closure_oracle;
     Alcotest.test_case "checkpoint resume" `Slow test_checkpoint_resume;
     Alcotest.test_case "sharded pipeline = flat" `Slow
       test_sharded_pipeline_equal;
