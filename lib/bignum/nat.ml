@@ -921,7 +921,7 @@ and unbalanced_divrem (a : t) (b : t) : t * t =
     (add (shift_limbs qhi (m - n)) qlo, r)
   end
 
-let divmod (a : t) (b : t) : t * t =
+let rec divmod (a : t) (b : t) : t * t =
   let n = Array.length b in
   if n = 0 then raise Division_by_zero
   else if n = 1 then
@@ -933,9 +933,33 @@ let divmod (a : t) (b : t) : t * t =
     (* Normalize for the recursive algorithm, then shift back. *)
     let s = limb_bits - bits_of_limb b.(n - 1) in
     let a' = shift_left a s and b' = shift_left b s in
-    let q, r = unbalanced_divrem a' b' in
+    let m = Array.length a' - n in
+    let q, r =
+      if m >= bz_cutoff && 2 * m < n then short_divrem a' b' m
+      else unbalanced_divrem a' b'
+    in
     (q, shift_right r s)
   end
+
+(* A quotient of at most m+1 limbs by a normalized divisor of n > 2m
+   limbs: dividing the top 2m+1 limbs of [a] by the top m+1 limbs of
+   [b] overshoots the quotient by at most 2 (TAOCP 4.3.1, Theorem B),
+   and the remainder follows from the dropped low limbs alone,
+   r'·base^t + a_lo - q·b_lo. The recursion never sees the full-width
+   divisor, whose Knuth leaves would each cost O(m·n). Below the
+   cutoff, m < 40, one Knuth pass over the full divisor is cheaper. *)
+and short_divrem (a : t) (b : t) m =
+  let t = Array.length b - m - 1 in
+  let a_lo, a_hi = split_at a t and b_lo, b_hi = split_at b t in
+  let q, r = divmod a_hi b_hi in
+  let top = ref (add (shift_limbs r t) a_lo) in
+  let s = mul q b_lo in
+  let q = ref q in
+  while compare !top s < 0 do
+    q := sub !q one;
+    top := add !top b
+  done;
+  (!q, sub !top s)
 
 let div a b = fst (divmod a b)
 

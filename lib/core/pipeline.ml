@@ -333,6 +333,10 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
   let say = match progress with Some f -> f | None -> fun _ -> () in
   let certs = Cert_store.create ~size:4096 () in
   let store = Store.create ~size:4096 () in
+  (* One persistent pool for the whole pipeline run, scan stage
+     included; [domains] sizes it, defaulting to the hardware (or
+     WEAKKEYS_DOMAINS). *)
+  let pool = Parallel.Pool.get ?domains () in
   (* Every HTTPS record gets its certificate and modulus ids here, so
      HTTPS moduli take the first store ids, in first-observation order. *)
   let scan_ids, monthly_ids, protocol_snapshots =
@@ -340,7 +344,7 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
         let scan_ids = List.map (Scan_ids.intern certs store) scans in
         ( scan_ids,
           Dataset.representative_monthly_ids scan_ids,
-          Sc.protocol_snapshots world ))
+          Sc.protocol_snapshots ~pool world ))
   in
   (* Corpus assembly: the other protocols' moduli after the HTTPS ones
      — the same order the pre-interning corpus used, so batch-GCD
@@ -354,9 +358,6 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
         https_moduli_of store scan_ids)
   in
   let corpus = Store.to_array store in
-  (* One persistent pool for the whole pipeline run; [domains] sizes
-     it, defaulting to the hardware (or WEAKKEYS_DOMAINS). *)
-  let pool = Parallel.Pool.get ?domains () in
   let gcd =
     match shards with
     | None ->

@@ -167,6 +167,45 @@ let figure1 t =
   ^ Printf.sprintf "scans per source: %s\n" sources
   ^ Analysis.Ascii_plot.two_panel ~title:"All HTTPS hosts" s
 
+(* Figure 2's check sample: every flagged modulus plus the first
+   [figure2_unflagged] unflagged ones, as corpus ids in corpus order.
+   Any modulus that shares a prime with a flagged one is itself
+   flagged, so over this sample each flagged modulus keeps its divisor
+   and each unflagged one stays coprime to the rest: a sweep of the
+   sample must reproduce the run's findings exactly. *)
+let figure2_unflagged = 256
+
+let figure2_sample t =
+  let n = Array.length t.Pipeline.corpus in
+  let flagged = Array.make n false in
+  List.iter
+    (fun (f : Batchgcd.Batch_gcd.finding) ->
+      flagged.(f.Batchgcd.Batch_gcd.index) <- true)
+    t.Pipeline.findings;
+  let ids = ref [] and unflagged = ref 0 in
+  Array.iteri
+    (fun id is_flagged ->
+      if is_flagged then ids := id :: !ids
+      else if !unflagged < figure2_unflagged then begin
+        incr unflagged;
+        ids := id :: !ids
+      end)
+    flagged;
+  Array.of_list (List.rev !ids)
+
+(* Through Batchgcd.Backend (the batchgcd-outside-backend lint
+   boundary): [tree] is factor_batch, [ksubset_k 4] the k-subset split.
+   Sample indexes map back to the corpus ids in [ids]. *)
+let figure2_sweeps t ids =
+  let sample = Array.map (Array.get t.Pipeline.corpus) ids in
+  let sweep backend =
+    List.map
+      (fun (f : Batchgcd.Batch_gcd.finding) ->
+        { f with Batchgcd.Batch_gcd.index = ids.(f.Batchgcd.Batch_gcd.index) })
+      (Batchgcd.Backend.factor backend sample)
+  in
+  (sweep Batchgcd.Backend.tree, sweep (Batchgcd.Backend.ksubset_k 4))
+
 let figure2 t =
   let n = Array.length t.Pipeline.corpus in
   let buf = Buffer.create 512 in
@@ -191,20 +230,21 @@ let figure2 t =
          \  parallelism as in its cluster run (86 min on 22 machines vs\n\
          \  500 min on one).\n"
          n));
-  let sub = Stdlib.min n 2000 in
-  let sample = Array.sub t.Pipeline.corpus 0 sub in
-  (* Through Batchgcd.Backend (the batchgcd-outside-backend lint
-     boundary): [tree] is factor_batch, [ksubset_k 4] the k-subset
-     split — same findings, so the rendered text is unchanged. *)
-  let a = Batchgcd.Backend.factor Batchgcd.Backend.tree sample in
-  let b = Batchgcd.Backend.factor (Batchgcd.Backend.ksubset_k 4) sample in
+  let ids = figure2_sample t in
+  let single, split = figure2_sweeps t ids in
+  let same fs = Batchgcd.Batch_gcd.findings_equal fs t.Pipeline.findings in
   Buffer.add_string buf
     (Printf.sprintf
-       "  equivalence check on a %d-modulus sample: single-tree and k=4\n\
-       \  subset results %s (%d findings).\n"
-       sub
-       (if Batchgcd.Batch_gcd.findings_equal a b then "IDENTICAL" else "DIFFER")
-       (List.length a));
+       "  check: single-tree and k=4 subset sweeps over a %d-modulus sample\n\
+       \  (all %d flagged moduli, the first %d unflagged) against this\n\
+       \  run's %s findings: %s.\n"
+       (Array.length ids)
+       (List.length t.Pipeline.findings)
+       (Array.length ids - List.length t.Pipeline.findings)
+       (match t.Pipeline.k with
+       | Some k -> Printf.sprintf "k = %d" k
+       | None -> "sharded")
+       (if same single && same split then "IDENTICAL" else "DIFFER"));
   Buffer.contents buf
 
 let annotated_vendor_figure t ~fig ~vendor_name ~notes =

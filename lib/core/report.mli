@@ -23,8 +23,24 @@ val figure1 : Pipeline.t -> string
 
 val figure2 : Pipeline.t -> string
 (** The k-subset batch GCD: structure, work accounting for the k the
-    run used (a sharded run says that k was ignored) and an
-    equivalence check against the single-tree algorithm. *)
+    run used (a sharded run says that k was ignored) and a check of
+    the run's findings: {!figure2_sweeps} over {!figure2_sample} must
+    be {!Batchgcd.Batch_gcd.findings_equal} to [findings] for both
+    the single tree and the k = 4 split (IDENTICAL, else DIFFER). *)
+
+val figure2_sample : Pipeline.t -> int array
+(** Corpus ids of every flagged modulus (each finding's index) and of
+    the first 256 unflagged ones, in corpus order. A modulus sharing
+    a prime with a flagged one is flagged itself, so a sweep of this
+    sample finds exactly the run's findings. *)
+
+val figure2_sweeps :
+  Pipeline.t ->
+  int array ->
+  Batchgcd.Batch_gcd.finding list * Batchgcd.Batch_gcd.finding list
+(** [figure2_sweeps t ids] runs the single-tree and the k = 4 subset
+    sweeps over the corpus moduli at [ids], with finding indexes
+    mapped back to corpus ids. *)
 
 val figure3 : Pipeline.t -> string
 (** Juniper series, with advisory and Heartbleed annotations and the

@@ -194,8 +194,7 @@ let bit_errors =
 
 let mitm_run (ctx : Pass.Ctx.t) _attr =
   let detections =
-    Rimon.detect
-      (List.map (fun (s : Scan_ids.t) -> s.Scan_ids.scan) ctx.Pass.Ctx.scans)
+    Rimon.detect ctx.Pass.Ctx.store ctx.Pass.Ctx.scans
   in
   let evidence =
     List.filter_map

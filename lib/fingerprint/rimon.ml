@@ -9,31 +9,32 @@ type detection = {
   invalid_signature_fraction : float;
 }
 
-let detect ?(min_ips = 10) scans =
-  let store = Corpus.Store.create ~size:4096 () in
-  let by_modulus : (int, Sc.host_record list) Hashtbl.t =
-    Hashtbl.create 4096
-  in
+(* Every non-intermediate record, with its modulus id. *)
+let iter_records scans f =
   List.iter
-    (fun (s : Sc.scan) ->
-      Array.iter
-        (fun (r : Sc.host_record) ->
-          if not r.Sc.is_intermediate then begin
-            let id =
-              Corpus.Store.intern store r.Sc.cert.Cert.public_key.Rsa.Keypair.n
-            in
-            Hashtbl.replace by_modulus id
-              (r :: Option.value ~default:[] (Hashtbl.find_opt by_modulus id))
-          end)
-        s.Sc.records)
-    scans;
+    (fun (s : Scan_ids.t) ->
+      Array.iteri
+        (fun i (r : Sc.host_record) ->
+          if not r.Sc.is_intermediate then f s.Scan_ids.modulus_ids.(i) r)
+        s.Scan_ids.scan.Sc.records)
+    scans
+
+let detect ?(min_ips = 10) store scans =
+  (* A key needs at least [min_ips] records to reach [min_ips]
+     addresses: count records per modulus id, and gather records only
+     for the ids that pass. *)
+  let counts = Array.make (Corpus.Store.size store) 0 in
+  iter_records scans (fun id _ -> counts.(id) <- counts.(id) + 1);
+  let by_id = Array.make (Array.length counts) [] in
+  iter_records scans (fun id r ->
+      if counts.(id) >= min_ips then by_id.(id) <- r :: by_id.(id));
   let out = ref [] in
-  Hashtbl.iter
+  Array.iteri
     (fun id records ->
       let ips =
         List.sort_uniq Netsim.Ipv4.compare (List.map (fun r -> r.Sc.ip) records)
       in
-      if List.length ips >= min_ips then begin
+      if records <> [] && List.length ips >= min_ips then begin
         let subjects =
           List.sort_uniq compare
             (List.map
@@ -64,7 +65,7 @@ let detect ?(min_ips = 10) scans =
               :: !out
         end
       end)
-    by_modulus;
-  List.sort
+    by_id;
+  List.stable_sort
     (fun a b -> compare (List.length b.ips) (List.length a.ips))
-    !out
+    (List.rev !out)

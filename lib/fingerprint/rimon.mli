@@ -11,10 +11,12 @@ type detection = {
 }
 
 val detect :
-  ?min_ips:int -> Netsim.Scanner.scan list -> detection list
-(** Group records by modulus and report keys served from at least
+  ?min_ips:int -> Corpus.Store.t -> Scan_ids.t list -> detection list
+(** [detect store scans] groups records by modulus id ([store] holds
+    every id the scans carry) and reports keys served from at least
     [min_ips] (default 10) distinct addresses with at least two
     distinct subjects and a majority of invalid signatures — the
     substitution signature. Intermediate-certificate records are
     ignored (a CA key legitimately appears at many addresses but with
-    a single subject). Sorted by IP count, largest first. *)
+    a single subject). Sorted by IP count, largest first; ties in id
+    order. *)

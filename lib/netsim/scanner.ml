@@ -170,10 +170,14 @@ let mail_population world protocol frac =
   Array.init n (fun _ ->
       (K.generate ~style:K.Plain ~gen ~bits:cfg.World.modulus_bits ()).K.pub.K.n)
 
-let protocol_snapshots world =
+(* Five independent jobs on the pool. The mail populations are nearly
+   all the cost (one keypair per host); each keeps its own DRBG
+   stream, so the keys do not depend on scheduling. They go first so
+   the longest jobs start first. *)
+let protocol_snapshots ?pool world =
   let https_date = Date.of_ymd 2016 4 11 in
   let mail_date = Date.of_ymd 2016 4 25 in
-  let https =
+  let https () =
     let moduli = ref [] and total = ref 0 in
     Array.iter
       (fun d ->
@@ -192,7 +196,7 @@ let protocol_snapshots world =
       rsa_moduli = Array.of_list !moduli;
     }
   in
-  let ssh =
+  let ssh () =
     let moduli = ref [] and total = ref 0 in
     Array.iter
       (fun d ->
@@ -215,7 +219,7 @@ let protocol_snapshots world =
       rsa_moduli = Array.of_list !moduli;
     }
   in
-  let mail protocol frac =
+  let mail protocol frac () =
     let moduli = mail_population world protocol frac in
     {
       protocol;
@@ -225,4 +229,10 @@ let protocol_snapshots world =
       rsa_moduli = moduli;
     }
   in
-  [ https; ssh; mail Pop3s 0.12; mail Imaps 0.12; mail Smtps 0.09 ]
+  match
+    Parallel.Pool.map ?pool
+      (fun job -> job ())
+      [| mail Pop3s 0.12; mail Imaps 0.12; mail Smtps 0.09; https; ssh |]
+  with
+  | [| pop3s; imaps; smtps; https; ssh |] -> [ https; ssh; pop3s; imaps; smtps ]
+  | _ -> assert false

@@ -73,7 +73,11 @@ type protocol_snapshot = {
   rsa_moduli : Bignum.Nat.t array;  (** with duplicates, as observed *)
 }
 
-val protocol_snapshots : World.t -> protocol_snapshot list
-(** One snapshot per protocol near the end of the study: HTTPS and SSH
-    drawn from the device world (SSH host keys included), the mail
-    protocols from an independent healthy population. *)
+val protocol_snapshots :
+  ?pool:Parallel.Pool.t -> World.t -> protocol_snapshot list
+(** One snapshot per protocol near the end of the study, in the order
+    HTTPS, SSH, POP3S, IMAPS, SMTPS: HTTPS and SSH drawn from the
+    device world (SSH host keys included), the mail protocols from an
+    independent healthy population, one DRBG stream per protocol. The
+    five snapshots run as independent jobs on [pool] (default: the
+    process-wide pool); the result does not depend on its size. *)

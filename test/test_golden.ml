@@ -35,8 +35,39 @@ let write_file path s =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc s)
 
-(* Byte-equality with a readable first-difference diagnostic: a raw
-   Alcotest string check on a 30k-character report is unreadable. *)
+(* Every changed line, numbered, from a line-level longest-common-
+   subsequence diff: "-N: text" is line N of the expected text, gone
+   from the actual one; "+N: text" is line N of the actual text, new. *)
+let changed_lines expected actual =
+  let a = Array.of_list (String.split_on_char '\n' expected) in
+  let b = Array.of_list (String.split_on_char '\n' actual) in
+  let n = Array.length a and m = Array.length b in
+  let lcs = Array.make_matrix (n + 1) (m + 1) 0 in
+  for i = n - 1 downto 0 do
+    for j = m - 1 downto 0 do
+      lcs.(i).(j) <-
+        (if String.equal a.(i) b.(j) then lcs.(i + 1).(j + 1) + 1
+         else Stdlib.max lcs.(i + 1).(j) lcs.(i).(j + 1))
+    done
+  done;
+  let buf = Buffer.create 1024 in
+  let rec walk i j =
+    if i < n && j < m && String.equal a.(i) b.(j) then walk (i + 1) (j + 1)
+    else if i < n && (j = m || lcs.(i + 1).(j) >= lcs.(i).(j + 1)) then begin
+      Buffer.add_string buf (Printf.sprintf "-%d: %s\n" (i + 1) a.(i));
+      walk (i + 1) j
+    end
+    else if j < m then begin
+      Buffer.add_string buf (Printf.sprintf "+%d: %s\n" (j + 1) b.(j));
+      walk i (j + 1)
+    end
+  in
+  walk 0 0;
+  Buffer.contents buf
+
+(* Byte-equality with a readable diagnostic: the first differing byte
+   with its context, then every changed line. A raw Alcotest string
+   check on a 30k-character report is unreadable. *)
 let check_equal_text what expected actual =
   if not (String.equal expected actual) then begin
     let n = Stdlib.min (String.length expected) (String.length actual) in
@@ -51,11 +82,13 @@ let check_equal_text what expected actual =
     in
     Alcotest.failf
       "%s: output differs at byte %d (lengths %d vs %d)\n\
-       --- expected ---\n%s\n--- actual ---\n%s"
+       --- expected ---\n%s\n--- actual ---\n%s\n\
+       --- changed lines ---\n%s"
       what !i
       (String.length expected)
       (String.length actual)
       (context expected) (context actual)
+      (changed_lines expected actual)
   end
 
 let check_golden name report =

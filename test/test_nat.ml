@@ -251,6 +251,43 @@ let test_bz_vs_knuth () =
     [ (80, 39); (80, 40); (80, 41); (123, 41); (291, 81); (800, 200);
       (400, 200); (401, 200) ]
 
+(* Short quotients: a dividend of n + m limbs over an n-limb divisor
+   takes the truncated-divisor path when 2m < n and m is at or above
+   the 40-limb cutoff. Shapes sit either side of both switches, with
+   normalized divisors (so m is exact) and random ones.
+   The all-ones low limbs under a top-bit-only divisor, with a
+   dividend one below a multiple, make the truncated estimate
+   overshoot, so the correction step runs. *)
+let test_short_quotient_vs_knuth () =
+  let gen = mk_gen 13 in
+  let normalized k =
+    let l = N.to_limbs (limbs gen k) in
+    l.(k - 1) <- l.(k - 1) lor (1 lsl (N.limb_bits - 1));
+    N.of_limbs l
+  in
+  let check what a b =
+    let q, r = N.divmod a b and kq, kr = K.divmod_knuth a b in
+    Alcotest.check nat (what ^ ": quotient = knuth") kq q;
+    Alcotest.check nat (what ^ ": remainder = knuth") kr r;
+    Alcotest.check nat (what ^ ": rem = knuth") kr (N.rem a b)
+  in
+  List.iter
+    (fun (n, m) ->
+      let what = Printf.sprintf "%d+%d over %d" n m n in
+      check (what ^ " normalized") (limbs gen (n + m)) (normalized n);
+      check (what ^ " random") (limbs gen (n + m)) (limbs gen n);
+      let b =
+        N.of_limbs
+          (Array.init n (fun i ->
+               if i = n - 1 then 1 lsl (N.limb_bits - 1)
+               else (1 lsl N.limb_bits) - 1))
+      in
+      let q = limbs gen (Stdlib.max 1 m) in
+      check (what ^ " overshoot") (N.sub (N.mul q b) N.one) b)
+    [ (39, 19); (40, 0); (40, 1); (40, 19); (41, 20); (80, 40); (81, 39);
+      (81, 40); (100, 39); (100, 40); (100, 41); (200, 99); (200, 100);
+      (1000, 150); (1000, 499); (1000, 500) ]
+
 (* Edge shapes for the dispatcher, most above the 40-limb cutoff, and
    Knuth D on the divisors the dispatcher keeps from it. *)
 let test_bz_balanced_and_edge_shapes () =
@@ -449,6 +486,8 @@ let tests =
     Alcotest.test_case "ntt default boundary" `Slow test_ntt_default_boundary;
     Alcotest.test_case "burnikel-ziegler vs knuth" `Slow test_bz_vs_knuth;
     Alcotest.test_case "division edge shapes" `Quick test_bz_balanced_and_edge_shapes;
+    Alcotest.test_case "short quotient vs knuth" `Quick
+      test_short_quotient_vs_knuth;
     Alcotest.test_case "infix operators" `Quick test_infix;
   ]
   @ props @ kernel_props

@@ -672,6 +672,104 @@ let test_backend_pipeline_equal () =
     (P.extend (P.of_scans world early) late)
     (P.extend (P.of_scans ~k:1 world early) late)
 
+(* ------------------------------------------------------------------ *)
+(* Figure 2: the run's findings, re-derived on a seeded sample         *)
+(* ------------------------------------------------------------------ *)
+
+module R = Weakkeys.Report
+module BG = Batchgcd.Batch_gcd
+
+let check_figure2_identical what ~findings_of p =
+  let text = R.figure2 p in
+  Alcotest.(check bool)
+    (what ^ ": figure 2 says IDENTICAL")
+    true
+    (Stringx.contains text ": IDENTICAL.");
+  Alcotest.(check bool)
+    (what ^ ": figure 2 names the run's findings")
+    true
+    (Stringx.contains text ("run's " ^ findings_of ^ " findings"));
+  let ids = R.figure2_sample p in
+  Alcotest.(check bool) (what ^ ": every finding is in the sample") true
+    (List.for_all
+       (fun (f : BG.finding) -> Array.mem f.BG.index ids)
+       p.P.findings);
+  Alcotest.(check int)
+    (what ^ ": sample is the findings plus 256")
+    (Stdlib.min (Array.length p.P.corpus) (List.length p.P.findings + 256))
+    (Array.length ids);
+  let single, split = R.figure2_sweeps p ids in
+  Alcotest.(check bool) (what ^ ": single-tree sample = findings") true
+    (BG.findings_equal single p.P.findings);
+  Alcotest.(check bool) (what ^ ": k=4 sample = findings") true
+    (BG.findings_equal split p.P.findings)
+
+let test_figure2_identical () =
+  check_figure2_identical "of_scans" ~findings_of:"k = 16" (pipeline ());
+  let _, _, _, pe = Lazy.force split_pipelines in
+  check_figure2_identical "extended" ~findings_of:"k = 16" pe;
+  let world = Lazy.force Worlds.small in
+  let subset =
+    List.filteri (fun i _ -> i mod 3 = 0) (Lazy.force Worlds.small_scans)
+  in
+  check_figure2_identical "sharded" ~findings_of:"sharded"
+    (P.of_scans ~shards:4 world subset)
+
+(* A check that only compared counts, or only the two algorithms with
+   each other, would pass these doctored pipelines. *)
+let test_figure2_detects_doctored_findings () =
+  let p = pipeline () in
+  let says_differ what q =
+    Alcotest.(check bool) (what ^ ": figure 2 says DIFFER") true
+      (Stringx.contains (R.figure2 q) ": DIFFER.")
+  in
+  let first =
+    List.fold_left
+      (fun (a : BG.finding) (f : BG.finding) ->
+        if f.BG.index < a.BG.index then f else a)
+      (List.hd p.P.findings) p.P.findings
+  in
+  let dropped =
+    { p with P.findings = List.filter
+          (fun (f : BG.finding) -> f.BG.index <> first.BG.index)
+          p.P.findings }
+  in
+  Alcotest.(check bool) "the dropped modulus is sampled as unflagged" true
+    (Array.mem first.BG.index (R.figure2_sample dropped));
+  says_differ "one finding dropped" dropped;
+  says_differ "one divisor replaced"
+    {
+      p with
+      P.findings =
+        List.map
+          (fun (f : BG.finding) ->
+            if f.BG.index = first.BG.index then { f with BG.divisor = N.one }
+            else f)
+          p.P.findings;
+    }
+
+(* Protocol snapshots run as pool jobs; a one-domain pool must give
+   the same hosts and the same moduli, in the same order. *)
+let test_protocol_snapshots_pooled () =
+  let world = Lazy.force Worlds.small in
+  let pooled = Sc.protocol_snapshots world in
+  let seq =
+    Sc.protocol_snapshots ~pool:(Parallel.Pool.get ~domains:1 ()) world
+  in
+  Alcotest.(check (list string)) "protocol order"
+    [ "HTTPS"; "SSH"; "POP3S"; "IMAPS"; "SMTPS" ]
+    (List.map (fun (s : Sc.protocol_snapshot) -> Sc.protocol_name s.Sc.protocol)
+       pooled);
+  List.iter2
+    (fun (a : Sc.protocol_snapshot) (b : Sc.protocol_snapshot) ->
+      let name = Sc.protocol_name a.Sc.protocol in
+      Alcotest.(check int) (name ^ " hosts") a.Sc.total_hosts b.Sc.total_hosts;
+      Alcotest.(check int) (name ^ " rsa hosts") a.Sc.rsa_hosts b.Sc.rsa_hosts;
+      Alcotest.(check bool) (name ^ " moduli equal") true
+        (Array.length a.Sc.rsa_moduli = Array.length b.Sc.rsa_moduli
+        && Array.for_all2 N.equal a.Sc.rsa_moduli b.Sc.rsa_moduli))
+    pooled seq
+
 let tests =
   [
     Alcotest.test_case "majority vendor tie-break" `Quick
@@ -698,6 +796,12 @@ let tests =
       test_sharded_pipeline_equal;
     Alcotest.test_case "sharded extend = flat extend" `Slow
       test_sharded_extend_matches_flat;
+    Alcotest.test_case "figure 2 identical to findings" `Slow
+      test_figure2_identical;
+    Alcotest.test_case "figure 2 detects doctored findings" `Slow
+      test_figure2_detects_doctored_findings;
+    Alcotest.test_case "protocol snapshots pooled = domains:1" `Slow
+      test_protocol_snapshots_pooled;
     Alcotest.test_case "backend pipeline = default" `Slow
       test_backend_pipeline_equal;
   ]
