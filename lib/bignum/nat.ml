@@ -775,7 +775,19 @@ let divmod_int (a : t) d =
     (norm q, !r)
   end
 
-let mod_int a d = snd (divmod_int a d)
+(* Remainder only: the quotient limbs of [divmod_int] are never
+   allocated. *)
+let mod_int (a : t) d =
+  if d <= 0 then invalid_arg "Nat.mod_int: divisor must be positive"
+  else if d > mask then
+    invalid_arg "Nat.mod_int: divisor exceeds one limb"
+  else begin
+    let r = ref 0 in
+    for i = Array.length a - 1 downto 0 do
+      r := ((!r lsl limb_bits) lor a.(i)) mod d
+    done;
+    !r
+  end
 
 (* Knuth Algorithm D (TAOCP 4.3.1). Requires len b >= 2; the caller
    handles single-limb divisors. When [want_q] is false the quotient

@@ -121,6 +121,31 @@ let test_world_deterministic () =
   let a = W.build cfg and b = W.build cfg in
   Alcotest.(check (list string)) "identical worlds" (fp a) (fp b)
 
+(* Every key of the shared test world, hashed: TLS epochs and SSH keys
+   in device order, then the CA key and the Rimon middlebox key. The
+   constant is the hash of the keys the world was built with when it
+   was recorded; key generation may get faster, but a change that
+   re-keys the world must show up here. *)
+let pinned_world_keys =
+  "750ca67dda03bc4fbfe36b9d38afca3b816897dfc59573d7df3a323d732ef61e"
+
+let test_pinned_world_keys () =
+  let w = world () in
+  let h = Hashes.Sha256.init () in
+  let add s =
+    Hashes.Sha256.update h (string_of_int (String.length s) ^ ":");
+    Hashes.Sha256.update h s
+  in
+  Array.iter
+    (fun d ->
+      Array.iter (fun e -> add (K.encode_private e.W.key)) d.W.epochs;
+      Option.iter (fun k -> add (K.encode_private k)) d.W.ssh_key)
+    (W.devices w);
+  add (K.encode_private (W.ca_key w));
+  add (K.encode_public (W.rimon_public w));
+  Alcotest.(check string) "world keys" pinned_world_keys
+    (Hashes.Sha256.to_hex (Hashes.Sha256.finalize h))
+
 let test_population_growth_and_shock () =
   let w = world () in
   (* Juniper: grows, cliff at Heartbleed. *)
@@ -319,6 +344,7 @@ let tests =
     Alcotest.test_case "is_weak_at windows" `Quick test_is_weak_at;
     Alcotest.test_case "world nonempty" `Slow test_world_nonempty;
     Alcotest.test_case "world deterministic" `Slow test_world_deterministic;
+    Alcotest.test_case "pinned world keys" `Slow test_pinned_world_keys;
     Alcotest.test_case "growth and heartbleed shock" `Slow
       test_population_growth_and_shock;
     Alcotest.test_case "eol decline" `Slow test_population_eol_decline;
