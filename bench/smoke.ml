@@ -1,13 +1,11 @@
 (* Kernel smoke bench: a tiny-corpus timing pass over the batch-GCD
    tree kernels, fast enough to run on every `dune runtest` (via the
    @bench-smoke alias) — a gross kernel regression or a parallel vs
-   sequential divergence breaks the build instead of waiting for the
-   nightly Bechamel run.
+   sequential divergence breaks the build.
 
    Exit codes: 0 ok, 2 on any correctness mismatch. Timings are
    printed for humans; they are not asserted against (CI machines are
-   too noisy for that — the full bench tracks the trajectory in
-   BENCH_batchgcd.json). *)
+   too noisy for that — end-to-end timing is e2ebench's job). *)
 
 module N = Bignum.Nat
 module BG = Batchgcd.Batch_gcd
@@ -125,9 +123,8 @@ let () =
     [ 16; 64 ];
 
   (* Lehmer vs binary GCD and NTT vs Toom-3, each rung called
-     directly on operands small enough for every runtest. A
-     divergence here fails tier-1 instead of waiting for the nightly
-     Bechamel ladder. *)
+     directly on operands small enough for every runtest, so a
+     divergence fails tier-1. *)
   let module K = N.Kernel in
   let bits n = N.random_bits gen n in
   let ga = bits 4000 and gb = bits 4000 in
@@ -154,8 +151,8 @@ let () =
      checkpoint save -> load -> extend round trip through a temp file. *)
   let module Inc = Batchgcd.Incremental in
   let early = Array.sub moduli 0 64 and late = Array.sub moduli 64 32 in
-  let inc0, dt = timed (fun () -> Inc.create ~pool:seq ~k:4 early) in
-  row "incremental-create-64-k4" dt;
+  let inc0, dt = timed (fun () -> Inc.create ~pool:seq early) in
+  row "incremental-create-64" dt;
   let inc1, dt = timed (fun () -> Inc.extend ~pool:seq inc0 late) in
   row "incremental-extend-32" dt;
   check "incremental extend findings = one-shot factor_batch"
@@ -184,11 +181,11 @@ let () =
       check "extend after checkpoint load = one-shot factor_batch"
         (BG.findings_equal fb_s (Inc.findings (Inc.extend ~pool:seq loaded late))));
 
-  (* Sharded arena driver: the two-tier sweep over a tiny corpus must
-     reproduce the flat findings exactly, survive an extend across a
-     shard boundary, and round-trip through a directory checkpoint
-     (mapped arenas + on-disk forests) with nothing resident until
-     the extend forces the lazy loads. *)
+  (* Sharded arena driver: the sweep cut into shards over a tiny
+     corpus must reproduce the flat findings exactly, survive an
+     extend across a shard boundary, and round-trip through a
+     directory checkpoint (mapped arenas + on-disk forests) with
+     nothing resident until the extend forces the lazy loads. *)
   let module Sh = Batchgcd.Sharded in
   let sh, dt = timed (fun () -> Sh.create ~pool:seq ~stride:16 moduli) in
   row "sharded-create-96-stride16" dt;

@@ -29,33 +29,19 @@ let scale_arg =
   in
   Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"SCALE" ~doc)
 
-let k_arg =
-  let doc = "Subset count for the distributed batch GCD." in
-  Arg.(value & opt int 16 & info [ "k" ] ~docv:"K" ~doc)
-
 let shards_arg =
   let doc =
     "Run the batch GCD over an id-range-sharded arena corpus with at most \
-     this many shards (a power of two). Findings are identical to the \
-     unsharded path; checkpoints become mapped arena directories that \
-     reopen in O(shards)."
+     this many shards. Findings are identical to the unsharded path; \
+     checkpoints become mapped arena directories that reopen in O(shards)."
   in
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"S" ~doc)
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let checked_shards = function
-  | None -> None
-  | Some s when is_pow2 s -> Some s
-  | Some s ->
-    Printf.eprintf "weakkeys: --shards %d is not a power of two\n%!" s;
+  | Some s when s < 1 ->
+    Printf.eprintf "weakkeys: --shards %d is not a positive count\n%!" s;
     exit 2
-
-(* Power-of-two stride giving at most [shards] shards over [n] ids. *)
-let stride_for ~shards n =
-  let per = (Stdlib.max n 1 + shards - 1) / shards in
-  let rec pow2 s = if s >= per then s else pow2 (2 * s) in
-  pow2 1
+  | shards -> shards
 
 let quiet_arg =
   let doc = "Suppress progress output." in
@@ -67,8 +53,8 @@ let config_of seed scale =
 let progress_of quiet =
   if quiet then fun _ -> () else fun m -> Printf.eprintf "[weakkeys] %s\n%!" m
 
-let run_pipeline ?shards ?checkpoint_dir ?only_passes seed scale k quiet =
-  Weakkeys.Pipeline.run ~progress:(progress_of quiet) ~k ?shards
+let run_pipeline ?shards ?checkpoint_dir ?only_passes seed scale quiet =
+  Weakkeys.Pipeline.run ~progress:(progress_of quiet) ?shards
     ?checkpoint_dir ?only_passes (config_of seed scale)
 
 (* ------------- report ------------- *)
@@ -103,10 +89,10 @@ let only_passes_of = function
          (String.split_on_char ',' s))
 
 let report_cmd =
-  let run seed scale k shards quiet ckpt only_pass =
+  let run seed scale shards quiet ckpt only_pass =
     match
       run_pipeline ?shards:(checked_shards shards) ?checkpoint_dir:ckpt
-        ?only_passes:(only_passes_of only_pass) seed scale k quiet
+        ?only_passes:(only_passes_of only_pass) seed scale quiet
     with
     | exception Fingerprint.Registry.Unknown_pass name ->
       Printf.eprintf
@@ -127,8 +113,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Run the full study: every table and figure.")
     Term.(
-      const run $ seed_arg $ scale_arg $ k_arg $ shards_arg $ quiet_arg
-      $ ckpt_opt_arg $ only_pass_arg)
+      const run $ seed_arg $ scale_arg $ shards_arg $ quiet_arg $ ckpt_opt_arg
+      $ only_pass_arg)
 
 (* ------------- table / figure ------------- *)
 
@@ -136,10 +122,10 @@ let table_cmd =
   let idx =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table 1-5.")
   in
-  let run n seed scale k quiet =
+  let run n seed scale quiet =
     if n = 2 then print_string (Weakkeys.Report.table2 ())
     else begin
-      let p = run_pipeline seed scale k quiet in
+      let p = run_pipeline seed scale quiet in
       let f =
         match n with
         | 1 -> Weakkeys.Report.table1
@@ -153,15 +139,15 @@ let table_cmd =
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Print one of the paper's tables.")
-    Term.(const run $ idx $ seed_arg $ scale_arg $ k_arg $ quiet_arg)
+    Term.(const run $ idx $ seed_arg $ scale_arg $ quiet_arg)
 
 let figure_cmd =
   let idx =
     Arg.(
       required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure 1-10.")
   in
-  let run n seed scale k quiet =
-    let p = run_pipeline seed scale k quiet in
+  let run n seed scale quiet =
+    let p = run_pipeline seed scale quiet in
     let f =
       match n with
       | 1 -> Weakkeys.Report.figure1
@@ -180,7 +166,7 @@ let figure_cmd =
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Print one of the paper's figures.")
-    Term.(const run $ idx $ seed_arg $ scale_arg $ k_arg $ quiet_arg)
+    Term.(const run $ idx $ seed_arg $ scale_arg $ quiet_arg)
 
 (* ------------- factor / ingest / extend ------------- *)
 
@@ -221,6 +207,13 @@ let print_findings ~total findings =
     findings
 
 let factor_cmd =
+  let k_arg =
+    let doc =
+      "Subset count for the paper's distributed batch GCD: k subset trees \
+       and k x k reduction jobs (findings are the same for every k)."
+    in
+    Arg.(value & opt int 16 & info [ "k" ] ~docv:"K" ~doc)
+  in
   let run file k =
     let arr = Batchgcd.Batch_gcd.dedup (read_moduli file) in
     Printf.eprintf "[weakkeys] batch GCD over %d distinct moduli (k=%d)\n%!"
@@ -268,11 +261,11 @@ let load_state dir =
       inc)
 
 let ingest_cmd =
-  let run ckpt file k shards =
+  let run ckpt file shards =
     let arr = Batchgcd.Batch_gcd.dedup (read_moduli file) in
     match checked_shards shards with
     | Some shards ->
-      let stride = stride_for ~shards (Array.length arr) in
+      let stride = Batchgcd.Sharded.stride_for ~shards (Array.length arr) in
       Printf.eprintf
         "[weakkeys] ingesting %d distinct moduli (sharded, stride=%d)\n%!"
         (Array.length arr) stride;
@@ -284,9 +277,9 @@ let ingest_cmd =
         ~total:(Batchgcd.Sharded.corpus_size sh)
         (Batchgcd.Sharded.findings sh)
     | None ->
-      Printf.eprintf "[weakkeys] ingesting %d distinct moduli (k=%d)\n%!"
-        (Array.length arr) k;
-      let inc = Batchgcd.Incremental.create ~k arr in
+      Printf.eprintf "[weakkeys] ingesting %d distinct moduli\n%!"
+        (Array.length arr);
+      let inc = Batchgcd.Incremental.create arr in
       let path = save_state ckpt inc in
       Printf.eprintf "[weakkeys] wrote %s (%d segments)\n%!" path
         (Batchgcd.Incremental.segment_count inc);
@@ -301,7 +294,7 @@ let ingest_cmd =
           in a checkpoint directory for later 'extend' runs. With --shards, \
           the corpus is stored as mapped limb arenas sharded by id range.")
     Term.(
-      const run $ ckpt_req_arg $ moduli_file_arg $ k_arg $ shards_arg)
+      const run $ ckpt_req_arg $ moduli_file_arg $ shards_arg)
 
 let extend_sharded ckpt file =
   let sh = Batchgcd.Sharded.load_dir ckpt in
@@ -420,8 +413,8 @@ let export_cmd =
       value & opt string "weakkeys-export"
       & info [ "out" ] ~docv:"DIR" ~doc:"Output directory (created).")
   in
-  let run seed scale k quiet out =
-    let p = run_pipeline seed scale k quiet in
+  let run seed scale quiet out =
+    let p = run_pipeline seed scale quiet in
     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
     let write name content =
       let oc = open_out (Filename.concat out name) in
@@ -456,7 +449,7 @@ let export_cmd =
     (Cmd.info "export"
        ~doc:"Run the study and export records, moduli, findings and series \
              as CSV/text files.")
-    Term.(const run $ seed_arg $ scale_arg $ k_arg $ quiet_arg $ out)
+    Term.(const run $ seed_arg $ scale_arg $ quiet_arg $ out)
 
 (* ------------- passes ------------- *)
 

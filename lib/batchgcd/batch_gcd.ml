@@ -55,28 +55,37 @@ let own_subset_component m z =
   assert (N.is_zero r);
   y
 
-let factor_batch ?pool ?domains moduli =
-  let n = Array.length moduli in
-  if n = 0 then []
+(* The single-tree sweep every forest is seeded from: one product tree,
+   one mod-square descent from its root, one leaf gcd per modulus.
+   [n] must be positive. *)
+let sweep ~pool moduli =
+  let tree = Product_tree.build ~pool moduli in
+  let zs =
+    Remainder_tree.remainders_mod_square ~pool tree (Product_tree.root tree)
+  in
+  (* The leaf step the whole pipeline funnels into: one N.gcd per
+     modulus, at modulus-sized operands — N.gcd dispatches these to
+     the Lehmer kernel past its fixed 8-limb cutoff (the
+     gcd-outside-nat lint keeps that dispatch unbypassed). *)
+  let divisors =
+    Array.mapi (fun i m -> N.gcd m (own_subset_component m zs.(i))) moduli
+  in
+  (tree, collect divisors moduli)
+
+let factor_forest ?pool ?domains ~segment moduli =
+  if Array.length moduli = 0 then ([||], [])
   else begin
-    let pool = resolve_pool pool domains in
-    let tree = Product_tree.build ~pool moduli in
-    let p = Product_tree.root tree in
-    let zs = Remainder_tree.remainders_mod_square ~pool tree p in
-    (* The leaf step the whole pipeline funnels into: one N.gcd per
-       modulus, at modulus-sized operands — N.gcd dispatches these to
-       the Lehmer kernel past its fixed 8-limb cutoff (the
-       gcd-outside-nat lint keeps that dispatch unbypassed). *)
-    let divisors =
-      Array.init n (fun i ->
-          N.gcd moduli.(i) (own_subset_component moduli.(i) zs.(i)))
-    in
-    collect divisors moduli
+    let tree, findings = sweep ~pool:(resolve_pool pool domains) moduli in
+    (Product_tree.cut tree ~size:segment, findings)
   end
 
-let factor_subsets_trees ?pool ?domains ~k moduli =
+let factor_batch ?pool ?domains moduli =
+  if Array.length moduli = 0 then []
+  else snd (sweep ~pool:(resolve_pool pool domains) moduli)
+
+let factor_subsets ?pool ?domains ~k moduli =
   let n = Array.length moduli in
-  if n = 0 then ([||], [])
+  if n = 0 then []
   else begin
     let pool = resolve_pool pool domains in
     let k = Stdlib.max 1 (Stdlib.min k n) in
@@ -119,12 +128,8 @@ let factor_subsets_trees ?pool ?domains ~k moduli =
       (fun (i, contributions) ->
         Array.iteri (fun l c -> Divisor_acc.mul acc (starts.(i) + l) c) contributions)
       pieces;
-    let segments = Array.mapi (fun s tree -> (starts.(s), tree)) trees in
-    (segments, collect (Divisor_acc.divisors acc) moduli)
+    collect (Divisor_acc.divisors acc) moduli
   end
-
-let factor_subsets ?pool ?domains ~k moduli =
-  snd (factor_subsets_trees ?pool ?domains ~k moduli)
 
 let findings_equal a b =
   let cmp f g =

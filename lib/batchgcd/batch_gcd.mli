@@ -38,7 +38,8 @@ val factor_batch :
   ?pool:Parallel.Pool.t -> ?domains:int -> Bignum.Nat.t array -> finding list
 (** Single product tree + remainder tree, with level-parallel kernels
     run on [pool] ([domains] sizes a memoized pool when no explicit
-    pool is given; default {!Parallel.Pool.default_domains}). *)
+    pool is given; default {!Parallel.Pool.default_domains}). The same
+    sweep seeds every segment forest. *)
 
 val factor_subsets :
   ?pool:Parallel.Pool.t ->
@@ -53,17 +54,19 @@ val findings_equal : finding list -> finding list -> bool
 
 (**/**)
 
-val factor_subsets_trees :
+val factor_forest :
   ?pool:Parallel.Pool.t ->
   ?domains:int ->
-  k:int ->
+  segment:int ->
   Bignum.Nat.t array ->
   (int * Product_tree.t) array * finding list
-(** {!factor_subsets} that also returns the per-subset product trees
-    (with their leaf offset into the input array) so {!Incremental}
-    can seed its segment forest without rebuilding them. Subsets are
-    contiguous: concatenating the segments' leaves in offset order
-    reproduces the input. *)
+(** {!factor_batch} that also keeps its product tree, cut into
+    subtrees of [segment] leaves ({!Product_tree.cut}) with their leaf
+    offset into the input array — how {!Incremental} and {!Sharded}
+    seed their segment forests. Concatenating the segments' leaves in
+    offset order reproduces the input; an empty input gives no
+    segments.
+    @raise Invalid_argument unless [segment] is a power of two. *)
 
 val own_subset_component : Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t
 (** [own_subset_component m z] with [z = P mod m^2] and [m | P] is

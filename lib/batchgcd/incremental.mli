@@ -5,12 +5,12 @@
     product/remainder-tree cost of a full recompute is dominated by
     the {e old} corpus, exactly the part that does not change. This
     module keeps a {b segment forest}: one product tree per ingested
-    batch (the k contiguous subset trees of
-    {!Batch_gcd.factor_subsets} for the initial corpus, then one tree
-    per {!extend} delta). Folding in [d] new moduli against [n] old
-    ones costs one tree over the delta plus one remainder descent per
-    segment — quasilinear in [n + d] with a small constant — instead
-    of rebuilding the full forest.
+    batch (the initial corpus's single tree cut into aligned
+    subtrees by {!create}, then one tree per {!extend} delta). Folding
+    in [d] new moduli against [n] old ones costs one tree over the
+    delta plus one remainder descent per segment — quasilinear in
+    [n + d] with a small constant — instead of rebuilding the full
+    forest.
 
     Results are {e exactly} the full-recompute findings, not an
     approximation: for an old modulus [m] with previous divisor
@@ -32,11 +32,11 @@ type t
     were first presented, so finding indexes are stable across
     {!extend} calls. *)
 
-val create :
-  ?pool:Parallel.Pool.t -> ?domains:int -> ?k:int -> Bignum.Nat.t array -> t
-(** Initial run: {!Batch_gcd.factor_subsets_trees} with [k] (default
-    1, the single-tree case) subset trees, kept as the first [k]
-    segments. *)
+val create : ?pool:Parallel.Pool.t -> ?domains:int -> Bignum.Nat.t array -> t
+(** Initial run: one single-tree sweep ({!Batch_gcd.factor_forest}),
+    its tree kept as the forest's first segments — the subtrees of
+    the largest power-of-two size [s] with [n >= 16 * s], so 16 to 32
+    segments from 16 moduli up, and one per modulus below 32. *)
 
 val extend :
   ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t

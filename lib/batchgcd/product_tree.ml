@@ -69,6 +69,28 @@ let level t k =
   if k < 0 || k >= depth t then invalid_arg "Product_tree.level: out of range"
   else t.(k)
 
+(* A node at level [top] covers leaves [j * 2^top, (j+1) * 2^top), and
+   [build] pairs from index 0 at every level, so slicing each level
+   below it gives exactly the tree [build] makes over those leaves. The
+   last slice stops at its first one-node level, where [build] over a
+   short tail would stop too. *)
+let cut t ~size =
+  if size <= 0 || size land (size - 1) <> 0 then
+    invalid_arg "Product_tree.cut: size must be a power of two";
+  if size >= Array.length (leaves t) then [| (0, t) |]
+  else begin
+    let rec log2 s = if s = 1 then 0 else 1 + log2 (s / 2) in
+    let top = log2 size in
+    Array.init (Array.length t.(top)) (fun j ->
+        let rec slice l acc =
+          let w = 1 lsl (top - l) in
+          let len = Stdlib.min w (Array.length t.(l) - (j * w)) in
+          let acc = Array.sub t.(l) (j * w) len :: acc in
+          if len = 1 then Array.of_list (List.rev acc) else slice (l + 1) acc
+        in
+        (j * size, slice 0 []))
+  end
+
 let total_limbs t =
   Array.fold_left
     (fun acc lvl ->

@@ -32,6 +32,15 @@ val level : t -> int -> Bignum.Nat.t array
 (** [level t k] is the k-th level, 0 = leaves.
     @raise Invalid_argument when out of range. *)
 
+val cut : t -> size:int -> (int * t) array
+(** [cut t ~size] splits the tree into the subtrees of [size] leaves
+    rooted at one level, as (leaf offset, subtree) pairs in offset
+    order; the last may hold fewer leaves. Each subtree is the tree
+    {!build} makes over its own leaves, sliced from [t]'s levels with
+    no arithmetic, and the levels above the cut are dropped. A [size]
+    of at least the leaf count gives [[| (0, t) |]].
+    @raise Invalid_argument unless [size] is a power of two. *)
+
 val total_limbs : t -> int
 (** Sum of [Nat.size_limbs] over every node — the paper's product
     trees needed 70-100 GB per cluster node; this is our proxy

@@ -1,6 +1,4 @@
-module N = Bignum.Nat
 module PT = Product_tree
-module RT = Remainder_tree
 module Pool = Parallel.Pool
 module BG = Batch_gcd
 module Inc = Incremental
@@ -26,6 +24,13 @@ type t = {
 
 let default_stride = 65536
 let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let stride_for ~shards n =
+  if shards < 1 then
+    invalid_arg "Batchgcd.Sharded.stride_for: shards must be >= 1";
+  let per = (Stdlib.max n 1 + shards - 1) / shards in
+  let rec pow2 s = if s >= per then s else pow2 (2 * s) in
+  pow2 1
 
 let resolve_pool pool domains =
   match pool with Some p -> p | None -> Pool.get ?domains ()
@@ -93,56 +98,31 @@ let intern_delta store base fresh =
         invalid_arg "Batchgcd.Sharded: moduli must be distinct (dedup first)")
     fresh
 
+(* One single-tree sweep, its tree cut at level log2 [stride]: shard
+   offsets are multiples of the stride, so each shard's tree is a
+   subtree of the corpus tree, and the levels above the cut are the
+   tree over the shard roots. *)
 let create ?pool ?domains ?(stride = default_stride) moduli =
   if not (is_pow2 stride) then
     invalid_arg "Batchgcd.Sharded.create: stride must be a power of two";
   let n = Array.length moduli in
   let store = Store.create ~size:(Stdlib.min n 65536) ~stride () in
   intern_delta store 0 moduli;
-  if n = 0 then { stride; total = 0; slots = [||]; findings = []; store; uses = [] }
-  else begin
-    let pool = resolve_pool pool domains in
-    let nshards = (n + stride - 1) / stride in
-    let shards = Array.init nshards (fun s -> s) in
-    let chunk s =
-      let off = s * stride in
-      Array.sub moduli off (Stdlib.min stride (n - off))
-    in
-    (* Tier 1: one product tree per shard, each an independent pool
-       job (the per-job kernels still take the pool; nested calls from
-       inside workers degrade to serial automatically). *)
-    let trees = Pool.map ~pool (fun s -> PT.build ~pool (chunk s)) shards in
-    (* Tier 2: an upper tree over the shard roots carries the global
-       product P down to w_s = P mod root_s^2. Every modulus m of
-       shard s divides root_s, so m^2 | root_s^2 and the per-shard
-       descent from w_s ends at exactly P mod m^2 — the same z that
-       [factor_batch]'s single-tree descent computes. *)
-    let upper = PT.build ~pool (Array.map PT.root trees) in
-    let ws = RT.remainders_mod_square ~pool upper (PT.root upper) in
-    let divisors =
-      Pool.map ~pool
-        (fun s ->
-          let leaves = PT.leaves trees.(s) in
-          Array.mapi
-            (fun l z ->
-              let m = leaves.(l) in
-              N.gcd m (BG.own_subset_component m z))
-            (RT.remainders_mod_square ~pool trees.(s) ws.(s)))
-        shards
-    in
-    let findings = BG.collect (Array.concat (Array.to_list divisors)) moduli in
-    let slots =
-      Array.init nshards (fun s ->
-          let goff = s * stride in
-          let size = Stdlib.min stride (n - goff) in
-          let inc =
-            Inc.of_segments ~findings:(slice findings goff size)
-              [| (0, trees.(s)) |]
-          in
-          { goff; size; forest = Loaded inc })
-    in
-    { stride; total = n; slots; findings; store; uses = [ ("tree", nshards) ] }
-  end
+  let segments, findings =
+    BG.factor_forest ?pool ?domains ~segment:stride moduli
+  in
+  let slots =
+    Array.map
+      (fun (goff, tree) ->
+        let size = Array.length (PT.leaves tree) in
+        let inc =
+          Inc.of_segments ~findings:(slice findings goff size) [| (0, tree) |]
+        in
+        { goff; size; forest = Loaded inc })
+      segments
+  in
+  let uses = if n = 0 then [] else [ ("tree", Array.length slots) ] in
+  { stride; total = n; slots; findings; store; uses }
 
 (* One corpus-wide view of the forest: every shard's segments
    re-offset by the shard's global base. *)

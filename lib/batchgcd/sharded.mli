@@ -3,12 +3,11 @@
     The corpus lives in a {!Corpus.Store} whose dense ids are the
     global sweep indexes: with a power-of-two [stride], shard [s]
     covers ids [s*stride, (s+1)*stride). Each shard keeps its own
-    segment forest ({!Incremental.t}), and the full sweep runs
-    two-tier: per-shard product trees as independent {!Parallel.Pool}
-    jobs, an upper tree over the shard roots to carry the global
-    product down to each shard (w_s = P mod root_s^2), then per-shard
-    mod-square descents — the same per-modulus z values as
-    {!Batch_gcd.factor_batch}, so findings are exactly equal.
+    segment forest ({!Incremental.t}). The full sweep is
+    {!Batch_gcd.factor_forest}: one product tree over the corpus, one
+    mod-square descent, and the tree cut at level [log2 stride], so
+    each shard's tree is the corpus tree's subtree over its id range
+    and findings are exactly those of {!Batch_gcd.factor_batch}.
 
     {!save_dir} writes the corpus as mapped limb arenas plus one
     forest checkpoint per shard; {!load_dir} reopens the arenas with
@@ -34,9 +33,15 @@ val create :
   ?stride:int ->
   Bignum.Nat.t array ->
   t
-(** Full two-tier sweep. [stride] (default {!default_stride}) must be
-    a power of two. Every shard descends its own remainder tree from
-    [w_s = P mod root_s^2]. *)
+(** Full sweep, cut into shards of [stride] (default
+    {!default_stride}) moduli, the last possibly shorter.
+    @raise Invalid_argument unless [stride] is a power of two, or on a
+    duplicate modulus. *)
+
+val stride_for : shards:int -> int -> int
+(** [stride_for ~shards n]: the smallest power-of-two stride that
+    splits [n] ids into at most [shards] shards.
+    @raise Invalid_argument when [shards < 1]. *)
 
 val extend :
   ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t

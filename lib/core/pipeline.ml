@@ -48,13 +48,6 @@ let load_gcd ic =
   | "sharded" -> Sharded (Sh.load ic)
   | _ -> raise (Io.Corrupt "unknown GCD artifact kind")
 
-(* Power-of-two stride giving at most [shards] shards over [n] ids. *)
-let stride_for ~shards n =
-  if shards < 1 then invalid_arg "Pipeline: shards must be >= 1";
-  let per = (Stdlib.max n 1 + shards - 1) / shards in
-  let rec pow2 s = if s >= per then s else pow2 (2 * s) in
-  pow2 1
-
 type view = {
   vendors : Ts.table;
   models : Ts.table;
@@ -72,7 +65,6 @@ type t = {
   scan_ids : Scan_ids.t list;
   monthly_ids : Scan_ids.t list;
   corpus : N.t array;
-  k : int option;
   gcd : gcd_state;
   findings : BG.finding list;
   factored : Fp.t list;
@@ -285,7 +277,7 @@ let build_view ~attribution ~certs ~vuln_index ~moduli monthly_ids =
 
 (* Downstream of the GCD artifact, of_scans and extend are identical:
    recover factorizations, index, and run the attribution passes. *)
-let finish sctx ?pool ?only_passes ~checkpointed ~k world certs scan_ids
+let finish sctx ?pool ?only_passes ~checkpointed world certs scan_ids
     monthly_ids protocol_snapshots https_moduli store corpus gcd =
   let findings = gcd_findings gcd in
   let factored, unrecovered =
@@ -312,7 +304,6 @@ let finish sctx ?pool ?only_passes ~checkpointed ~k world certs scan_ids
     scan_ids;
     monthly_ids;
     corpus;
-    k;
     gcd;
     findings;
     factored;
@@ -327,7 +318,7 @@ let finish sctx ?pool ?only_passes ~checkpointed ~k world certs scan_ids
     timings = Stage.timings sctx;
   }
 
-let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
+let of_scans ?progress ?shards ?domains ?checkpoint_dir
     ?only_passes world scans =
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
   let say = match progress with Some f -> f | None -> fun _ -> () in
@@ -362,15 +353,13 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
     match shards with
     | None ->
       say
-        (Printf.sprintf
-           "batch GCD over %d distinct moduli (k=%d, %d domains)"
-           (Array.length corpus) k (Parallel.Pool.size pool));
-      Stage.run_cached sctx "batchgcd"
-        ~key:(corpus_key corpus (Printf.sprintf "/k=%d" k))
+        (Printf.sprintf "batch GCD over %d distinct moduli (%d domains)"
+           (Array.length corpus) (Parallel.Pool.size pool));
+      Stage.run_cached sctx "batchgcd" ~key:(corpus_key corpus "")
         ~save:save_gcd ~load:load_gcd
-        (fun () -> Flat (Inc.create ~pool ~k corpus))
+        (fun () -> Flat (Inc.create ~pool corpus))
     | Some shards ->
-      let stride = stride_for ~shards (Array.length corpus) in
+      let stride = Sh.stride_for ~shards (Array.length corpus) in
       say
         (Printf.sprintf
            "sharded batch GCD over %d distinct moduli (stride=%d, %d domains)"
@@ -381,27 +370,19 @@ let of_scans ?progress ?(k = 16) ?shards ?domains ?checkpoint_dir
         (fun () -> Sharded (Sh.create ~pool ~stride corpus))
   in
   say (Printf.sprintf "%d moduli factored" (List.length (gcd_findings gcd)));
-  (* The k-subset split clamps k to the corpus size. *)
-  let k =
-    match shards with
-    | None -> Some (Stdlib.max 1 (Stdlib.min k (Array.length corpus)))
-    | Some _ -> None
-  in
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
-    ~k world certs scan_ids monthly_ids protocol_snapshots https_moduli store
+    world certs scan_ids monthly_ids protocol_snapshots https_moduli store
     corpus gcd
 
-let of_world ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes
-    world =
+let of_world ?progress ?shards ?domains ?checkpoint_dir ?only_passes world =
   (match progress with Some f -> f "running scan campaigns" | None -> ());
   let scans = Sc.run_all world in
-  of_scans ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes world
-    scans
+  of_scans ?progress ?shards ?domains ?checkpoint_dir ?only_passes world scans
 
-let run ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes config =
+let run ?progress ?shards ?domains ?checkpoint_dir ?only_passes config =
   let world = Netsim.World.build ?progress config in
-  of_world ?progress ?k ?shards ?domains ?checkpoint_dir ?only_passes world
+  of_world ?progress ?shards ?domains ?checkpoint_dir ?only_passes world
 
 let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
@@ -449,7 +430,7 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   in
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
-    ~k:t.k t.world certs scan_ids monthly_ids t.protocol_snapshots
+    t.world certs scan_ids monthly_ids t.protocol_snapshots
     https_moduli store corpus gcd
 
 (* ------------------------------------------------------------------ *)

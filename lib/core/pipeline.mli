@@ -71,9 +71,6 @@ type t = {
   corpus : Bignum.Nat.t array;
       (** distinct moduli fed to batch GCD (HTTPS + SSH + mail), in
           store-id order: [corpus.(id)] is the modulus with that id *)
-  k : int option;
-      (** the subset count the flat sweep ran with, clamped to the
-          corpus; [None] for a sharded run, which ignores [k] *)
   gcd : gcd_state;
       (** cached GCD state: segment forest(s) + findings; feed to
           {!extend} or serialize via {!Batchgcd.Incremental.save} /
@@ -95,24 +92,22 @@ type t = {
 
 val run :
   ?progress:(string -> unit) ->
-  ?k:int ->
   ?shards:int ->
   ?domains:int ->
   ?checkpoint_dir:string ->
   ?only_passes:string list ->
   Netsim.World.config -> t
-(** Build the world and run the whole measurement pipeline. [k] is the
-    subset count for the distributed batch GCD (default 16, the
-    paper's value; clamped to the corpus size). [shards] switches the
-    GCD stage to the id-range-sharded arena driver
-    ({!Batchgcd.Sharded}, [k] is then ignored): the corpus is split
-    into at most that many power-of-two-stride shards, swept two-tier
-    with per-shard trees as independent pool jobs — findings are
+(** Build the world and run the whole measurement pipeline. The batch
+    GCD is one product-tree sweep over the corpus, its tree kept as a
+    segment forest for {!extend} ({!Batchgcd.Incremental.create}).
+    [shards] switches the GCD stage to the id-range-sharded arena
+    driver ({!Batchgcd.Sharded}): the same sweep, its tree cut into
+    at most that many power-of-two-stride shards — findings are
     exactly those of the unsharded path. [domains] sizes the
-    persistent {!Parallel.Pool} used for key generation, the k-subset
-    fan-out, the level-parallel tree kernels and the attribution
-    passes (default: the hardware's recommended domain count,
-    overridable via the [WEAKKEYS_DOMAINS] environment variable).
+    persistent {!Parallel.Pool} used for key generation, the
+    level-parallel tree kernels and the attribution passes (default:
+    the hardware's recommended domain count, overridable via the
+    [WEAKKEYS_DOMAINS] environment variable).
     [checkpoint_dir] enables checkpoint/resume for the GCD and
     attribution stages: finished artifacts are written there, and a
     rerun over the identical inputs restores them instead of
@@ -123,13 +118,13 @@ val run :
     @raise Fingerprint.Registry.Unknown_pass on an unknown pass name. *)
 
 val of_world :
-  ?progress:(string -> unit) -> ?k:int -> ?shards:int -> ?domains:int ->
+  ?progress:(string -> unit) -> ?shards:int -> ?domains:int ->
   ?checkpoint_dir:string -> ?only_passes:string list ->
   Netsim.World.t -> t
 (** Same, reusing an already-built world. *)
 
 val of_scans :
-  ?progress:(string -> unit) -> ?k:int -> ?shards:int -> ?domains:int ->
+  ?progress:(string -> unit) -> ?shards:int -> ?domains:int ->
   ?checkpoint_dir:string -> ?only_passes:string list ->
   Netsim.World.t -> Netsim.Scanner.scan list -> t
 (** Same, from an explicit scan list (the snapshot-ingest entry point:

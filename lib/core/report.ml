@@ -211,25 +211,28 @@ let figure2 t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (header "Figure 2: k-subset batch GCD (algorithm structure)");
-  (match t.Pipeline.k with
-  | Some k ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  corpus: %d distinct moduli; k = %d subsets; %dx%d = %d reduction\n\
-         \  jobs executed on a domain pool. Total work grows ~quadratically\n\
-         \  in k while the per-node tree shrinks, trading work for\n\
-         \  parallelism exactly as in the paper's cluster run (86 min on 22\n\
-         \  machines vs 500 min on one).\n"
-         n k k k (k * k))
-  | None ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  corpus: %d distinct moduli; sharded run, so k is ignored: each\n\
-         \  id-range shard is swept as its own tree. The paper's k-subset\n\
-         \  split instead runs k x k reduction jobs, trading work for\n\
-         \  parallelism as in its cluster run (86 min on 22 machines vs\n\
-         \  500 min on one).\n"
-         n));
+  let swept, label =
+    match t.Pipeline.gcd with
+    | Pipeline.Flat inc ->
+      ( Printf.sprintf
+          "  corpus: %d distinct moduli, swept as one product tree; the\n\
+          \  forest kept for later extends holds %d segments.\n"
+          n
+          (Batchgcd.Incremental.segment_count inc),
+        "one-tree" )
+    | Pipeline.Sharded sh ->
+      ( Printf.sprintf
+          "  corpus: %d distinct moduli, swept as one product tree cut\n\
+          \  into %d id-range shards.\n"
+          n (Batchgcd.Sharded.shard_count sh),
+        "sharded" )
+  in
+  Buffer.add_string buf swept;
+  Buffer.add_string buf
+    "  The paper's k-subset split instead runs k x k reduction jobs over\n\
+    \  k subset trees: total work grows ~quadratically in k while the\n\
+    \  per-node tree shrinks, trading work for parallelism as in its\n\
+    \  cluster run (86 min on 22 machines vs 500 min on one).\n";
   let ids = figure2_sample t in
   let single, split = figure2_sweeps t ids in
   let same fs = Batchgcd.Batch_gcd.findings_equal fs t.Pipeline.findings in
@@ -241,9 +244,7 @@ let figure2 t =
        (Array.length ids)
        (List.length t.Pipeline.findings)
        (Array.length ids - List.length t.Pipeline.findings)
-       (match t.Pipeline.k with
-       | Some k -> Printf.sprintf "k = %d" k
-       | None -> "sharded")
+       label
        (if same single && same split then "IDENTICAL" else "DIFFER"));
   Buffer.contents buf
 

@@ -22,9 +22,9 @@ val figure1 : Pipeline.t -> string
 (** Total and vulnerable hosts over time, all sources. *)
 
 val figure2 : Pipeline.t -> string
-(** The k-subset batch GCD: structure, work accounting for the k the
-    run used (a sharded run says that k was ignored) and a check of
-    the run's findings: {!figure2_sweeps} over {!figure2_sample} must
+(** The k-subset batch GCD: how this run swept (one product tree,
+    kept as a segment forest or cut into shards), the paper's k x k
+    split, and a check of the run's findings: {!figure2_sweeps} over {!figure2_sample} must
     be {!Batchgcd.Batch_gcd.findings_equal} to [findings] for both
     the single tree and the k = 4 split (IDENTICAL, else DIFFER). *)
 

@@ -527,13 +527,13 @@ let gcd_outside_nat ctx =
 
 (* Product code runs a full sweep as [Batchgcd.Backend.factor] on
    [Backend.tree] or [Backend.ksubset_k k], so the decompositions it
-   may pick are named in one module. Calling
-   [factor_batch]/[factor_subsets] directly reaches past that
-   boundary. lib/batchgcd itself implements the sweeps, and bench/
+   may pick are named in one module. Calling [factor_batch],
+   [factor_subsets] or the forest-seeding [factor_forest] directly
+   reaches past that boundary. lib/batchgcd itself implements the sweeps, and bench/
    and test/ deliberately pin decompositions for timing and
    equality suites. *)
 let batchgcd_entry_points =
-  [ "factor_batch"; "factor_subsets"; "factor_subsets_trees" ]
+  [ "factor_batch"; "factor_subsets"; "factor_forest" ]
 
 let batchgcd_outside_backend ctx =
   if in_dir "lib/batchgcd" ctx.path || in_dir "bench" ctx.path

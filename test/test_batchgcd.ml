@@ -349,10 +349,12 @@ let test_factor_delta_splits () =
 let test_incremental_create_extend () =
   let moduli, _ = corpus ~seed:41 ~n_clean:10 ~n_shared:5 () in
   let full = BG.factor_batch moduli in
-  (* three batches: subsets-seeded create, then two extends *)
-  let t = Inc.create ~k:3 (Array.sub moduli 0 6) in
+  (* three batches: create (one segment per modulus below 32), then
+     two extends of one segment each *)
+  let t = Inc.create (Array.sub moduli 0 6) in
+  Alcotest.(check int) "one segment per leaf" 6 (Inc.segment_count t);
   let t = Inc.extend t (Array.sub moduli 6 5) in
-  Alcotest.(check int) "segments accumulate" 4 (Inc.segment_count t);
+  Alcotest.(check int) "segments accumulate" 7 (Inc.segment_count t);
   let t = Inc.extend t (Array.sub moduli 11 4) in
   Alcotest.(check int) "corpus size" 15 (Inc.corpus_size t);
   Alcotest.(check bool) "corpus preserved in order" true
@@ -389,9 +391,7 @@ let with_temp_checkpoint f =
 
 let test_incremental_save_load () =
   let moduli, _ = corpus ~seed:47 ~n_clean:9 ~n_shared:3 () in
-  let t = Inc.extend (Inc.create ~k:2 (Array.sub moduli 0 8))
-      (Array.sub moduli 8 4)
-  in
+  let t = Inc.extend (Inc.create (Array.sub moduli 0 8)) (Array.sub moduli 8 4) in
   with_temp_checkpoint (fun path ->
       let oc = open_out_bin path in
       Inc.save oc t;
@@ -445,7 +445,7 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
-(* The two-tier sharded sweep must reproduce the single-tree findings
+(* The sharded sweep must reproduce the single-tree findings
    exactly — same indexes, same divisors — for corpora that span
    several shards, across seeds and shard geometries. *)
 let test_sharded_matches_flat () =
@@ -529,6 +529,130 @@ let test_sharded_save_load_dir () =
         (BG.findings_equal (Sh.findings live') (Sh.findings restored'));
       Alcotest.(check int) "segments agree" (Sh.segment_count live')
         (Sh.segment_count restored'))
+
+(* ---------------- The cut forest ---------------- *)
+
+(* Distinct odd moduli, cheap enough for a 2500-leaf tree. *)
+let odd_moduli n = Array.init n (fun i -> N.of_int (1_000_003 + (2 * i)))
+
+let tree_equal a b =
+  PT.depth a = PT.depth b
+  && List.for_all
+       (fun k ->
+         let la = PT.level a k and lb = PT.level b k in
+         Array.length la = Array.length lb && Array.for_all2 N.equal la lb)
+       (List.init (PT.depth a) Fun.id)
+
+(* Every segment is the tree Product_tree.build makes over its own
+   leaves, every offset a multiple of the first segment's size, and
+   the leaves concatenate back to [moduli]. *)
+let check_cut what moduli segments =
+  let size =
+    if Array.length segments = 0 then 1
+    else Array.length (PT.leaves (snd segments.(0)))
+  in
+  Alcotest.(check bool) (what ^ ": segment size is a power of two") true
+    (Array.length segments <= 1 || size land (size - 1) = 0);
+  Array.iteri
+    (fun j (off, tree) ->
+      Alcotest.(check int) (Printf.sprintf "%s: offset %d" what j) (j * size) off;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: segment %d = build over its leaves" what j)
+        true
+        (tree_equal tree (PT.build (PT.leaves tree))))
+    segments;
+  let leaves =
+    Array.concat (List.map (fun (_, t) -> PT.leaves t) (Array.to_list segments))
+  in
+  Alcotest.(check bool) (what ^ ": leaves concatenate to the corpus") true
+    (Array.length leaves = Array.length moduli
+    && Array.for_all2 N.equal leaves moduli)
+
+(* Incremental.create keeps the largest power-of-two segment size s
+   with n >= 16 s: one segment per leaf below 32 moduli, then 16 to 32
+   segments. *)
+let test_cut_forest_create () =
+  List.iter
+    (fun (n, expected) ->
+      let moduli = odd_moduli n in
+      let t = Inc.create moduli in
+      let what = Printf.sprintf "create over %d" n in
+      Alcotest.(check int) (what ^ ": segments") expected (Inc.segment_count t);
+      check_cut what moduli (Inc.segments t);
+      Alcotest.(check bool) (what ^ ": findings = factor_batch") true
+        (BG.findings_equal (BG.factor_batch moduli) (Inc.findings t)))
+    [ (1, 1); (15, 15); (16, 16); (31, 31); (32, 16); (33, 17); (2500, 20) ];
+  Alcotest.(check int) "create over nothing" 0
+    (Inc.segment_count (Inc.create [||]))
+
+(* Sharded.create cuts at log2 stride: each shard's forest file holds
+   one segment, the corpus tree's subtree over the shard's ids. *)
+let test_cut_forest_sharded () =
+  let moduli = odd_moduli 37 in
+  let n = Array.length moduli in
+  List.iter
+    (fun stride ->
+      let sh = Sh.create ~stride moduli in
+      let what = Printf.sprintf "stride %d" stride in
+      Alcotest.(check int) (what ^ ": shards") ((n + stride - 1) / stride)
+        (Sh.shard_count sh);
+      Alcotest.(check bool) (what ^ ": findings = factor_batch") true
+        (BG.findings_equal (BG.factor_batch moduli) (Sh.findings sh));
+      with_temp_dir (fun dir ->
+          Sh.save_dir sh dir;
+          let shards =
+            Array.init (Sh.shard_count sh) (fun s ->
+                let inc =
+                  In_channel.with_open_bin
+                    (Filename.concat dir (Printf.sprintf "forest-%04d.ckpt" s))
+                    Inc.load
+                in
+                Alcotest.(check int) (what ^ ": one segment per shard") 1
+                  (Inc.segment_count inc);
+                (s * stride, snd (Inc.segments inc).(0)))
+          in
+          check_cut what moduli shards))
+    [ 1; 4; 8; 64; 128 ]
+
+let test_cut_forest_save_load () =
+  let moduli = odd_moduli 120 in
+  let t =
+    Inc.extend (Inc.create (Array.sub moduli 0 100)) (Array.sub moduli 100 20)
+  in
+  Alcotest.(check int) "25 segments of 4, then the delta" 26
+    (Inc.segment_count t);
+  with_temp_checkpoint (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Inc.save oc t);
+      let t' = In_channel.with_open_bin path Inc.load in
+      Alcotest.(check int) "segments round-trip" (Inc.segment_count t)
+        (Inc.segment_count t');
+      Array.iter2
+        (fun (o, a) (o', b) ->
+          Alcotest.(check int) "offset round-trips" o o';
+          Alcotest.(check bool) "tree round-trips level by level" true
+            (tree_equal a b))
+        (Inc.segments t) (Inc.segments t');
+      Alcotest.(check bool) "findings round-trip" true
+        (BG.findings_equal (Inc.findings t) (Inc.findings t')))
+
+(* One stride rule for the pipeline and the CLI: a power of two that
+   never makes more shards than asked for. *)
+let test_stride_for () =
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun n ->
+          let stride = Sh.stride_for ~shards n in
+          let what = Printf.sprintf "%d shards over %d" shards n in
+          Alcotest.(check bool) (what ^ ": power of two") true
+            (stride > 0 && stride land (stride - 1) = 0);
+          Alcotest.(check bool) (what ^ ": at most that many shards") true
+            (Sh.shard_count (Sh.create ~stride (odd_moduli n)) <= shards))
+        [ 0; 1; 1000 ])
+    [ 1; 3; 4; 5 ];
+  Alcotest.check_raises "shards must be positive"
+    (Invalid_argument "Batchgcd.Sharded.stride_for: shards must be >= 1")
+    (fun () -> ignore (Sh.stride_for ~shards:0 10))
 
 (* ---------------- Io header hardening ---------------- *)
 
@@ -696,7 +820,7 @@ let fuzz_checkpoint ~seed ~walk ~load ~save v =
 let test_checkpoint_fuzz () =
   let moduli, _ = corpus ~seed:83 ~n_clean:11 ~n_shared:4 () in
   let inc =
-    Inc.extend (Inc.create ~k:2 (Array.sub moduli 0 9)) (Array.sub moduli 9 6)
+    Inc.extend (Inc.create (Array.sub moduli 0 9)) (Array.sub moduli 9 6)
   in
   Alcotest.(check bool) "incremental checkpoint has findings" true
     (Inc.findings inc <> []);
@@ -814,7 +938,7 @@ let test_incremental_backend_extend () =
   let full = BG.factor_batch moduli in
   List.iter
     (fun d ->
-      let t = Inc.create ~k:2 (Array.sub moduli 0 (n - d)) in
+      let t = Inc.create (Array.sub moduli 0 (n - d)) in
       let t = Inc.extend t (Array.sub moduli (n - d) d) in
       Alcotest.(check bool)
         (Printf.sprintf "%d-modulus extend (%s) = recompute" d
@@ -909,12 +1033,13 @@ let adversarial_corpus ~seed ~n =
   done;
   moduli
 
-(* Every run against Batch_gcd.naive: Incremental.create at k = 1, 2
-   and 16; Sharded at strides 4 and 8 (the corpus size is 1 mod 8, so
-   both leave a 1-modulus tail shard); and extend splits whose deltas
-   fall on both sides of Incremental's all-to-all cutoff of 48. A copy
-   with two duplicated moduli runs the flat paths only, since Sharded
-   rejects duplicates. *)
+(* Every run against Batch_gcd.naive: the k-subset split at k = 1, 2
+   and 16; Incremental.create, whose corpus of 57-97 moduli is cut
+   into 16-48 segments; Sharded at strides 4 and 8 (the corpus size is
+   1 mod 8, so both leave a 1-modulus tail shard); extend splits whose
+   deltas fall on both sides of Incremental's all-to-all cutoff of 48;
+   and a chain of two extends. A copy with two duplicated moduli runs
+   the flat paths only, since Sharded rejects duplicates. *)
 let prop_differential_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"every strategy = naive oracle (adversarial corpora)"
@@ -941,17 +1066,24 @@ let prop_differential_oracle =
            (Array.sub corpus 0 (len - d), Array.sub corpus (len - d) d)
          in
          let flat corpus =
-           List.concat_map
+           List.map
              (fun k ->
-               (Printf.sprintf "create k=%d" k,
-                lazy (Inc.findings (Inc.create ~k corpus)))
-               :: List.map
-                    (fun d ->
-                      let base, delta = split corpus d in
-                      ( Printf.sprintf "k=%d extend %d" k d,
-                        lazy (Inc.findings (Inc.extend (Inc.create ~k base) delta)) ))
-                    [ small; large ])
+               (Printf.sprintf "subsets k=%d" k, lazy (BG.factor_subsets ~k corpus)))
              [ 1; 2; 16 ]
+           @ ("create", lazy (Inc.findings (Inc.create corpus)))
+             :: List.map
+                  (fun d ->
+                    let base, delta = split corpus d in
+                    ( Printf.sprintf "extend %d" d,
+                      lazy (Inc.findings (Inc.extend (Inc.create base) delta)) ))
+                  [ small; large ]
+           @ [
+               ( Printf.sprintf "extend %d then %d" (large - small) small,
+                 lazy
+                   (let base, delta = split corpus large in
+                    let first, last = split delta small in
+                    Inc.findings (Inc.extend (Inc.extend (Inc.create base) first) last)) );
+             ]
          in
          let sharded =
            List.concat_map
@@ -1019,6 +1151,10 @@ let tests =
       test_sharded_extend_boundary;
     Alcotest.test_case "sharded save_dir/load_dir" `Quick
       test_sharded_save_load_dir;
+    Alcotest.test_case "cut forest: create" `Quick test_cut_forest_create;
+    Alcotest.test_case "cut forest: sharded" `Quick test_cut_forest_sharded;
+    Alcotest.test_case "cut forest: save/load" `Quick test_cut_forest_save_load;
+    Alcotest.test_case "sharded stride_for" `Quick test_stride_for;
     Alcotest.test_case "io rejects oversized length" `Quick
       test_io_rejects_oversized_length;
     Alcotest.test_case "checkpoint fuzz" `Quick test_checkpoint_fuzz;

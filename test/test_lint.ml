@@ -249,7 +249,7 @@ let test_gcd_outside_nat () =
   check_clean "kernel implementations are exempt" rule
     ~path:"lib/bignum/nat.ml"
     "let gcd a b = if small b then gcd_binary a b else gcd_lehmer a b";
-  check_clean "ablation bench is exempt" rule ~path:"bench/main.ml"
+  check_clean "ablation bench is exempt" rule ~path:"bench/smoke.ml"
     "let r = N.Kernel.gcd_euclid a b";
   check_clean "equivalence tests are exempt" rule ~path:"test/test_nat.ml"
     "let bin = N.Kernel.gcd_binary a b"
@@ -264,14 +264,14 @@ let test_batchgcd_outside_backend () =
   check_flagged "binaries are in scope" rule ~path:"bin/weakkeys_cli.ml"
     "let fs = Batchgcd.Batch_gcd.factor_subsets ~k moduli";
   check_flagged "forest seeding entry point" rule ~path:"lib/core/pipeline.ml"
-    "let segs, fs = BG.factor_subsets_trees ~pool ~k corpus";
+    "let segs, fs = BG.factor_forest ~pool ~segment:16 corpus";
   check_clean "Backend.factor is the sanctioned path" rule
     ~path:"lib/core/pipeline.ml"
     "let fs = Batchgcd.Backend.factor b ~pool corpus";
   check_clean "backend implementations are exempt" rule
     ~path:"lib/batchgcd/backend.ml"
     "let tree_factor ?pool ?domains ms = BG.factor_batch ?pool ?domains ms";
-  check_clean "bench is exempt" rule ~path:"bench/main.ml"
+  check_clean "bench is exempt" rule ~path:"bench/smoke.ml"
     "let fs = Batchgcd.Batch_gcd.factor_batch ~pool corpus";
   check_clean "equality tests are exempt" rule ~path:"test/test_batchgcd.ml"
     "let fs = BG.factor_subsets ~k:3 moduli";

@@ -639,9 +639,9 @@ let test_sharded_extend_matches_flat () =
     (Fingerprint.Attribution.equal_evidence flat.P.attribution
        sh.P.attribution)
 
-(* The single-tree sweep (k = 1) must leave every rendered artifact —
-   the findings and the report tables — byte-identical to the paper's
-   default k = 16 split, and so must extending each of the two
+(* The one-tree forest and the same tree cut into at most 4 shards
+   must leave every rendered artifact — the findings and the report
+   tables — byte-identical, and so must extending each of the two
    differently shaped forests with the same snapshots. *)
 let test_backend_pipeline_equal () =
   let world = Lazy.force Worlds.small in
@@ -661,16 +661,17 @@ let test_backend_pipeline_equal () =
       (Weakkeys.Report.table1 default)
       (Weakkeys.Report.table1 p)
   in
-  check_same "k=1" (P.of_scans world subset) (P.of_scans ~k:1 world subset);
+  check_same "4 shards" (P.of_scans world subset)
+    (P.of_scans ~shards:4 world subset);
   let cutoff = X509lite.Date.of_ymd 2014 1 1 in
   let early, late =
     List.partition
       (fun (s : Sc.scan) -> X509lite.Date.(s.Sc.scan_date < cutoff))
       scans
   in
-  check_same "k=1 then extend"
+  check_same "4 shards then extend"
     (P.extend (P.of_scans world early) late)
-    (P.extend (P.of_scans ~k:1 world early) late)
+    (P.extend (P.of_scans ~shards:4 world early) late)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: the run's findings, re-derived on a seeded sample         *)
@@ -705,9 +706,9 @@ let check_figure2_identical what ~findings_of p =
     (BG.findings_equal split p.P.findings)
 
 let test_figure2_identical () =
-  check_figure2_identical "of_scans" ~findings_of:"k = 16" (pipeline ());
+  check_figure2_identical "of_scans" ~findings_of:"one-tree" (pipeline ());
   let _, _, _, pe = Lazy.force split_pipelines in
-  check_figure2_identical "extended" ~findings_of:"k = 16" pe;
+  check_figure2_identical "extended" ~findings_of:"one-tree" pe;
   let world = Lazy.force Worlds.small in
   let subset =
     List.filteri (fun i _ -> i mod 3 = 0) (Lazy.force Worlds.small_scans)
