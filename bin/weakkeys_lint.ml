@@ -5,8 +5,7 @@
 
 let usage =
   "usage: weakkeys_lint [--json] [--list-rules] [--deep]\n\
-  \                     [--baseline FILE] [--write-baseline FILE]\n\
-  \                     [--cache-dir DIR] [path ...]\n\
+  \                     [--baseline FILE] [--write-baseline FILE] [path ...]\n\
    \n\
    Lints the given .ml files and directories (recursively). With no\n\
    paths, lints lib, bin, bench and test under the current directory.\n\
@@ -34,7 +33,6 @@ let () =
   let deep = ref false in
   let baseline_file = ref "" in
   let write_baseline = ref "" in
-  let cache_dir = ref "" in
   let paths = ref [] in
   let spec =
     [
@@ -47,9 +45,6 @@ let () =
       ( "--write-baseline",
         Arg.Set_string write_baseline,
         "FILE record current findings as the new baseline and exit" );
-      ( "--cache-dir",
-        Arg.Set_string cache_dir,
-        "DIR content-addressed symbol-summary cache (deep mode)" );
     ]
   in
   (try Arg.parse_argv Sys.argv spec (fun p -> paths := p :: !paths) usage
@@ -62,8 +57,7 @@ let () =
     | [] -> List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "test" ]
     | ps -> ps
   in
-  let cache_dir = if !cache_dir = "" then None else Some !cache_dir in
-  match Lint.Engine.lint_paths ~deep:!deep ?cache_dir paths with
+  match Lint.Engine.lint_paths ~deep:!deep paths with
   | exception Sys_error msg ->
     Printf.eprintf "weakkeys_lint: %s\n" msg;
     exit 2

@@ -69,12 +69,12 @@ val segment_count : t -> int
 
 val segments : t -> (int * Product_tree.t) array
 (** The forest as (leaf offset, tree) pairs in offset order (a fresh
-    array; the trees are shared). With {!of_segments} this lets
-    {!Sharded} re-group one corpus-wide forest by id range. *)
+    array; the trees are shared). *)
 
 val of_segments :
   findings:Batch_gcd.finding list -> (int * Product_tree.t) array -> t
-(** Reassemble a state from segments and their findings. Offsets must
+(** Assemble a state from segments and their findings ({!Sharded}
+    keeps a sweep's tree cut at its stride this way). Offsets must
     be contiguous from 0 and finding indexes in range.
     @raise Invalid_argument otherwise. *)
 

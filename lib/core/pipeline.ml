@@ -16,10 +16,10 @@ module Scan_ids = Fingerprint.Scan_ids
 module Dataset = Analysis.Dataset
 module Ts = Analysis.Timeseries
 
-(* The cached GCD artifact: the classic single-address-space segment
-   forest, or the id-range-sharded arena-backed driver when the run
-   asked for [shards]. Both carry the forest and the findings; extend
-   continues in whichever mode the state is in. *)
+(* The cached GCD artifact: the segment forest, or the same forest cut
+   at a shard stride when the run asked for [shards]. Both carry the
+   forest and the findings; extend continues in whichever mode the
+   state is in. *)
 type gcd_state = Flat of Inc.t | Sharded of Sh.t
 
 let gcd_findings = function

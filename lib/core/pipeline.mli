@@ -29,9 +29,11 @@
 
 type gcd_state =
   | Flat of Batchgcd.Incremental.t
-      (** the classic single-address-space segment forest *)
+      (** the segment forest of {!Batchgcd.Incremental.create} *)
   | Sharded of Batchgcd.Sharded.t
-      (** id-range-sharded arena-backed driver (runs with [?shards]) *)
+      (** runs with [?shards]: one forest whose segments stay inside
+          power-of-two id ranges, extended chunk by chunk at their
+          boundaries *)
 (** The cached GCD artifact. {!extend} continues in whichever mode the
     state is in; findings are exactly equal either way. *)
 
@@ -72,7 +74,7 @@ type t = {
       (** distinct moduli fed to batch GCD (HTTPS + SSH + mail), in
           store-id order: [corpus.(id)] is the modulus with that id *)
   gcd : gcd_state;
-      (** cached GCD state: segment forest(s) + findings; feed to
+      (** cached GCD state: segment forest + findings; feed to
           {!extend} or serialize via {!Batchgcd.Incremental.save} /
           {!Batchgcd.Sharded.save} *)
   findings : Batchgcd.Batch_gcd.finding list;
@@ -100,8 +102,8 @@ val run :
 (** Build the world and run the whole measurement pipeline. The batch
     GCD is one product-tree sweep over the corpus, its tree kept as a
     segment forest for {!extend} ({!Batchgcd.Incremental.create}).
-    [shards] switches the GCD stage to the id-range-sharded arena
-    driver ({!Batchgcd.Sharded}): the same sweep, its tree cut into
+    [shards] switches the GCD stage to the id-range-sharded driver
+    ({!Batchgcd.Sharded}): the same sweep, its tree cut into
     at most that many power-of-two-stride shards — findings are
     exactly those of the unsharded path. [domains] sizes the
     persistent {!Parallel.Pool} used for key generation, the
@@ -139,7 +141,7 @@ val extend :
     the cached product-tree forest is extended with one delta tree
     ({!Batchgcd.Incremental.extend} — no old tree is rebuilt; a
     sharded state goes through {!Batchgcd.Sharded.extend}, one delta
-    tree per touched shard), and the
+    tree per shard-boundary chunk), and the
     fingerprint/index/attribution stages rerun over the combined
     corpus. Only the new scans' records are interned: the
     certificate and modulus ids of [t] stay the same, and only new

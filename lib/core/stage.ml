@@ -36,21 +36,22 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* Restore attempt: [None] on any miss — no file, key mismatch, or a
-   truncated/corrupt record (a crash mid-write leaves only the .tmp
+(* Restore attempt: [None] on any miss — no file, key mismatch, a
+   truncated/corrupt record, or bytes left after it (a lowered count
+   loads a prefix of the data; a crash mid-write leaves only the .tmp
    behind, but defend anyway). *)
 let restore path ~key ~load =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
+  else
+    In_channel.with_open_bin path (fun ic ->
         try
-          if String.equal (Corpus.Io.read_string ic) key then Some (load ic)
+          if String.equal (Corpus.Io.read_string ic) key then begin
+            let v = load ic in
+            Corpus.Io.expect_end ic;
+            Some v
+          end
           else None
         with Corpus.Io.Corrupt _ | End_of_file -> None)
-  end
 
 let run_cached ctx name ~key ~save ~load f =
   match ctx.dir with
@@ -65,13 +66,8 @@ let run_cached ctx name ~key ~save ~load f =
      | None ->
        let v = f () in
        mkdir_p dir;
-       let tmp = path ^ ".tmp" in
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out oc)
-         (fun () ->
+       Corpus.Io.write_atomic path (fun oc ->
            Corpus.Io.write_string oc key;
            save oc v);
-       Sys.rename tmp path;
        record ctx name (Unix.gettimeofday () -. t0) false;
        v)

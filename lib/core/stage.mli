@@ -40,8 +40,9 @@ val run_cached :
 (** Like {!run}, but first tries [dir/name.ckpt]: when the file exists
     and its stored key equals [key], the artifact is restored with
     [load] (timing recorded with [restored = true]). Otherwise [f]
-    runs and the artifact is written atomically with [save]. [load]
-    failures ({!Corpus.Io.Corrupt}, truncation) count as a miss, not
+    runs and the artifact is written atomically with [save]
+    ({!Corpus.Io.write_atomic}). [load] failures ({!Corpus.Io.Corrupt},
+    truncation) and bytes left after the record count as a miss, not
     an error. *)
 
 val note : ctx -> string -> seconds:float -> unit

@@ -53,5 +53,19 @@ let read_string ic =
   try really_input_string ic len
   with End_of_file -> raise (Corrupt "truncated string record")
 
+let write_atomic path write =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  let committed = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      if not !committed then try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      write oc;
+      close_out oc;
+      Sys.rename tmp path;
+      committed := true)
+
 let write_nat oc n = write_string oc (N.to_bytes_be n)
 let read_nat ic = N.of_bytes_be (read_string ic)

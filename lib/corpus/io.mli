@@ -35,5 +35,12 @@ val expect_end : in_channel -> unit
 val write_string : out_channel -> string -> unit
 val read_string : in_channel -> string
 
+val write_atomic : string -> (out_channel -> unit) -> unit
+(** [write_atomic path write] runs [write] on a fresh [path ^ ".tmp"]
+    and renames it over [path] once the channel is closed, so [path]
+    holds either its old contents or all of the new ones. If [write]
+    (or the close) raises, the temporary file is removed and the
+    exception re-raised; [path] is untouched. *)
+
 val write_nat : out_channel -> Bignum.Nat.t -> unit
 val read_nat : in_channel -> Bignum.Nat.t

@@ -1,39 +1,29 @@
 module N = Bignum.Nat
 
-(* Values live unboxed in sharded limb arenas ({!Shard}); the store
-   keeps only an open-addressing intern index over them.  Buckets hold
-   [id + 1] (0 = empty) and probe linearly; per-id hashes are memoized
-   so resizes and probe rejections never materialise a Nat.  A store
-   restored from disk starts with an empty index ([buckets = [||]])
-   and builds it on the first [find]/[intern] — pure id-based reads
-   ([get]/[iter]/[to_array]) never pay for it. *)
+(* Values live in a growable array indexed by id; an open-addressing
+   intern index sits over it.  Buckets hold [id + 1] (0 = empty) and
+   probe linearly; per-id hashes are memoized so resizes and probe
+   rejections never rehash a value. *)
 type t = {
-  shard : Shard.t;
-  mutable buckets : int array; (* id + 1; 0 = empty; [||] = not built *)
+  mutable values : N.t array; (* valid for ids < count *)
   mutable hashes : int array; (* per-id N.hash, valid for ids < count *)
+  mutable count : int;
+  mutable buckets : int array; (* id + 1; 0 = empty *)
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
-let create ?(size = 64) ?stride () =
+(* [size] sizes only the index: the value and hash arrays start small
+   and double as they fill, so a generous hint costs one int array. *)
+let create ?(size = 64) () =
   {
-    shard = Shard.create ?stride ();
+    values = Array.make 16 N.zero;
+    hashes = Array.make 16 0;
+    count = 0;
     buckets = Array.make (pow2_at_least (2 * (size + 1)) 16) 0;
-    hashes = Array.make (Stdlib.max size 16) 0;
   }
 
-let size t = Shard.count t.shard
-let stride t = Shard.stride t.shard
-let shard_count t = Shard.shard_count t.shard
-
-let set_hash t id h =
-  let cap = Array.length t.hashes in
-  if id >= cap then begin
-    let hashes = Array.make (Stdlib.max (2 * cap) (id + 1)) 0 in
-    Array.blit t.hashes 0 hashes 0 cap;
-    t.hashes <- hashes
-  end;
-  t.hashes.(id) <- h
+let size t = t.count
 
 (* Insert an id already known absent; buckets must have a free slot. *)
 let insert_bucket t h id =
@@ -46,61 +36,56 @@ let insert_bucket t h id =
 
 let rebuild t cap =
   t.buckets <- Array.make cap 0;
-  for id = 0 to size t - 1 do
+  for id = 0 to t.count - 1 do
     insert_bucket t t.hashes.(id) id
   done
 
-let ensure_index t =
-  if Array.length t.buckets = 0 then begin
-    (* First lookup after a load: hash every stored value once.  Each
-       Nat is materialised transiently; only the int hash is kept. *)
-    let n = size t in
-    for id = 0 to n - 1 do
-      set_hash t id (N.hash (Shard.get t.shard id))
-    done;
-    rebuild t (pow2_at_least (2 * (n + 1)) 16)
-  end
-
-let lookup t h limbs =
+let lookup t h n =
   let mask = Array.length t.buckets - 1 in
   let rec probe j =
     match t.buckets.(j) with
     | 0 -> None
     | slot ->
         let id = slot - 1 in
-        if t.hashes.(id) = h && Shard.matches t.shard id limbs then Some id
+        if t.hashes.(id) = h && N.equal t.values.(id) n then Some id
         else probe ((j + 1) land mask)
   in
   probe (h land mask)
 
-let find t n =
-  ensure_index t;
-  lookup t (N.hash n) (N.to_limbs n)
-
+let find t n = lookup t (N.hash n) n
 let mem t n = find t n <> None
 
+let grow t =
+  let cap = 2 * Array.length t.values in
+  let values = Array.make cap N.zero and hashes = Array.make cap 0 in
+  Array.blit t.values 0 values 0 t.count;
+  Array.blit t.hashes 0 hashes 0 t.count;
+  t.values <- values;
+  t.hashes <- hashes
+
 let intern t n =
-  ensure_index t;
   let h = N.hash n in
-  let limbs = N.to_limbs n in
-  match lookup t h limbs with
+  match lookup t h n with
   | Some id -> id
   | None ->
-      if 2 * (size t + 1) >= Array.length t.buckets then
+      if 2 * (t.count + 1) >= Array.length t.buckets then
         rebuild t (2 * Array.length t.buckets);
-      let id = Shard.append t.shard n in
-      set_hash t id h;
+      if t.count = Array.length t.values then grow t;
+      let id = t.count in
+      t.values.(id) <- n;
+      t.hashes.(id) <- h;
+      t.count <- id + 1;
       insert_bucket t h id;
       id
 
 let get t id =
-  if id < 0 || id >= size t then
+  if id < 0 || id >= t.count then
     invalid_arg "Corpus.Store.get: id out of range";
-  Shard.get t.shard id
+  t.values.(id)
 
-let to_array t = Array.init (size t) (fun id -> Shard.get t.shard id)
-let iter f t = Shard.iter f t.shard
-let save t dir = Shard.save t.shard dir
+let to_array t = Array.sub t.values 0 t.count
 
-let load dir =
-  { shard = Shard.load dir; buckets = [||]; hashes = [||] }
+let iter f t =
+  for id = 0 to t.count - 1 do
+    f id t.values.(id)
+  done

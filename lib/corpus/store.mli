@@ -7,28 +7,21 @@
     used to be scattered across the pipeline, fingerprint and analysis
     layers (see the [limbs-keyed-hashtbl] lint rule).
 
-    Values live unboxed in id-range-sharded limb arenas ({!Shard} over
-    {!Arena}), so {!save}/{!load} move whole shards: a restored store
-    is a set of read-only file mappings and opens in O(shard count).
+    The store keeps the interned values themselves in a growable
+    array, with an open-addressing index over them.
 
     Stores are single-writer: interleaving [intern] calls from several
-    domains is not supported. Lookups are safe once building stops —
-    but note a store restored by {!load} builds its intern index
-    lazily, so run one [find]/[intern] from a single domain before
-    sharing it. *)
+    domains is not supported. Lookups are safe once building stops. *)
 
 type t
 
-val create : ?size:int -> ?stride:int -> unit -> t
-(** Fresh empty store. [size] is a capacity hint; [stride] (default
-    65536, power of two) is the id-range width of each shard. *)
+val create : ?size:int -> unit -> t
+(** Fresh empty store. [size] is a capacity hint for the intern
+    index. *)
 
 val size : t -> int
 (** Number of distinct values interned so far. Ids are exactly
     [0 .. size - 1]. *)
-
-val stride : t -> int
-val shard_count : t -> int
 
 val intern : t -> Bignum.Nat.t -> int
 (** [intern t n] returns the id of [n], assigning the next dense id
@@ -48,11 +41,3 @@ val to_array : t -> Bignum.Nat.t array
 
 val iter : (int -> Bignum.Nat.t -> unit) -> t -> unit
 (** Iterate in id order. *)
-
-val save : t -> string -> unit
-(** Checkpoint the backing shards into a directory ([meta] plus one
-    arena file per shard). Unmodified mapped shards are skipped. *)
-
-val load : string -> t
-(** Reopen a checkpoint directory by mapping each shard arena
-    read-only. Raises {!Io.Corrupt} on damaged files. *)

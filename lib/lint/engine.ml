@@ -106,7 +106,7 @@ let deep_rule id =
   | Some r -> r
   | None -> invalid_arg ("deep_rule: unknown rule " ^ id)
 
-let lint_units ?(deep = false) ?cache_dir units =
+let lint_units ?(deep = false) units =
   let per_file =
     List.map
       (fun u ->
@@ -132,7 +132,7 @@ let lint_units ?(deep = false) ?cache_dir units =
       let summaries =
         List.map
           (fun (u, _, _, _) ->
-            Symbols.summarize_cached ?cache_dir ~path:u.src_path u.src)
+            Symbols.summarize ~path:u.src_path u.src)
           per_file
       in
       let graph = Modgraph.build summaries in
@@ -238,7 +238,7 @@ let rec gather acc path =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
-let lint_paths ?deep ?cache_dir paths =
+let lint_paths ?deep paths =
   let files = List.fold_left gather [] paths |> List.sort_uniq String.compare in
   let units =
     List.map
@@ -249,7 +249,7 @@ let lint_paths ?deep ?cache_dir paths =
           src = read_file file })
       files
   in
-  lint_units ?deep ?cache_dir units
+  lint_units ?deep units
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

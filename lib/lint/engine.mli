@@ -21,7 +21,7 @@ type source = {
 }
 
 val lint_units :
-  ?deep:bool -> ?cache_dir:string -> source list -> finding list
+  ?deep:bool -> source list -> finding list
 (** Lint a set of compilation units given in memory. With
     [deep:true], additionally builds the cross-file symbol table and
     module graph over the whole set and runs the deep analyses:
@@ -29,8 +29,7 @@ val lint_units :
     [pool-capture-race] and [pass-ctx-mutation] (interprocedural
     effect inference), and [unused-suppression] (every directive must
     catch at least one raw finding; audit findings are themselves
-    unsuppressable). [cache_dir] enables the content-addressed symbol
-    cache. Findings are sorted by path, line, rule. *)
+    unsuppressable). Findings are sorted by path, line, rule. *)
 
 val lint_source : path:string -> ?mli_exists:bool -> string -> finding list
 (** Lint one compilation unit given as a string (lexical rules only).
@@ -39,7 +38,7 @@ val lint_source : path:string -> ?mli_exists:bool -> string -> finding list
     spaces; justification prose after [--] or an em-dash is ignored. *)
 
 val lint_paths :
-  ?deep:bool -> ?cache_dir:string -> string list -> finding list
+  ?deep:bool -> string list -> finding list
 (** Lint files and/or directories (recursed; [_build], [.git] and
     other dot-directories are skipped; only [.ml] files are read).
     Sibling [.mli] presence is checked on disk for the [missing-mli]

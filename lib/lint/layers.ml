@@ -15,12 +15,8 @@ type spec = {
   denied : (string * string * string) list;  (* src dir, dst dir, why *)
 }
 
-(* The repository's layer cake. The four allowed upward edges are
+(* The repository's layer cake. The three allowed upward edges are
    deliberate, pre-existing trades:
-   - corpus-arena -> bignum: the arena stores raw limb images;
-     Nat.of_limbs/to_limbs is its only crossing, and pinning the
-     storage layer below bignum keeps every other dependency out of
-     the mmap-restored corpus substrate.
    - bignum -> parallel: the PR 3 in-multiply parallelism fans
      Karatsuba/Toom-3 pointwise products onto the domain pool from
      inside the kernel ladder.
@@ -36,8 +32,8 @@ let default =
   {
     layers =
       [
-        ("corpus-arena", [ "lib/corpus" ]);
         ("bignum", [ "lib/bignum" ]);
+        ("corpus", [ "lib/corpus" ]);
         ("text+hash", [ "lib/hashes"; "lib/stringx" ]);
         ("parallel", [ "lib/parallel" ]);
         ("keys", [ "lib/rsa"; "lib/x509lite" ]);
@@ -52,9 +48,6 @@ let default =
       ];
     allowed =
       [
-        ( "lib/corpus", "lib/bignum",
-          "the arena stores raw limb images; Nat.of_limbs/to_limbs is \
-           the storage layer's only crossing" );
         ( "lib/bignum", "lib/parallel",
           "in-multiply parallelism: kernel ladder fans pointwise products \
            onto the pool (PR 3)" );

@@ -18,8 +18,8 @@ type spec = {
 }
 
 val default : spec
-(** The repository's layer cake: bignum → hashes/stringx → parallel →
-    corpus → rsa/x509lite → batchgcd → entropy → fingerprint → netsim
+(** The repository's layer cake: bignum → corpus → hashes/stringx →
+    parallel → rsa/x509lite → batchgcd → entropy → fingerprint → netsim
     → analysis → core → lint → bin/test/bench. *)
 
 val index_of : spec -> string -> int option

@@ -434,17 +434,18 @@ let fingerprint_outside_registry ctx =
       ctx
 
 (* ------------------------------------------------------------------ *)
-(* Rule 14: per-modulus limb vectors stay in the arena                 *)
+(* Rule 14: no boxed collections of per-modulus limb vectors           *)
 (* ------------------------------------------------------------------ *)
 
 (* A collection of limb vectors ([int array array], [int array list])
-   boxes every modulus as its own heap block with its own header and
-   GC lifetime. Bulk limb storage belongs to the contiguous Bigarray
-   arena (lib/corpus/arena.ml), and lib/bignum owns the scalar
-   representation (its kernels allocate such shapes as scratch).
-   Anywhere else, the shape is per-modulus boxing creeping back in. *)
+   is a second, unshared copy of moduli that are already [Nat.t]
+   values, one heap block per modulus. Moduli are stored as [Nat.t]
+   (interned in Corpus.Store and addressed by dense id), and
+   lib/bignum owns the limb representation (its kernels allocate such
+   shapes as scratch). Anywhere else, the shape is raw limb copies
+   creeping back in. *)
 let boxed_limb_array ctx =
-  if in_dir "lib/bignum" ctx.path || ctx.path = "lib/corpus/arena.ml" then []
+  if in_dir "lib/bignum" ctx.path then []
   else begin
     let toks = Array.of_list (code ctx) in
     let n = Array.length toks in
@@ -672,12 +673,12 @@ let all =
     { id = "boxed-limb-array";
       severity = Warning;
       doc =
-        "`int array array` / `int array list` box every modulus's limbs \
-         as a separate heap block; bulk limb storage lives in the \
-         contiguous corpus arena";
+        "`int array array` / `int array list` copy every modulus's limbs \
+         into a separate heap block beside its Nat value";
       hint =
-        "store limbs through Corpus.Arena / Corpus.Store and address \
-         them by dense id (or keep the shape inside lib/bignum's kernels)";
+        "keep moduli as Nat values, interned in Corpus.Store and \
+         addressed by dense id (or keep the shape inside lib/bignum's \
+         kernels)";
       check = boxed_limb_array };
     { id = "fingerprint-outside-registry";
       severity = Warning;

@@ -1,13 +1,7 @@
 (* Per-file symbol summary: what a compilation unit defines at top
    level, which modules it opens or aliases, and every qualified
    module reference it makes. These summaries are the raw material of
-   the module graph and the layering checker.
-
-   Summaries are cached content-addressed, like Stage.run_cached for
-   pipeline artifacts: the cache key is a SHA-256 of the summary
-   format version plus the file bytes, so edits (or a format change)
-   miss and recompute while untouched files restore for free. Cache
-   IO failures of any kind degrade to recomputation, never errors. *)
+   the module graph and the layering checker. *)
 
 type t = {
   path : string;
@@ -17,10 +11,6 @@ type t = {
   aliases : (string * string * int) list;
   refs : (string * int) list;
 }
-
-(* Bump when the summary shape or extraction logic changes: stale
-   cache entries from an older linter must never be restored. *)
-let version = "weakkeys-lint-symbols/1"
 
 let modname_of_path path =
   let base = Filename.remove_extension (Filename.basename path) in
@@ -81,50 +71,3 @@ let summarize ~path src =
     opens = List.rev !opens;
     aliases = List.rev !aliases;
     refs = List.rev !refs }
-
-(* ------------------------------------------------------------------ *)
-(* Content-addressed cache                                             *)
-(* ------------------------------------------------------------------ *)
-
-let cache_key src = Hashes.Sha256.hexdigest (version ^ "\x00" ^ src)
-
-let cache_file dir key = Filename.concat dir (key ^ ".sum")
-
-let load_cached dir key =
-  let file = cache_file dir key in
-  if not (Sys.file_exists file) then None
-  else
-    match
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> (Marshal.from_channel ic : string * t))
-    with
-    | v, t when v = version -> Some t
-    | _ -> None
-    | exception (Sys_error _ | End_of_file | Failure _) -> None
-
-let store_cached dir key t =
-  match
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    let tmp = cache_file dir (key ^ ".tmp") in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Marshal.to_channel oc (version, t) []);
-    Sys.rename tmp (cache_file dir key)
-  with
-  | () -> ()
-  | exception (Sys_error _ | Unix.Unix_error _) -> ()
-
-let summarize_cached ?cache_dir ~path src =
-  match cache_dir with
-  | None -> summarize ~path src
-  | Some dir -> (
-    let key = cache_key (path ^ "\x00" ^ src) in
-    match load_cached dir key with
-    | Some t -> t
-    | None ->
-      let t = summarize ~path src in
-      store_cached dir key t;
-      t)

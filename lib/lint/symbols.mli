@@ -3,13 +3,7 @@
     One summary per compilation unit: top-level value definitions,
     [open]ed modules, [module A = B] aliases, and every dot-qualified
     module reference with its line. The module graph
-    ({!Modgraph.build}) and layering checker consume these.
-
-    Summaries can be cached content-addressed (SHA-256 of a format
-    version plus the file bytes), in the spirit of [Stage.run_cached]:
-    untouched files restore from the cache directory, edited files
-    recompute, and any cache IO failure silently degrades to
-    recomputation. *)
+    ({!Modgraph.build}) and layering checker consume these. *)
 
 type t = {
   path : string;  (** Repo-relative path. *)
@@ -32,8 +26,3 @@ val root_of : string -> string
 
 val summarize : path:string -> string -> t
 (** Extract the summary from source text. *)
-
-val summarize_cached : ?cache_dir:string -> path:string -> string -> t
-(** Like {!summarize}, restoring from / populating [cache_dir] when
-    given. The cache is keyed on path and content; corrupt or
-    version-mismatched entries recompute. *)

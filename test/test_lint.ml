@@ -201,7 +201,7 @@ let test_boxed_limb_array () =
     "let batches : int array array = load path";
   check_clean "bignum kernels are exempt" rule ~path:"lib/bignum/toom.ml"
     "let scratch : int array array = Array.make k [||]";
-  check_clean "the arena owns bulk storage" rule ~path:"lib/corpus/arena.ml"
+  check_flagged "lib/corpus is in scope" rule ~path:"lib/corpus/store.ml"
     "let pending : int array list = queued t";
   check_clean "plain limb vector" rule ~path
     "let limbs : int array = N.to_limbs m";
@@ -322,8 +322,7 @@ let check_deep_clean name rule path units =
 
 let test_layering () =
   let corpus = ("lib/corpus/store.ml", "let create () = 1") in
-  (* corpus-arena is the bottom layer: its only sanctioned edge is the
-     allow-listed one to bignum, so reaching the pool is upward *)
+  (* corpus sits just above bignum, so reaching the pool is upward *)
   check_deep_flagged "synthetic upward edge" "layer-violation"
     "lib/corpus/uses_pool.ml"
     [ ("lib/parallel/pool.ml", "let go f = f ()");
@@ -331,8 +330,8 @@ let test_layering () =
   check_deep_clean "downward edge is legal" "layer-violation"
     "lib/batchgcd/uses.ml"
     [ corpus; ("lib/batchgcd/uses.ml", "let y = Corpus.Store.create ()") ];
-  (* the committed allow-list covers the corpus -> bignum storage edge *)
-  check_deep_clean "corpus -> bignum allow-listed" "layer-violation"
+  (* the store interns Nat values: corpus -> bignum points downward *)
+  check_deep_clean "corpus -> bignum is downward" "layer-violation"
     "lib/corpus/uses.ml"
     [ ("lib/bignum/nat_extra.ml", "let x = 1");
       ("lib/corpus/uses.ml", "let y = Bignum.Nat_extra.x") ];

@@ -9,6 +9,7 @@ let () =
       ("entropy", Test_entropy.tests);
       ("rsa", Test_rsa.tests);
       ("x509", Test_x509.tests);
+      ("corpus", Test_corpus.tests);
       ("batchgcd", Test_batchgcd.tests);
       ("netsim", Test_netsim.tests);
       ("fingerprint", Test_fingerprint.tests);
