@@ -87,10 +87,9 @@ let () =
 
   (* Strategy probe: a corpus with one freshly planted shared prime at
      both ends. The k-subset sweep at k = 1 (one tree) and k = 4, and
-     a 16- and a 64-modulus extend (the all-to-all and remainder-tree
-     delta strategies; each delta holds one planted modulus, the base
-     the other), must surface that exact divisor and agree with the
-     flat reference bit for bit. *)
+     a 16- and a 64-modulus extend (each delta holds one planted
+     modulus, the base the other), must surface that exact divisor
+     and agree with the flat reference bit for bit. *)
   let module Bk = Batchgcd.Backend in
   let module Inc = Batchgcd.Incremental in
   let planted_p = Bignum.Prime.generate ~gen ~bits:48 in
@@ -118,7 +117,7 @@ let () =
     (fun d ->
       let base = Inc.create ~pool:par (Array.sub planted_corpus 0 (n - d)) in
       let delta = Array.sub planted_corpus (n - d) d in
-      probe (Printf.sprintf "extend-%d-%s" d (Inc.delta_strategy d)) (fun () ->
+      probe (Printf.sprintf "extend-%d" d) (fun () ->
           Inc.findings (Inc.extend ~pool:par base delta)))
     [ 16; 64 ];
 

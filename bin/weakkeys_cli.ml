@@ -332,7 +332,7 @@ let extend_cmd =
       let sh = Batchgcd.Sharded.extend sh fresh in
       List.iter
         (fun (name, jobs) ->
-          Printf.eprintf "[weakkeys] delta strategy %-10s %d chunks\n%!" name
+          Printf.eprintf "[weakkeys] %s: %d shard-boundary chunks\n%!" name
             jobs)
         (Batchgcd.Sharded.backend_uses sh);
       Batchgcd.Sharded.save_dir sh ckpt;

@@ -3,11 +3,11 @@
     For modulus [m], [gcd (m, prod_j c_j mod m)] equals
     [gcd (m, prod_j gcd (m, c_j))] prime-power by prime-power, so
     contributions may be remainders of products ({!Batch_gcd}'s subset
-    jobs, the remainder-tree delta of {!Incremental.extend}), pairwise
-    gcds (the all-to-all delta) or a cached earlier divisor, in any
-    order, and the divisor comes out the same. A contribution
-    divisible by [m] (a duplicate modulus, or a fully factored one)
-    zeroes the accumulator and the divisor is [m] itself. *)
+    jobs, both sides of {!Incremental.extend}'s delta) or a cached
+    earlier divisor, in any order, and the divisor comes out the
+    same. A contribution divisible by [m] (a duplicate modulus, or a
+    fully factored one) zeroes the accumulator and the divisor is [m]
+    itself. *)
 
 type t
 

@@ -43,10 +43,8 @@ let total_limbs t =
 
 (* The initial tree is cut into segments of the largest power-of-two
    size that still leaves at least this many full ones (every leaf is
-   its own segment below 32 moduli). The width is for [extend]: its
-   all-to-all delta runs one pool job per segment, and on the
-   benchmark's monthly workload a one-segment forest (2 jobs) made
-   each extend 38% slower than a 16-segment one (17 jobs). *)
+   its own segment below 32 moduli). The width is for [extend], whose
+   delta runs one pool job per segment. *)
 let min_segments = 16
 
 let segment_size n =
@@ -60,58 +58,60 @@ let create ?pool ?domains moduli =
   in
   { total = n; segments; findings }
 
-(* A delta of at most this many fresh moduli runs all-to-all segment
-   pruning, a larger one remainder trees: unpruned pairs cost one
-   product-sized gcd each, which a bulk delta piles up. The
-   benchmark's sweep and monthly workloads extend by 15-32 moduli,
-   where all-to-all wins. *)
-let all_to_all_max = 48
-
-let delta_strategy nf = if nf <= all_to_all_max then "all_to_all" else "tree"
-
-(* All-to-all delta: one gcd of segment root vs delta root prunes an
-   entire untouched segment, and surviving pairs recurse to exact
-   pairwise gcds — no remainder descents. Each job returns a pure hit
-   list; the merge is serial. *)
-let merge_all_to_all ~pool t tn acc =
-  let nseg = Array.length t.segments in
-  let job s =
-    if s < nseg then All_to_all.cross_hits ~pool (snd t.segments.(s)) tn
-    else All_to_all.pairwise_hits ~pool tn
-  in
-  Array.iteri
-    (fun s hits ->
-      let off = if s < nseg then fst t.segments.(s) else t.total in
-      List.iter
-        (fun (l, j, g) ->
-          Divisor_acc.mul acc (off + l) g;
-          Divisor_acc.mul acc (t.total + j) g)
-        hits)
-    (Pool.map ~pool job (Array.init (nseg + 1) Fun.id))
-
-(* Remainder-tree delta, all jobs independent:
-   [0, nseg)        delta product through old segment tree s;
-   [nseg, 2*nseg)   segment-s root through the fresh tree;
-   2*nseg           fresh root mod-square through the fresh tree
-                    (the new-vs-new pass, as in factor_batch). *)
-let merge_tree ~pool t tn acc =
-  let pn = PT.root tn in
+(* The delta, remainders only. New side: every segment root down the
+   fresh tree, and the fresh root mod-square down it (the own
+   component, as in the sweep). Filter: per fresh leaf f_j, the
+   product of the segment roots' remainders is one contribution, and
+   g_j = gcd (f_j, that product) marks the leaves sharing a prime
+   with the old corpus. Old side: segment s descends
+   B_s = prod_{j : g_j <> 1} gcd (g_j, root_s mod f_j), and only when
+   B_s <> 1. Each factor is gcd (f_j, root_s), so a prime's exponent
+   in B_s is its exponent in the fresh root capped, per leaf, at its
+   exponent in root_s; that cap is at least any m | root_s's own, so
+   gcd (m, B_s) = gcd (m, fresh root) prime by prime. *)
+let merge_delta ~pool t tn acc =
+  let fresh = PT.leaves tn in
   let nseg = Array.length t.segments in
   let job i =
-    if i < nseg then
-      let off, tree = t.segments.(i) in
-      (off, RT.remainders ~pool tree pn)
-    else if i < 2 * nseg then
-      (t.total, RT.remainders ~pool tn (PT.root (snd t.segments.(i - nseg))))
+    if i < nseg then RT.remainders ~pool tn (PT.root (snd t.segments.(i)))
     else
-      ( t.total,
-        Array.mapi
-          (fun l z -> BG.own_subset_component (PT.leaves tn).(l) z)
-          (RT.remainders_mod_square ~pool tn pn) )
+      Array.mapi
+        (fun l z -> BG.own_subset_component fresh.(l) z)
+        (RT.remainders_mod_square ~pool tn (PT.root tn))
   in
-  Array.iter
-    (fun (off, rs) -> Array.iteri (fun l c -> Divisor_acc.mul acc (off + l) c) rs)
-    (Pool.map ~pool job (Array.init ((2 * nseg) + 1) Fun.id))
+  let rs = Pool.map ~pool job (Array.init (nseg + 1) Fun.id) in
+  let g =
+    Pool.init ~pool (Array.length fresh) (fun j ->
+        let f = fresh.(j) in
+        let old = ref N.one in
+        for s = 0 to nseg - 1 do
+          old := N.rem (N.mul !old rs.(s).(j)) f
+        done;
+        (!old, N.gcd f !old))
+  in
+  Array.iteri
+    (fun j (old, _) ->
+      Divisor_acc.mul acc (t.total + j) old;
+      Divisor_acc.mul acc (t.total + j) rs.(nseg).(j))
+    g;
+  let hits =
+    List.filter
+      (fun j -> not (N.is_one (snd g.(j))))
+      (List.init (Array.length fresh) Fun.id)
+  in
+  let old_side s =
+    let b =
+      List.fold_left
+        (fun b j -> N.mul b (N.gcd (snd g.(j)) rs.(s).(j)))
+        N.one hits
+    in
+    if N.is_one b then [||] else RT.remainders ~pool (snd t.segments.(s)) b
+  in
+  if hits <> [] then
+    Array.iteri
+      (fun s cs ->
+        Array.iteri (fun l c -> Divisor_acc.mul acc (fst t.segments.(s) + l) c) cs)
+      (Pool.map ~pool old_side (Array.init nseg Fun.id))
 
 let extend ?pool ?domains t fresh =
   let nf = Array.length fresh in
@@ -134,8 +134,7 @@ let extend ?pool ?domains t fresh =
        mod m)) is the full-recompute divisor (see Divisor_acc). *)
     let acc = Divisor_acc.create corpus' in
     List.iter (fun f -> Divisor_acc.mul acc f.BG.index f.BG.divisor) t.findings;
-    (if nf <= all_to_all_max then merge_all_to_all else merge_tree)
-      ~pool t tn acc;
+    merge_delta ~pool t tn acc;
     { t' with findings = BG.collect (Divisor_acc.divisors acc) corpus' }
   end
 

@@ -8,9 +8,9 @@
     batch (the initial corpus's single tree cut into aligned
     subtrees by {!create}, then one tree per {!extend} delta). Folding
     in [d] new moduli against [n] old ones costs one tree over the
-    delta plus one remainder descent per segment — quasilinear in
-    [n + d] with a small constant — instead of rebuilding the full
-    forest.
+    delta, one descent of each segment root through it, and one
+    descent through each old segment that shares a prime with the
+    delta, instead of rebuilding the full forest.
 
     Results are {e exactly} the full-recompute findings, not an
     approximation: for an old modulus [m] with previous divisor
@@ -41,21 +41,16 @@ val create : ?pool:Parallel.Pool.t -> ?domains:int -> Bignum.Nat.t array -> t
 val extend :
   ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t
 (** [extend t fresh] folds a batch of new moduli into the corpus as
-    one new segment tree, and picks its strategy from the delta size
-    ({!delta_strategy}). Up to 48 fresh moduli run ["all_to_all"]: the
-    delta tree is pruned pairwise against every segment
-    ({!All_to_all.cross_hits}) and against itself — one root gcd
-    discharges an entire untouched segment. A larger delta runs
-    ["tree"]: the delta root is reduced through every segment tree
-    (old-vs-new), every segment root through the delta tree
-    (new-vs-old) and the delta root mod-square through the delta tree
-    (new-vs-new). Either way no old tree is rebuilt, findings equal a
-    full recompute, and the input is returned unchanged when [fresh]
-    is empty. *)
-
-val delta_strategy : int -> string
-(** The strategy {!extend} runs on a delta of that many fresh moduli:
-    ["all_to_all"] up to 48, ["tree"] above. *)
+    one new segment tree, with remainder trees only and no old tree
+    rebuilt. Every segment root descends the fresh tree and the fresh
+    root descends it mod-square, which completes the fresh moduli's
+    divisors. One gcd per fresh modulus, against the product of the
+    segment roots' remainders, picks out the fresh moduli that share
+    a prime with the old corpus. Only the segments they touch
+    descend, each with the product of its gcds with those moduli,
+    which shares with every old modulus under it exactly what the
+    fresh root does. Findings equal a full recompute, and the input
+    is returned unchanged when [fresh] is empty. *)
 
 val findings : t -> Batch_gcd.finding list
 (** Current findings, in corpus-index order. *)

@@ -33,15 +33,7 @@ let segment_count t = Inc.segment_count t.forest
 let corpus t = Store.to_array t.store
 let find t m = Store.find t.store m
 
-let backend_uses t =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) t.uses
-
-let tally names =
-  List.fold_left
-    (fun acc name ->
-      let n = Option.value ~default:0 (List.assoc_opt name acc) in
-      (name, n + 1) :: List.remove_assoc name acc)
-    [] names
+let backend_uses t = t.uses
 
 let intern_delta store base fresh =
   Array.iteri
@@ -93,10 +85,7 @@ let extend ?pool ?domains t fresh =
     let forest =
       List.fold_left (fun acc part -> Inc.extend ~pool acc part) t.forest parts
     in
-    let uses =
-      tally (List.map (fun part -> Inc.delta_strategy (Array.length part)) parts)
-    in
-    { t with forest; uses }
+    { t with forest; uses = [ ("delta", List.length parts) ] }
   end
 
 (* ------------------------------------------------------------------ *)

@@ -47,16 +47,15 @@ val extend :
   ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t
 (** Fold new moduli in: the delta is chunked at shard boundaries (tail
     shard topped up first, then whole strides) and each chunk folded
-    through the corpus-wide forest by {!Incremental.extend}, which
-    picks its strategy from the chunk size. The result is
-    findings-equal to a full recompute. *)
+    through the corpus-wide forest by {!Incremental.extend}'s
+    remainder-tree delta. The result is findings-equal to a full
+    recompute. *)
 
 val backend_uses : t -> (string * int) list
 (** Strategy name -> job count of the most recent sweep or extend on
-    this value (sorted by name; empty on a loaded checkpoint):
-    [("tree", shard count)] after {!create}, the
-    {!Incremental.delta_strategy} of each chunk after {!extend}. Not
-    persisted. *)
+    this value (empty on a loaded checkpoint):
+    [("tree", shard count)] after {!create}, [("delta", chunk count)]
+    after {!extend}. Not persisted. *)
 
 val findings : t -> Batch_gcd.finding list
 (** Current findings, in global index order. *)

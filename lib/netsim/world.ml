@@ -288,6 +288,15 @@ let materialize cfg ~ca ~ca_dn (p : proto) =
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Keys across the devices (TLS epochs plus SSH keys): the size hint
+   of every per-key store and table below, so a small world does not
+   allocate a corpus-sized index. *)
+let key_count devs =
+  Array.fold_left
+    (fun n d ->
+      n + Array.length d.epochs + if Option.is_some d.ssh_key then 1 else 0)
+    0 devs
+
 let build ?(progress = fun _ -> ()) cfg =
   progress "simulating population dynamics";
   let protos =
@@ -321,9 +330,10 @@ let build ?(progress = fun _ -> ()) cfg =
   progress "indexing ground truth";
   (* Count distinct moduli per prime over TLS epochs and SSH keys;
      primes are interned to dense ids, counts keyed on the id. *)
-  let primes = Corpus.Store.create ~size:65536 () in
-  let prime_counts : (int, int) Hashtbl.t = Hashtbl.create 65536 in
-  let seen_moduli = Corpus.Store.create ~size:65536 () in
+  let keys = key_count devs in
+  let primes = Corpus.Store.create ~size:(2 * keys) () in
+  let prime_counts : (int, int) Hashtbl.t = Hashtbl.create (2 * keys) in
+  let seen_moduli = Corpus.Store.create ~size:keys () in
   let moduli = ref [] in
   let note_key (k : K.private_key) =
     let n = k.K.pub.K.n in
@@ -344,7 +354,7 @@ let build ?(progress = fun _ -> ()) cfg =
     devs;
   (* Distinct TLS moduli only (SSH keys are folded into the GCD corpus
      separately by the pipeline, as the paper did). *)
-  let seen_tls = Corpus.Store.create ~size:65536 () in
+  let seen_tls = Corpus.Store.create ~size:keys () in
   Array.iter
     (fun d ->
       Array.iter
@@ -415,8 +425,9 @@ let prime_sharing_count t p =
 
 let factor_table t =
   (* modulus id -> its two primes, over every key in the corpus *)
-  let store = Corpus.Store.create ~size:65536 () in
-  let factors : (int, N.t * N.t) Hashtbl.t = Hashtbl.create 65536 in
+  let keys = key_count t.devs in
+  let store = Corpus.Store.create ~size:keys () in
+  let factors : (int, N.t * N.t) Hashtbl.t = Hashtbl.create keys in
   let note (k : K.private_key) =
     Hashtbl.replace factors (Corpus.Store.intern store k.K.pub.K.n)
       (k.K.p, k.K.q)

@@ -923,15 +923,10 @@ let test_planted_1024 () =
 (* ---------------- Sweep and delta strategies ---------------- *)
 
 module Bk = Batchgcd.Backend
-module A2A = Batchgcd.All_to_all
 
-(* Incremental.extend picks its delta strategy from the delta size:
-   all-to-all up to 48 fresh moduli, remainder trees above. Both sides
-   of the cutoff must equal a recompute. *)
+(* Deltas of 48 and 49 moduli, the two sides of the size cutoff an
+   earlier extend switched strategy at, each equal a recompute. *)
 let test_backend_select_policy () =
-  Alcotest.(check string) "1 fresh modulus" "all_to_all" (Inc.delta_strategy 1);
-  Alcotest.(check string) "48 fresh moduli" "all_to_all" (Inc.delta_strategy 48);
-  Alcotest.(check string) "49 fresh moduli" "tree" (Inc.delta_strategy 49);
   let moduli, _ = corpus ~bits:64 ~seed:19 ~n_clean:50 ~n_shared:10 () in
   let full = BG.factor_batch moduli in
   List.iter
@@ -939,8 +934,7 @@ let test_backend_select_policy () =
       let n = Array.length moduli in
       let t = Inc.create (Array.sub moduli 0 (n - d)) in
       Alcotest.(check bool)
-        (Printf.sprintf "%d-modulus delta (%s) = recompute" d
-           (Inc.delta_strategy d))
+        (Printf.sprintf "%d-modulus delta = recompute" d)
         true
         (BG.findings_equal full
            (Inc.findings (Inc.extend t (Array.sub moduli (n - d) d)))))
@@ -969,27 +963,32 @@ let test_backends_findings_equal () =
         [ (16, 8); (32, 16); (64, 32) ])
     [ 11; 23; 37 ]
 
-(* The pruned node-pair recursion must surface exactly the coprime-
-   filtered pair set of the O(n^2) sweep, with bit-identical gcds. *)
+(* Every split of a small corpus with a shared prime, folded in by
+   extend, lands on the naive oracle's findings; a delta coprime to
+   everything adds none, on a clean base and on one with findings. *)
 let test_all_to_all_pairwise_hits () =
   let moduli, _ = corpus ~seed:29 ~n_clean:6 ~n_shared:4 () in
-  let sort = List.sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) in
-  let naive = sort (BG.naive_pairwise_hits moduli) in
-  let hits = sort (A2A.pairwise_hits (PT.build moduli)) in
-  Alcotest.(check int) "same pair count" (List.length naive) (List.length hits);
-  List.iter2
-    (fun (i, j, g) (i', j', g') ->
-      Alcotest.(check (pair int int)) "same pair" (i, j) (i', j');
-      Alcotest.check nat "same gcd" g g')
-    naive hits;
-  Alcotest.(check (list (triple int int nat))) "empty cross on coprime trees"
-    []
-    (let clean, _ = corpus ~seed:31 ~n_clean:4 ~n_shared:0 () in
-     A2A.cross_hits (PT.build (Array.sub clean 0 2)) (PT.build (Array.sub clean 2 2)))
+  let n = Array.length moduli in
+  let naive = BG.naive moduli in
+  for d = 1 to n - 1 do
+    let t = Inc.create (Array.sub moduli 0 (n - d)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d-modulus extend = naive" d)
+      true
+      (BG.findings_equal naive
+         (Inc.findings (Inc.extend t (Array.sub moduli (n - d) d))))
+  done;
+  let clean, _ = corpus ~seed:31 ~n_clean:4 ~n_shared:0 () in
+  Alcotest.(check int) "coprime delta on a clean base" 0
+    (List.length
+       (Inc.findings
+          (Inc.extend (Inc.create (Array.sub clean 0 2)) (Array.sub clean 2 2))));
+  Alcotest.(check bool) "coprime delta adds no findings" true
+    (BG.findings_equal naive (Inc.findings (Inc.extend (Inc.create moduli) clean)))
 
-(* A 16-modulus delta (all-to-all) and a 64-modulus delta (remainder
-   trees), each holding moduli that share primes with the base and
-   with each other, agree with a from-scratch recompute. *)
+(* A 16-modulus and a 64-modulus delta, each holding moduli that share
+   primes with the base and with each other, agree with a
+   from-scratch recompute. *)
 let test_incremental_backend_extend () =
   let moduli, _ = corpus ~bits:64 ~seed:43 ~n_clean:60 ~n_shared:20 () in
   let n = Array.length moduli in
@@ -999,15 +998,14 @@ let test_incremental_backend_extend () =
       let t = Inc.create (Array.sub moduli 0 (n - d)) in
       let t = Inc.extend t (Array.sub moduli (n - d) d) in
       Alcotest.(check bool)
-        (Printf.sprintf "%d-modulus extend (%s) = recompute" d
-           (Inc.delta_strategy d))
+        (Printf.sprintf "%d-modulus extend = recompute" d)
         true
         (BG.findings_equal full (Inc.findings t)))
     [ 16; 64 ]
 
 (* backend_uses reports what ran: every shard on its tree after a
-   sweep, and the delta strategy of each shard-boundary chunk after an
-   extend; findings never depend on either. *)
+   sweep, and the number of shard-boundary chunks the delta ran as
+   after an extend; findings never depend on either. *)
 let test_sharded_backend_policy () =
   let moduli, _ = corpus ~bits:64 ~seed:47 ~n_clean:150 ~n_shared:30 () in
   let full = BG.factor_batch moduli in
@@ -1024,8 +1022,8 @@ let test_sharded_backend_policy () =
      shard. *)
   let t = Sh.extend t (Array.sub moduli 100 80) in
   Alcotest.(check (list (pair string int)))
-    "each chunk runs its size's strategy"
-    [ ("all_to_all", 1); ("tree", 1) ]
+    "one delta per chunk"
+    [ ("delta", 2) ]
     (Sh.backend_uses t);
   Alcotest.(check bool) "extend findings = flat" true
     (BG.findings_equal full (Sh.findings t))
@@ -1094,9 +1092,9 @@ let adversarial_corpus ~seed ~n =
 (* Every run against Batch_gcd.naive: the k-subset split at k = 1, 2
    and 16; Incremental.create, whose corpus of 57-97 moduli is cut
    into 16-48 segments; Sharded at strides 4 and 8 (the corpus size is
-   1 mod 8, so both leave a 1-modulus tail shard); extend splits whose
-   deltas fall on both sides of Incremental's all-to-all cutoff of 48;
-   and a chain of two extends. A copy with two duplicated moduli runs
+   1 mod 8, so both leave a 1-modulus tail shard); extends by a small
+   delta (1-48 moduli) and a large one (49 and up); and a chain of two
+   extends. A copy with two duplicated moduli runs
    the flat paths only, since Sharded rejects duplicates. *)
 let prop_differential_oracle =
   QCheck_alcotest.to_alcotest
@@ -1163,6 +1161,43 @@ let prop_differential_oracle =
          | fs ->
            QCheck2.Test.fail_reportf "seed %d, %d moduli: %s" seed n
              (String.concat "; " (List.rev fs))))
+
+(* A hits-heavy extend: moduli carry one of four primes q_0..q_3 in
+   turn, so every fresh modulus shares a prime with some modulus in
+   every segment (flat segments of 16, shards of 8). A prime h sits in
+   more than half the corpus, and squares cross the delta boundary
+   both ways: p^2 in the base with p in the delta, s in the base with
+   s^2 in the delta. Deltas of 1, 16, 49 and 200, flat and sharded at
+   stride 8, each equal the naive oracle. *)
+let test_hits_heavy_extend () =
+  let gen = mk_gen 53 in
+  let prime bits = Bignum.Prime.generate ~gen ~bits in
+  let q = Array.init 4 (fun _ -> prime 32) in
+  let h = prime 16 and p = prime 32 and sq = prime 32 in
+  let modulus i =
+    let m = N.mul q.(i mod 4) (prime 32) in
+    if i mod 5 < 3 then N.mul h m else m
+  in
+  let base = Array.init 256 modulus in
+  base.(5) <- N.sqr p;
+  base.(9) <- N.mul sq (prime 32);
+  let fresh = Array.init 200 modulus in
+  fresh.(0) <- N.mul q.(0) (N.mul p (prime 32));
+  fresh.(1) <- N.mul q.(1) (N.sqr sq);
+  List.iter
+    (fun d ->
+      let delta = Array.sub fresh 0 d in
+      let oracle = BG.naive (Array.append base delta) in
+      Alcotest.(check bool)
+        (Printf.sprintf "flat %d-modulus extend = naive" d)
+        true
+        (BG.findings_equal oracle (Inc.findings (Inc.extend (Inc.create base) delta)));
+      Alcotest.(check bool)
+        (Printf.sprintf "stride-8 %d-modulus extend = naive" d)
+        true
+        (BG.findings_equal oracle
+           (Sh.findings (Sh.extend (Sh.create ~stride:8 base) delta))))
+    [ 1; 16; 49; 200 ]
 
 let tests =
   [
@@ -1231,4 +1266,5 @@ let tests =
     prop_implementations_agree;
     prop_divisor_divides;
     prop_differential_oracle;
+    Alcotest.test_case "hits-heavy extend" `Quick test_hits_heavy_extend;
   ]
