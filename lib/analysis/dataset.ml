@@ -9,7 +9,8 @@ module Scan_ids = Fingerprint.Scan_ids
    order. Records are grouped by IP; a record whose certificate subject
    is the issuer of another (non-self-signed) certificate at the same
    address is an intermediate, not the host certificate. The detection
-   is purely structural, no [is_intermediate] peeking. *)
+   is purely structural, no [is_intermediate] peeking, and names are
+   compared as [Dn.t] values, never rendered to strings. *)
 let host_record_indices (scan : Sc.scan) =
   let records = scan.Sc.records in
   let by_ip = Hashtbl.create 1024 in
@@ -26,13 +27,13 @@ let host_record_indices (scan : Sc.scan) =
           (fun i ->
             let c = records.(i).Sc.cert in
             if Dn.equal c.Cert.issuer c.Cert.subject then None
-            else Some (Dn.to_string c.Cert.issuer))
+            else Some c.Cert.issuer)
           group
       in
       List.iter
         (fun i ->
-          let subj = Dn.to_string records.(i).Sc.cert.Cert.subject in
-          if not (List.mem subj issuers) then keep := i :: !keep)
+          let subj = records.(i).Sc.cert.Cert.subject in
+          if not (List.exists (Dn.equal subj) issuers) then keep := i :: !keep)
         group)
     by_ip;
   Array.of_list !keep
@@ -54,32 +55,39 @@ let source_priority = function
   | Sc.Pq -> 2
   | Sc.Eff -> 1
 
-(* The highest-priority scan of each month, chronological. *)
-let monthly_picks scan_of xs =
+(* The one pick rule: fold [fresh] into [picks], the highest-priority
+   scan of each month so far. A later scan displaces a month's pick
+   only at strictly higher priority, so of equal ones the earliest wins.
+   Only a scan that ends up a pick goes through [exclude]; the picks
+   it does not displace come back physically unchanged. Chronological. *)
+let update_picks scan_of ~exclude picks fresh =
   let best = Hashtbl.create 80 in
+  let key x = month_key (scan_of x).Sc.scan_date in
+  let priority x = source_priority (scan_of x).Sc.scan_source in
+  List.iter (fun x -> Hashtbl.replace best (key x) (x, false)) picks;
   List.iter
     (fun x ->
-      let s = scan_of x in
-      let k = month_key s.Sc.scan_date in
-      match Hashtbl.find_opt best k with
-      | Some prev
-        when source_priority (scan_of prev).Sc.scan_source
-             >= source_priority s.Sc.scan_source ->
-        ()
-      | _ -> Hashtbl.replace best k x)
-    xs;
-  Hashtbl.fold (fun _ x acc -> x :: acc) best []
+      match Hashtbl.find_opt best (key x) with
+      | Some (prev, _) when priority prev >= priority x -> ()
+      | _ -> Hashtbl.replace best (key x) (x, true))
+    fresh;
+  Hashtbl.fold
+    (fun _ (x, is_fresh) acc -> (if is_fresh then exclude x else x) :: acc)
+    best []
   |> List.sort (fun a b ->
          Date.compare (scan_of a).Sc.scan_date (scan_of b).Sc.scan_date)
 
 let representative_monthly scans =
-  List.map exclude_intermediates (monthly_picks Fun.id scans)
+  update_picks Fun.id ~exclude:exclude_intermediates [] scans
 
-let representative_monthly_ids ids =
-  List.map
-    (fun (s : Scan_ids.t) ->
+let extend_monthly_ids picks fresh =
+  update_picks
+    (fun (s : Scan_ids.t) -> s.Scan_ids.scan)
+    ~exclude:(fun (s : Scan_ids.t) ->
       Scan_ids.sub s (host_record_indices s.Scan_ids.scan))
-    (monthly_picks (fun (s : Scan_ids.t) -> s.Scan_ids.scan) ids)
+    picks fresh
+
+let representative_monthly_ids ids = extend_monthly_ids [] ids
 
 type stats = {
   host_records : int;

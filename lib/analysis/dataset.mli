@@ -17,7 +17,22 @@ val representative_monthly :
 val representative_monthly_ids :
   Fingerprint.Scan_ids.t list -> Fingerprint.Scan_ids.t list
 (** {!representative_monthly} over interned scans: the same scans and
-    records, each record keeping its ids, so nothing is re-interned. *)
+    records, each record keeping its ids, so nothing is re-interned.
+    It is [extend_monthly_ids []]. *)
+
+val extend_monthly_ids :
+  Fingerprint.Scan_ids.t list ->
+  Fingerprint.Scan_ids.t list ->
+  Fingerprint.Scan_ids.t list
+(** [extend_monthly_ids picks fresh] updates the monthly picks of some
+    scans with scans that come after them:
+    [extend_monthly_ids (representative_monthly_ids pre) suf] is
+    [representative_monthly_ids (pre @ suf)]. A fresh scan displaces
+    its month's pick only at strictly higher source priority. Only a
+    fresh scan that becomes a pick is chain-excluded, and every pick
+    it does not displace is returned as the same physical value, so
+    an update costs the fresh scans' chain exclusion, not every
+    month's. *)
 
 type stats = {
   host_records : int;

@@ -68,8 +68,10 @@ let create ?pool ?domains moduli =
    B_s <> 1. Each factor is gcd (f_j, root_s), so a prime's exponent
    in B_s is its exponent in the fresh root capped, per leaf, at its
    exponent in root_s; that cap is at least any m | root_s's own, so
-   gcd (m, B_s) = gcd (m, fresh root) prime by prime. *)
-let merge_delta ~pool t tn acc =
+   gcd (m, B_s) = gcd (m, fresh root) prime by prime. Returns the
+   fresh leaves' two contribution arrays, and per segment its leaves'
+   contributions if it descended. *)
+let merge_delta ~pool t tn =
   let fresh = PT.leaves tn in
   let nseg = Array.length t.segments in
   let job i =
@@ -89,11 +91,6 @@ let merge_delta ~pool t tn acc =
         done;
         (!old, N.gcd f !old))
   in
-  Array.iteri
-    (fun j (old, _) ->
-      Divisor_acc.mul acc (t.total + j) old;
-      Divisor_acc.mul acc (t.total + j) rs.(nseg).(j))
-    g;
   let hits =
     List.filter
       (fun j -> not (N.is_one (snd g.(j))))
@@ -105,13 +102,31 @@ let merge_delta ~pool t tn acc =
         (fun b j -> N.mul b (N.gcd (snd g.(j)) rs.(s).(j)))
         N.one hits
     in
-    if N.is_one b then [||] else RT.remainders ~pool (snd t.segments.(s)) b
+    if N.is_one b then None
+    else Some (RT.remainders ~pool (snd t.segments.(s)) b)
   in
-  if hits <> [] then
-    Array.iteri
-      (fun s cs ->
-        Array.iteri (fun l c -> Divisor_acc.mul acc (fst t.segments.(s) + l) c) cs)
-      (Pool.map ~pool old_side (Array.init nseg Fun.id))
+  ( [ Array.map fst g; rs.(nseg) ],
+    if hits = [] then Array.make nseg None
+    else Pool.map ~pool old_side (Array.init nseg Fun.id) )
+
+(* Findings of the moduli at indexes [off ..]: each divisor merges the
+   modulus's cached finding, if any, with its new contributions (see
+   Divisor_acc). *)
+let block_findings ~off moduli cached contributions =
+  let acc = Divisor_acc.create moduli in
+  List.iter (fun f -> Divisor_acc.mul acc (f.BG.index - off) f.BG.divisor) cached;
+  List.iter (Array.iteri (Divisor_acc.mul acc)) contributions;
+  List.map
+    (fun f -> { f with BG.index = f.BG.index + off })
+    (BG.collect (Divisor_acc.divisors acc) moduli)
+
+(* Index-ordered findings split at index [stop]. *)
+let split_below stop findings =
+  let rec go acc = function
+    | f :: rest when f.BG.index < stop -> go (f :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] findings
 
 let extend ?pool ?domains t fresh =
   let nf = Array.length fresh in
@@ -122,20 +137,33 @@ let extend ?pool ?domains t fresh =
       match pool with Some p -> p | None -> Pool.get ?domains ()
     in
     let tn = PT.build ~pool fresh in
-    let t' =
-      {
-        total = t.total + nf;
-        segments = Array.append t.segments [| (t.total, tn) |];
-        findings = [];
-      }
+    let fresh_contributions, descended = merge_delta ~pool t tn in
+    (* Only the fresh moduli and the leaves of segments that descended
+       gain a contribution. An old modulus's divisor is
+       gcd (m, d_old * (P mod m)), so every other cached finding
+       stands as it is, and no other modulus needs a gcd. *)
+    let rec old_findings s cached rev_acc =
+      if s = Array.length t.segments then rev_acc
+      else begin
+        let off, tree = t.segments.(s) in
+        let leaves = PT.leaves tree in
+        let mine, later = split_below (off + Array.length leaves) cached in
+        let here =
+          match descended.(s) with
+          | None -> mine
+          | Some cs -> block_findings ~off leaves mine [ cs ]
+        in
+        old_findings (s + 1) later (List.rev_append here rev_acc)
+      end
     in
-    let corpus' = corpus t' in
-    (* Old moduli start from their cached divisor: gcd (m, d_old * (P
-       mod m)) is the full-recompute divisor (see Divisor_acc). *)
-    let acc = Divisor_acc.create corpus' in
-    List.iter (fun f -> Divisor_acc.mul acc f.BG.index f.BG.divisor) t.findings;
-    merge_delta ~pool t tn acc;
-    { t' with findings = BG.collect (Divisor_acc.divisors acc) corpus' }
+    {
+      total = t.total + nf;
+      segments = Array.append t.segments [| (t.total, tn) |];
+      findings =
+        List.rev_append
+          (old_findings 0 t.findings [])
+          (block_findings ~off:t.total fresh [] fresh_contributions);
+    }
   end
 
 (* ------------------------------------------------------------------ *)

@@ -49,8 +49,10 @@ val extend :
     a prime with the old corpus. Only the segments they touch
     descend, each with the product of its gcds with those moduli,
     which shares with every old modulus under it exactly what the
-    fresh root does. Findings equal a full recompute, and the input
-    is returned unchanged when [fresh] is empty. *)
+    fresh root does. Only the fresh moduli and the leaves of the
+    segments that descended take a gcd; every other cached finding is
+    kept as it is. Findings equal a full recompute, and the input is
+    returned unchanged when [fresh] is empty. *)
 
 val findings : t -> Batch_gcd.finding list
 (** Current findings, in corpus-index order. *)

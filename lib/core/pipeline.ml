@@ -60,6 +60,7 @@ type t = {
   monthly : Sc.scan list;
   protocol_snapshots : Sc.protocol_snapshot list;
   https_moduli : N.t array;
+  https_ids : Id_set.t;
   store : Store.t;
   certs : Cert_store.t;
   scan_ids : Scan_ids.t list;
@@ -82,12 +83,9 @@ let majority_vendor = Attribution.majority_vendor
 (* Stages                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let intern_all store moduli =
-  Array.iter (fun m -> ignore (Store.intern store m)) moduli
-
-(* Distinct HTTPS moduli in first-observation order. *)
-let https_moduli_of store scan_ids =
-  let seen = Id_set.create ~size:(Store.size store) () in
+(* The scans' HTTPS moduli not yet in [seen], in first-observation
+   order; each is added to [seen]. *)
+let https_moduli_of store seen scan_ids =
   let firsts = ref [] in
   List.iter
     (fun (s : Scan_ids.t) ->
@@ -190,7 +188,7 @@ let stage_attribution sctx ~checkpointed ?pool ?only_passes world certs
         (String.concat "," selected)
         (scans_digest certs scan_ids)
     in
-    Stage.run_cached sctx "attribution" ~key:(corpus_key corpus tag)
+    Stage.run_cached sctx "attribution" ~key:(lazy (corpus_key corpus tag))
       ~save:Attribution.save
       ~load:(Attribution.load ~subjects:(Array.length corpus))
       compute
@@ -278,7 +276,7 @@ let build_view ~attribution ~certs ~vuln_index ~moduli monthly_ids =
 (* Downstream of the GCD artifact, of_scans and extend are identical:
    recover factorizations, index, and run the attribution passes. *)
 let finish sctx ?pool ?only_passes ~checkpointed world certs scan_ids
-    monthly_ids protocol_snapshots https_moduli store corpus gcd =
+    monthly_ids protocol_snapshots (https_moduli, https_ids) store corpus gcd =
   let findings = gcd_findings gcd in
   let factored, unrecovered =
     Stage.run sctx "fingerprint" (fun () -> Fp.recover findings)
@@ -299,6 +297,7 @@ let finish sctx ?pool ?only_passes ~checkpointed world certs scan_ids
     monthly = List.map scan_of monthly_ids;
     protocol_snapshots;
     https_moduli;
+    https_ids;
     store;
     certs;
     scan_ids;
@@ -340,13 +339,15 @@ let of_scans ?progress ?shards ?domains ?checkpoint_dir
   (* Corpus assembly: the other protocols' moduli after the HTTPS ones
      — the same order the pre-interning corpus used, so batch-GCD
      finding indexes are store ids. *)
-  let https_moduli =
+  let https =
     Stage.run sctx "intern" (fun () ->
         List.iter
           (fun (p : Sc.protocol_snapshot) ->
-            if p.Sc.protocol <> Sc.Https then intern_all store p.Sc.rsa_moduli)
+            if p.Sc.protocol <> Sc.Https then
+              Array.iter (fun m -> ignore (Store.intern store m)) p.Sc.rsa_moduli)
           protocol_snapshots;
-        https_moduli_of store scan_ids)
+        let seen = Id_set.create ~size:(Store.size store) () in
+        (https_moduli_of store seen scan_ids, seen))
   in
   let corpus = Store.to_array store in
   let gcd =
@@ -355,7 +356,7 @@ let of_scans ?progress ?shards ?domains ?checkpoint_dir
       say
         (Printf.sprintf "batch GCD over %d distinct moduli (%d domains)"
            (Array.length corpus) (Parallel.Pool.size pool));
-      Stage.run_cached sctx "batchgcd" ~key:(corpus_key corpus "")
+      Stage.run_cached sctx "batchgcd" ~key:(lazy (corpus_key corpus ""))
         ~save:save_gcd ~load:load_gcd
         (fun () -> Flat (Inc.create ~pool corpus))
     | Some shards ->
@@ -365,14 +366,14 @@ let of_scans ?progress ?shards ?domains ?checkpoint_dir
            "sharded batch GCD over %d distinct moduli (stride=%d, %d domains)"
            (Array.length corpus) stride (Parallel.Pool.size pool));
       Stage.run_cached sctx "batchgcd"
-        ~key:(corpus_key corpus (Printf.sprintf "/stride=%d" stride))
+        ~key:(lazy (corpus_key corpus (Printf.sprintf "/stride=%d" stride)))
         ~save:save_gcd ~load:load_gcd
         (fun () -> Sharded (Sh.create ~pool ~stride corpus))
   in
   say (Printf.sprintf "%d moduli factored" (List.length (gcd_findings gcd)));
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
-    world certs scan_ids monthly_ids protocol_snapshots https_moduli store
+    world certs scan_ids monthly_ids protocol_snapshots https store
     corpus gcd
 
 let of_world ?progress ?shards ?domains ?checkpoint_dir ?only_passes world =
@@ -386,28 +387,28 @@ let run ?progress ?shards ?domains ?checkpoint_dir ?only_passes config =
 
 let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
-  (* Fresh tables seeded with the old ones (same ids), so the input
-     pipeline value stays fully usable after this call; only the new
-     scans' records are interned. *)
-  let store = Store.create ~size:(2 * Array.length t.corpus) () in
-  let certs = Cert_store.copy t.certs in
-  let scan_ids, monthly_ids =
+  (* Copies of the old tables (same ids), so the input pipeline value
+     stays fully usable after this call. Only the new scans' records
+     are interned, and only their month's picks can change. *)
+  let store, certs, new_ids, monthly_ids =
     Stage.run sctx "scan" (fun () ->
-        intern_all store t.corpus;
-        let scan_ids =
-          List.concat
-            [ t.scan_ids; List.map (Scan_ids.intern certs store) new_scans ]
-        in
-        (scan_ids, Dataset.representative_monthly_ids scan_ids))
+        let store = Store.copy t.store and certs = Cert_store.copy t.certs in
+        let new_ids = List.map (Scan_ids.intern certs store) new_scans in
+        (store, certs, new_ids, Dataset.extend_monthly_ids t.monthly_ids new_ids))
   in
-  let https_moduli, fresh =
+  let scan_ids = t.scan_ids @ new_ids in
+  let https, fresh, corpus =
     Stage.run sctx "intern" (fun () ->
         let before = Array.length t.corpus in
-        ( https_moduli_of store scan_ids,
+        let seen = Id_set.copy t.https_ids in
+        let fresh =
           Array.init (Store.size store - before) (fun i ->
-              Store.get store (before + i)) ))
+              Store.get store (before + i))
+        in
+        ( (Array.append t.https_moduli (https_moduli_of store seen new_ids), seen),
+          fresh,
+          Array.append t.corpus fresh ))
   in
-  let corpus = Store.to_array store in
   let pool = Parallel.Pool.get ?domains () in
   (match progress with
   | Some f ->
@@ -418,10 +419,11 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   let gcd =
     Stage.run_cached sctx "batchgcd"
       ~key:
-        (corpus_key corpus
-           (match t.gcd with
-           | Flat _ -> "/extend"
-           | Sharded sh -> Printf.sprintf "/extend/stride=%d" (Sh.stride sh)))
+        (lazy
+          (corpus_key corpus
+             (match t.gcd with
+             | Flat _ -> "/extend"
+             | Sharded sh -> Printf.sprintf "/extend/stride=%d" (Sh.stride sh))))
       ~save:save_gcd ~load:load_gcd
       (fun () ->
         match t.gcd with
@@ -431,7 +433,7 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
   finish sctx ~pool ?only_passes
     ~checkpointed:(checkpoint_dir <> None)
     t.world certs scan_ids monthly_ids t.protocol_snapshots
-    https_moduli store corpus gcd
+    https store corpus gcd
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)

@@ -61,6 +61,7 @@ type t = {
       (** one representative, chain-excluded scan per month *)
   protocol_snapshots : Netsim.Scanner.protocol_snapshot list;
   https_moduli : Bignum.Nat.t array;  (** distinct, from HTTPS scans *)
+  https_ids : Corpus.Id_set.t;  (** the store ids of [https_moduli] *)
   store : Corpus.Store.t;
       (** modulus → dense id; ids are corpus positions *)
   certs : X509lite.Cert_store.t;
@@ -145,8 +146,12 @@ val extend :
     fingerprint/index/attribution stages rerun over the combined
     corpus. Only the new scans' records are interned: the
     certificate and modulus ids of [t] stay the same, and only new
-    certificates are fingerprinted. Findings are exactly those of a from-scratch run over the
-    union. [t] itself is not mutated and remains usable. *)
+    certificates are fingerprinted. The monthly picks are updated,
+    not re-derived ({!Analysis.Dataset.extend_monthly_ids}): only a
+    new scan that becomes its month's pick is chain-excluded, and the
+    HTTPS moduli grow by the new scans' first observations. Findings
+    are exactly those of a from-scratch run over the union. [t]
+    itself is not mutated and remains usable. *)
 
 (** {1 Queries} *)
 

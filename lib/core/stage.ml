@@ -45,7 +45,7 @@ let restore path ~key ~load =
   else
     In_channel.with_open_bin path (fun ic ->
         try
-          if String.equal (Corpus.Io.read_string ic) key then begin
+          if String.equal (Corpus.Io.read_string ic) (Lazy.force key) then begin
             let v = load ic in
             Corpus.Io.expect_end ic;
             Some v
@@ -67,7 +67,7 @@ let run_cached ctx name ~key ~save ~load f =
        let v = f () in
        mkdir_p dir;
        Corpus.Io.write_atomic path (fun oc ->
-           Corpus.Io.write_string oc key;
+           Corpus.Io.write_string oc (Lazy.force key);
            save oc v);
        record ctx name (Unix.gettimeofday () -. t0) false;
        v)

@@ -32,7 +32,7 @@ val run : ctx -> string -> (unit -> 'a) -> 'a
 val run_cached :
   ctx ->
   string ->
-  key:string ->
+  key:string Lazy.t ->
   save:(out_channel -> 'a -> unit) ->
   load:(in_channel -> 'a) ->
   (unit -> 'a) ->
@@ -41,7 +41,9 @@ val run_cached :
     and its stored key equals [key], the artifact is restored with
     [load] (timing recorded with [restored = true]). Otherwise [f]
     runs and the artifact is written atomically with [save]
-    ({!Corpus.Io.write_atomic}). [load] failures ({!Corpus.Io.Corrupt},
+    ({!Corpus.Io.write_atomic}). [key] is forced only when the context
+    has a checkpoint directory, so a digest of a whole corpus costs
+    nothing on a run without one. [load] failures ({!Corpus.Io.Corrupt},
     truncation) and bytes left after the record count as a miss, not
     an error. *)
 

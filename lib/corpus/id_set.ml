@@ -3,6 +3,8 @@ type t = { mutable bits : Bytes.t; mutable cardinal : int }
 let create ?(size = 64) () =
   { bits = Bytes.make (Stdlib.max ((size + 7) / 8) 1) '\000'; cardinal = 0 }
 
+let copy t = { bits = Bytes.copy t.bits; cardinal = t.cardinal }
+
 let ensure t id =
   let need = (id / 8) + 1 in
   let cap = Bytes.length t.bits in

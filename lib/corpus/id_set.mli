@@ -8,6 +8,9 @@ type t
 val create : ?size:int -> unit -> t
 (** Empty set. [size] is a capacity hint in ids. *)
 
+val copy : t -> t
+(** An independent set with the same ids. *)
+
 val add : t -> int -> unit
 (** @raise Invalid_argument on a negative id. *)
 

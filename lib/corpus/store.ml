@@ -25,6 +25,16 @@ let create ?(size = 64) () =
 
 let size t = t.count
 
+(* Every array is blitted, so no value is rehashed and neither side
+   sees the other's later interns. *)
+let copy t =
+  {
+    values = Array.copy t.values;
+    hashes = Array.copy t.hashes;
+    count = t.count;
+    buckets = Array.copy t.buckets;
+  }
+
 (* Insert an id already known absent; buckets must have a free slot. *)
 let insert_bucket t h id =
   let mask = Array.length t.buckets - 1 in

@@ -19,6 +19,12 @@ val create : ?size:int -> unit -> t
 (** Fresh empty store. [size] is a capacity hint for the intern
     index. *)
 
+val copy : t -> t
+(** An independent store with the same ids and values: its values,
+    memoized hashes and index are copied, not rehashed. Later
+    {!intern} calls on either store leave the other unchanged. This is
+    how an extended pipeline keeps its parent's ids stable. *)
+
 val size : t -> int
 (** Number of distinct values interned so far. Ids are exactly
     [0 .. size - 1]. *)

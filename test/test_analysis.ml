@@ -272,6 +272,86 @@ let test_exclude_idempotent () =
       end)
     (scans ())
 
+(* Two pick lists are the same when, pick by pick, the date, source,
+   record ids and record addresses agree. *)
+let check_picks what expected got =
+  let key (s : Fingerprint.Scan_ids.t) =
+    let scan = s.Fingerprint.Scan_ids.scan in
+    ( (Date.to_string scan.Sc.scan_date, Sc.source_name scan.Sc.scan_source),
+      ( Array.map (fun r -> r.Sc.ip) scan.Sc.records,
+        (s.Fingerprint.Scan_ids.cert_ids, s.Fingerprint.Scan_ids.modulus_ids) ) )
+  in
+  Alcotest.(check (list (pair (pair string string)
+                           (pair (array int) (pair (array int) (array int))))))
+    what (List.map key expected) (List.map key got)
+
+(* Updating the picks of a prefix with the rest of the scans is the
+   pick rule over all of them, at every split point and scan by scan. *)
+let test_extend_monthly_splits () =
+  let ids = interned (scans ()) in
+  let whole = Ds.representative_monthly_ids ids in
+  (* The picks are chain-excluded: no record the scanner marked as an
+     intermediate survives, and each keeps what exclusion keeps. *)
+  List.iter
+    (fun (s : Fingerprint.Scan_ids.t) ->
+      let scan = s.Fingerprint.Scan_ids.scan in
+      let raw =
+        List.find
+          (fun (r : Sc.scan) ->
+            Date.compare r.Sc.scan_date scan.Sc.scan_date = 0
+            && r.Sc.scan_source = scan.Sc.scan_source)
+          (scans ())
+      in
+      Alcotest.(check int)
+        (Date.to_string scan.Sc.scan_date ^ ": records kept")
+        (Array.length (Ds.exclude_intermediates raw).Sc.records)
+        (Array.length scan.Sc.records);
+      Alcotest.(check bool) "no intermediate in a pick" false
+        (Array.exists (fun r -> r.Sc.is_intermediate) scan.Sc.records))
+    whole;
+  for k = 0 to List.length ids do
+    let pre = List.filteri (fun i _ -> i < k) ids in
+    let suf = List.filteri (fun i _ -> i >= k) ids in
+    check_picks
+      (Printf.sprintf "split at %d" k)
+      whole
+      (Ds.extend_monthly_ids (Ds.representative_monthly_ids pre) suf)
+  done;
+  check_picks "one scan at a time" whole
+    (List.fold_left (fun picks s -> Ds.extend_monthly_ids picks [ s ]) [] ids)
+
+(* A split inside one month: the later scan displaces the pick only at
+   strictly higher priority, and every pick it does not displace comes
+   back as the parent's own value. *)
+let test_extend_monthly_within_month () =
+  let scan source month day =
+    {
+      Sc.scan_source = source;
+      scan_date = Date.of_ymd 2014 month day;
+      records = [||];
+    }
+  in
+  let case what first later ~displaces =
+    let ids = interned [ scan Sc.Eff 2 10; first; later ] in
+    let pre = List.filteri (fun i _ -> i < 2) ids in
+    let parent = Ds.representative_monthly_ids pre in
+    let got = Ds.extend_monthly_ids parent [ List.nth ids 2 ] in
+    check_picks what (Ds.representative_monthly_ids ids) got;
+    let march = List.nth got 1 in
+    Alcotest.(check string) (what ^ ": March pick")
+      (Date.to_string (if displaces then later else first).Sc.scan_date)
+      (Date.to_string march.Fingerprint.Scan_ids.scan.Sc.scan_date);
+    Alcotest.(check bool) (what ^ ": February pick is the parent's") true
+      (List.memq (List.hd got) parent);
+    Alcotest.(check bool) (what ^ ": kept March pick is the parent's")
+      (not displaces) (List.memq march parent)
+  in
+  case "higher displaces" (scan Sc.Rapid7 3 3) (scan Sc.Censys 3 20)
+    ~displaces:true;
+  case "equal keeps" (scan Sc.Rapid7 3 3) (scan Sc.Rapid7 3 20)
+    ~displaces:false;
+  case "lower keeps" (scan Sc.Censys 3 3) (scan Sc.Eff 3 20) ~displaces:false
+
 let test_panel_renders () =
   let points =
     List.init 24 (fun i -> (Date.add_months (Date.of_ymd 2012 1 15) i, i * 3))
@@ -321,4 +401,8 @@ let tests =
     Alcotest.test_case "response correlation categories" `Quick
       test_response_correlation_categories;
     Alcotest.test_case "sparkline" `Quick test_sparkline;
+    Alcotest.test_case "extend monthly = picks over union" `Slow
+      test_extend_monthly_splits;
+    Alcotest.test_case "extend monthly within a month" `Quick
+      test_extend_monthly_within_month;
   ]

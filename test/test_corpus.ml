@@ -84,6 +84,50 @@ let test_to_array () =
   a.(0) <- N.zero;
   Alcotest.check nat "to_array is a fresh array" (value 5) (Store.get s 0)
 
+(* A copy keeps every id and value, and the two stores grow apart.
+   Each side first interns a few values, within the capacity the copy
+   was taken at, so an array the two still shared would show; then
+   the copy interns past a resize of its index and value array. *)
+let test_copy () =
+  let s = Store.create ~size:4 () in
+  for i = 0 to 49 do
+    ignore (Store.intern s (value i))
+  done;
+  let c = Store.copy s in
+  (* ids [0, n) hold [value 0 .. value (n-1)], and the store has [size] *)
+  let check_holds what st ~size n =
+    Alcotest.(check int) (what ^ ": size") size (Store.size st);
+    for i = 0 to n - 1 do
+      if Store.find st (value i) <> Some i then
+        Alcotest.failf "%s: lost value %d" what i;
+      if not (N.equal (Store.get st i) (value i)) then
+        Alcotest.failf "%s: wrong value at %d" what i
+    done
+  in
+  check_holds "copy" c ~size:50 50;
+  for i = 50 to 54 do
+    Alcotest.(check int) "copy assigns the next id" i (Store.intern c (value i))
+  done;
+  check_holds "original after interning into the copy" s ~size:50 50;
+  Alcotest.(check (option int)) "original misses the copy's values" None
+    (Store.find s (value 52));
+  Alcotest.check_raises "original has no id 50"
+    (Invalid_argument "Corpus.Store.get: id out of range") (fun () ->
+      ignore (Store.get s 50));
+  Alcotest.(check int) "original assigns its own next id" 50
+    (Store.intern s (value 1000));
+  check_holds "copy after interning into the original" c ~size:55 55;
+  Alcotest.(check (option int)) "copy misses the original's values" None
+    (Store.find c (value 1000));
+  for i = 55 to 299 do
+    Alcotest.(check int) "copy keeps growing" i (Store.intern c (value i))
+  done;
+  check_holds "copy after growing" c ~size:300 300;
+  check_holds "original after the copy grew" s ~size:51 50;
+  Alcotest.(check (option int)) "original keeps its own id 50" (Some 50)
+    (Store.find s (value 1000));
+  Alcotest.check nat "original's value at id 50" (value 1000) (Store.get s 50)
+
 let with_temp_path f =
   let path = Filename.temp_file "weakkeys-atomic" ".bin" in
   Fun.protect
@@ -120,4 +164,5 @@ let tests =
     Alcotest.test_case "store growth" `Quick test_growth;
     Alcotest.test_case "store to_array" `Quick test_to_array;
     Alcotest.test_case "io write_atomic" `Quick test_write_atomic;
+    Alcotest.test_case "store copy" `Quick test_copy;
   ]

@@ -562,7 +562,7 @@ let test_stage_short_record_recomputes () =
   let run dir =
     let ctx = St.ctx ~dir () in
     let v =
-      St.run_cached ctx "batchgcd" ~key ~save:Inc.save ~load:Inc.load (fun () ->
+      St.run_cached ctx "batchgcd" ~key:(lazy key) ~save:Inc.save ~load:Inc.load (fun () ->
           Inc.create moduli)
     in
     (v, List.exists (fun (t : St.timing) -> t.St.restored) (St.timings ctx))
@@ -820,6 +820,57 @@ let test_protocol_snapshots_pooled () =
         && Array.for_all2 N.equal a.Sc.rsa_moduli b.Sc.rsa_moduli))
     pooled seq
 
+(* Chained one-scan extends. Their monthly scans are the pick rule
+   over the union, and each extend changes at most one pick: every
+   other pick is the parent's own value, so the update re-derives
+   nothing. Interning order is the same as one extend by all the late
+   scans, so findings, HTTPS moduli and Table 1 must equal that
+   extend's. *)
+let test_chained_extends () =
+  let early, late, p0, pe = Lazy.force split_pipelines in
+  let step p (s : Sc.scan) =
+    let p' = P.extend p [ s ] in
+    let new_picks =
+      List.filter (fun q -> not (List.memq q p.P.monthly_ids)) p'.P.monthly_ids
+    in
+    let dropped =
+      List.filter (fun q -> not (List.memq q p'.P.monthly_ids)) p.P.monthly_ids
+    in
+    let label = X509lite.Date.to_string s.Sc.scan_date in
+    Alcotest.(check bool) (label ^ ": at most one new pick") true
+      (List.length new_picks <= 1);
+    Alcotest.(check bool) (label ^ ": at most one pick displaced") true
+      (List.length dropped <= List.length new_picks);
+    p'
+  in
+  let chained = List.fold_left step p0 late in
+  Alcotest.(check bool) "monthly = picks over the union" true
+    (chained.P.monthly = Analysis.Dataset.representative_monthly (early @ late));
+  Alcotest.(check bool) "findings = one extend" true
+    (BG.findings_equal chained.P.findings pe.P.findings);
+  let firsts = Hashtbl.create 1024 in
+  let order = ref [] in
+  List.iter
+    (fun (s : Fingerprint.Scan_ids.t) ->
+      Array.iter
+        (fun id ->
+          if not (Hashtbl.mem firsts id) then begin
+            Hashtbl.replace firsts id ();
+            order := id :: !order
+          end)
+        s.Fingerprint.Scan_ids.modulus_ids)
+    chained.P.scan_ids;
+  let oracle = List.rev_map (Corpus.Store.get chained.P.store) !order in
+  List.iter
+    (fun (what, https) ->
+      Alcotest.(check bool) what true
+        (List.equal N.equal oracle (Array.to_list https)))
+    [
+      ("HTTPS moduli = first observations", chained.P.https_moduli);
+      ("one extend's HTTPS moduli", pe.P.https_moduli);
+    ];
+  Alcotest.(check string) "Table 1 = one extend" (R.table1 pe) (R.table1 chained)
+
 let tests =
   [
     Alcotest.test_case "majority vendor tie-break" `Quick
@@ -856,4 +907,6 @@ let tests =
       test_backend_pipeline_equal;
     Alcotest.test_case "stage short record recomputes" `Quick
       test_stage_short_record_recomputes;
+    Alcotest.test_case "chained extends = one extend" `Slow
+      test_chained_extends;
   ]
