@@ -265,12 +265,14 @@ let () =
       modulus_bits = 96;
     }
   in
-  let (a_seq, _), dt =
-    timed (fun () -> FP.Registry.run ~pool:seq ctx FP.Registry.builtin)
+  let a_seq, dt =
+    timed (fun () ->
+        (FP.Registry.run ~pool:seq ctx FP.Registry.builtin).FP.Registry.attribution)
   in
   row "attribution-passes-seq" dt;
-  let (a_par, _), dt =
-    timed (fun () -> FP.Registry.run ~pool:par ctx FP.Registry.builtin)
+  let a_par, dt =
+    timed (fun () ->
+        (FP.Registry.run ~pool:par ctx FP.Registry.builtin).FP.Registry.attribution)
   in
   row "attribution-passes-par" dt;
   check "pooled attribution passes = sequential"

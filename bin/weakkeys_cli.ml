@@ -458,21 +458,24 @@ let export_cmd =
 
 let passes_cmd =
   let run () =
-    Printf.printf "%-22s %-38s %s\n" "PASS" "DEPENDS ON" "DESCRIPTION";
+    Printf.printf "%-22s %-38s %-8s %s\n" "PASS" "DEPENDS ON" "EXTENDS"
+      "DESCRIPTION";
     List.iter
       (fun (p : Fingerprint.Pass.t) ->
-        Printf.printf "%-22s %-38s %s\n" p.Fingerprint.Pass.name
+        Printf.printf "%-22s %-38s %-8s %s\n" p.Fingerprint.Pass.name
           (match p.Fingerprint.Pass.deps with
           | [] -> "-"
           | deps -> String.concat ", " deps)
-          p.Fingerprint.Pass.doc)
+          (Fingerprint.Pass.extends p) p.Fingerprint.Pass.doc)
       Fingerprint.Registry.builtin
   in
   Cmd.v
     (Cmd.info "passes"
        ~doc:
          "List the registered attribution passes with their dependencies \
-          (usable with 'report --only-pass').")
+          (usable with 'report --only-pass') and how each follows \
+          'extend': delta (pays for the new scans only) or full (reruns \
+          over the whole corpus).")
     Term.(const run $ const ())
 
 (* ------------- world ------------- *)

@@ -71,6 +71,7 @@ type t = {
   factored : Fp.t list;
   unrecovered : N.t list;
   attribution : Attribution.t;
+  pass_results : (string * FPass.result) list;
   vuln_index : Id_set.t;
   factored_index : Fp.t option array;
   view : view Lazy.t;
@@ -150,12 +151,15 @@ let stage_index store findings factored =
 
 (* The attribution engine: every registered pass scheduled over one
    shared context, merged into the evidence table ({!Registry.run}).
-   Per-pass wall clocks land in the stage timing table as "pass:NAME";
-   with a checkpoint dir the whole table is content-addressed like the
-   GCD artifact. *)
-let stage_attribution sctx ~checkpointed ?pool ?only_passes world certs
-    scan_ids store corpus findings factored factored_index unrecovered =
+   With [parent], the delta passes resume from the parent run's
+   results. Per-pass wall clocks land in the stage timing table as
+   "pass:NAME"; with a checkpoint dir the whole table is
+   content-addressed like the GCD artifact, and a restored table comes
+   without pass results, so the next extend runs every pass in full. *)
+let stage_attribution sctx ~checkpointed ?pool ?only_passes ?parent world
+    certs scan_ids store corpus findings factored factored_index unrecovered =
   let bits = (Netsim.World.config world).Netsim.World.modulus_bits in
+  let results = ref [] in
   let compute () =
     let ctx =
       {
@@ -170,29 +174,50 @@ let stage_attribution sctx ~checkpointed ?pool ?only_passes world certs
         modulus_bits = bits;
       }
     in
-    let attr, times = Registry.run ?pool ?only:only_passes ctx Registry.builtin in
+    let r =
+      Registry.run ?pool ?only:only_passes ?parent ctx Registry.builtin
+    in
     List.iter
       (fun (name, seconds) -> Stage.note sctx ("pass:" ^ name) ~seconds)
-      times;
-    attr
+      r.Registry.times;
+    results := r.Registry.results;
+    r.Registry.attribution
   in
-  if not checkpointed then Stage.run sctx "attribution" compute
-  else begin
-    let selected =
-      List.map
-        (fun p -> p.FPass.name)
-        (Registry.select ?only:only_passes Registry.builtin)
-    in
-    let tag =
-      Printf.sprintf "/attribution/bits=%d/passes=%s/scans=%s" bits
-        (String.concat "," selected)
-        (scans_digest certs scan_ids)
-    in
-    Stage.run_cached sctx "attribution" ~key:(lazy (corpus_key corpus tag))
-      ~save:Attribution.save
-      ~load:(Attribution.load ~subjects:(Array.length corpus))
-      compute
-  end
+  let attribution =
+    if not checkpointed then Stage.run sctx "attribution" compute
+    else begin
+      let selected =
+        List.map
+          (fun p -> p.FPass.name)
+          (Registry.select ?only:only_passes Registry.builtin)
+      in
+      let tag =
+        Printf.sprintf "/attribution/bits=%d/passes=%s/scans=%s" bits
+          (String.concat "," selected)
+          (scans_digest certs scan_ids)
+      in
+      Stage.run_cached sctx "attribution" ~key:(lazy (corpus_key corpus tag))
+        ~save:Attribution.save
+        ~load:(Attribution.load ~subjects:(Array.length corpus))
+        compute
+    end
+  in
+  (attribution, !results)
+
+(* Findings that are new since [before] or whose divisor changed. *)
+let changed_findings before findings =
+  let module M = Map.Make (Int) in
+  let old =
+    List.fold_left
+      (fun m (f : BG.finding) -> M.add f.BG.index f.BG.divisor m)
+      M.empty before
+  in
+  List.filter
+    (fun (f : BG.finding) ->
+      match M.find_opt f.BG.index old with
+      | Some d -> not (N.equal d f.BG.divisor)
+      | None -> true)
+    findings
 
 (* Dense indexes for names, in first-seen order. *)
 let namer () =
@@ -274,21 +299,43 @@ let build_view ~attribution ~certs ~vuln_index ~moduli monthly_ids =
   }
 
 (* Downstream of the GCD artifact, of_scans and extend are identical:
-   recover factorizations, index, and run the attribution passes. *)
-let finish sctx ?pool ?only_passes ~checkpointed world certs scan_ids
+   recover factorizations, index, and run the attribution passes. With
+   [parent] (the pipeline extended and the scans it gains), findings
+   that kept their divisor keep their split, and the delta passes
+   resume from the parent's results. *)
+let finish sctx ?pool ?only_passes ?parent ~checkpointed world certs scan_ids
     monthly_ids protocol_snapshots (https_moduli, https_ids) store corpus gcd =
   let findings = gcd_findings gcd in
-  let factored, unrecovered =
-    Stage.run sctx "fingerprint" (fun () -> Fp.recover findings)
+  let factored, unrecovered, delta =
+    Stage.run sctx "fingerprint" (fun () ->
+        match parent with
+        | None ->
+          let factored, unrecovered = Fp.recover findings in
+          (factored, unrecovered, None)
+        | Some (t, new_ids) ->
+          let changed = changed_findings t.findings findings in
+          let factored, unrecovered =
+            Fp.recover ~parent:(t.factored_index, changed) findings
+          in
+          let delta =
+            {
+              FPass.Delta.moduli_from = Array.length t.corpus;
+              certs_from = Cert_store.size t.certs;
+              scans = new_ids;
+              findings = changed;
+            }
+          in
+          (factored, unrecovered, Some (delta, t.pass_results)))
   in
   (* Findings carry corpus indexes, and corpus order is store insertion
      order, so a finding's index is its store id directly. *)
   let vuln_index, factored_index =
     Stage.run sctx "index" (fun () -> stage_index store findings factored)
   in
-  let attribution =
-    stage_attribution sctx ~checkpointed ?pool ?only_passes world certs
-      scan_ids store corpus findings factored factored_index unrecovered
+  let attribution, pass_results =
+    stage_attribution sctx ~checkpointed ?pool ?only_passes ?parent:delta
+      world certs scan_ids store corpus findings factored factored_index
+      unrecovered
   in
   let scan_of (s : Scan_ids.t) = s.Scan_ids.scan in
   {
@@ -308,6 +355,7 @@ let finish sctx ?pool ?only_passes ~checkpointed world certs scan_ids
     factored;
     unrecovered;
     attribution;
+    pass_results;
     vuln_index;
     factored_index;
     view =
@@ -430,7 +478,7 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
         | Flat inc -> Flat (Inc.extend ~pool inc fresh)
         | Sharded sh -> Sharded (Sh.extend ~pool sh fresh))
   in
-  finish sctx ~pool ?only_passes
+  finish sctx ~pool ?only_passes ~parent:(t, new_ids)
     ~checkpointed:(checkpoint_dir <> None)
     t.world certs scan_ids monthly_ids t.protocol_snapshots
     https store corpus gcd

@@ -84,6 +84,10 @@ type t = {
       (** flagged moduli that did not split into two primes *)
   attribution : Fingerprint.Attribution.t;
       (** the merged evidence table every query below reads *)
+  pass_results : (string * Fingerprint.Pass.result) list;
+      (** each pass's result ({!Fingerprint.Registry.outcome}): the
+          state {!extend} resumes the delta passes from. Empty when the
+          attribution table came from a checkpoint. *)
   (* Precomputed id-keyed indexes (caches; use the query functions
      below). *)
   vuln_index : Corpus.Id_set.t;
@@ -142,9 +146,14 @@ val extend :
     the cached product-tree forest is extended with one delta tree
     ({!Batchgcd.Incremental.extend} — no old tree is rebuilt; a
     sharded state goes through {!Batchgcd.Sharded.extend}, one delta
-    tree per shard-boundary chunk), and the
-    fingerprint/index/attribution stages rerun over the combined
-    corpus. Only the new scans' records are interned: the
+    tree per shard-boundary chunk). Findings that kept their divisor
+    keep their factorization, and the delta attribution passes
+    ([subject-rules], [bit-errors], [mitm-substitution]) resume from
+    [t]'s pass results with the delta: the fresh moduli, certificates
+    and scans, and the new or changed findings
+    ({!Fingerprint.Pass.Delta.t}). The other passes rerun over the
+    combined corpus, as does any pass [t] holds no result for.
+    Only the new scans' records are interned: the
     certificate and modulus ids of [t] stay the same, and only new
     certificates are fingerprinted. The monthly picks are updated,
     not re-derived ({!Analysis.Dataset.extend_monthly_ids}): only a

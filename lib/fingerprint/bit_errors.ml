@@ -17,5 +17,16 @@ let bitflip_neighbor ~known n =
   in
   go 0
 
+let is_bitflip_of n m =
+  let c = N.compare n m in
+  c <> 0
+  &&
+  let lo, hi = if c < 0 then (n, m) else (m, n) in
+  let d = N.sub hi lo in
+  let i = N.num_bits d - 1 in
+  i <= N.num_bits n
+  && N.equal d (N.shift_left N.one i)
+  && not (N.testbit lo i)
+
 let partition ~bits moduli =
   List.partition (fun n -> not (suspicious ~bits n)) moduli

@@ -16,6 +16,11 @@ val bitflip_neighbor :
     known corpus — the paper's evidence that a corrupt certificate sat
     one bit away from a valid one. *)
 
+val is_bitflip_of : Bignum.Nat.t -> Bignum.Nat.t -> bool
+(** [is_bitflip_of n m]: [m] is one of the single-bit flips of [n] that
+    {!bitflip_neighbor} tries, so [bitflip_neighbor ~known n] finds a
+    neighbour whenever [known m] holds. One subtraction, not a search. *)
+
 val partition :
   bits:int -> Bignum.Nat.t list -> Bignum.Nat.t list * Bignum.Nat.t list
 (** Split (clean, suspicious). *)

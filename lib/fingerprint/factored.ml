@@ -16,7 +16,29 @@ let split_two_primes n d =
   end
   else None
 
-let recover findings =
+let split n d =
+  match split_two_primes n d with
+  | Some t -> Some t
+  | None ->
+    (* The divisor may be composite (e.g. a product of small primes
+       from a bit error, or p*q' when the cofactor is not prime). Try
+       the gcd of divisor and cofactor structure via known primes
+       later; for now try the divisor's own split. *)
+    split_two_primes n (N.gcd d (N.div n d))
+
+let recover ?parent findings =
+  (* A finding that is not fresh kept its divisor since the parent
+     run, so its split is the parent's. *)
+  let earlier =
+    match parent with
+    | None -> fun _ -> None
+    | Some (index, fresh) ->
+      let fresh_ids = Corpus.Id_set.create ~size:(Array.length index) () in
+      List.iter (fun f -> Corpus.Id_set.add fresh_ids f.BG.index) fresh;
+      fun f ->
+        if Corpus.Id_set.mem fresh_ids f.BG.index then None
+        else Some index.(f.BG.index)
+  in
   let full = ref [] (* divisor = modulus: needs pairwise splitting *) in
   let ok = ref [] and bad = ref [] in
   List.iter
@@ -24,17 +46,8 @@ let recover findings =
       let n = f.BG.modulus and d = f.BG.divisor in
       if N.equal d n then full := n :: !full
       else
-        match split_two_primes n d with
-        | Some t -> ok := t :: !ok
-        | None -> begin
-          (* The divisor may be composite (e.g. a product of small
-             primes from a bit error, or p*q' when the cofactor is not
-             prime). Try the gcd of divisor and cofactor structure via
-             known primes later; for now try the divisor's own split. *)
-          match split_two_primes n (N.gcd d (N.div n d)) with
-          | Some t -> ok := t :: !ok
-          | None -> bad := n :: !bad
-        end)
+        let t = match earlier f with Some t -> t | None -> split n d in
+        match t with Some t -> ok := t :: !ok | None -> bad := n :: !bad)
     findings;
   (* Split fully-shared moduli by pairwise GCDs against every other
      flagged modulus (the flagged set is small). *)

@@ -12,16 +12,34 @@ module Ctx = struct
   }
 end
 
+module Delta = struct
+  type t = {
+    moduli_from : int;
+    certs_from : int;
+    scans : Scan_ids.t list;
+    findings : Batchgcd.Batch_gcd.finding list;
+  }
+
+  let everything (ctx : Ctx.t) =
+    {
+      moduli_from = 0;
+      certs_from = 0;
+      scans = ctx.Ctx.scans;
+      findings = ctx.Ctx.findings;
+    }
+end
+
 type result = {
   evidence : Evidence.t list;
   artifacts : Attribution.artifact list;
+  resume : delta_rule option;
 }
 
-type t = {
-  name : string;
-  deps : string list;
-  doc : string;
-  run : Ctx.t -> Attribution.t -> result;
-}
+and delta_rule = Ctx.t -> Delta.t -> Attribution.t -> result
 
-let empty_result = { evidence = []; artifacts = [] }
+type rule = Full of (Ctx.t -> Attribution.t -> result) | Delta of delta_rule
+
+type t = { name : string; deps : string list; doc : string; rule : rule }
+
+let empty_result = { evidence = []; artifacts = []; resume = None }
+let extends p = match p.rule with Full _ -> "full" | Delta _ -> "delta"

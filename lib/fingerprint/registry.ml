@@ -5,105 +5,139 @@ module BG = Batchgcd.Batch_gcd
 
 exception Unknown_pass of string
 
+(* Concatenate per-id lists in id order. *)
+let concat_by_id lists =
+  Array.fold_right (fun l acc -> List.rev_append (List.rev l) acc) lists []
+
 (* ------------------------------------------------------------------ *)
 (* subject-rules: certificate subject / page-content labeling          *)
 (* ------------------------------------------------------------------ *)
 
 (* One rule evaluation per certificate id, with the first page title
-   observed alongside that certificate. Ids are in first-seen order,
-   so the fingerprint-keyed artifact (the form checkpoints store) is
-   filled in the order the records first show each certificate. *)
-let cert_labels (ctx : Pass.Ctx.t) =
-  let certs = ctx.Pass.Ctx.certs in
-  let titles = Array.make (Cert_store.size certs) None in
+   observed alongside that certificate. A certificate carries one key,
+   so a modulus's vote for a vendor is the number of host records
+   whose certificate carries it and has that label. *)
+type subject_state = {
+  cert_modulus : int array;  (* per certificate id *)
+  cert_records : int array;  (* per certificate id: host records *)
+  titles : string option array;  (* per certificate id: first title *)
+  labels : Rules.label option array;  (* per certificate id *)
+  modulus_certs : int list array;  (* per modulus id *)
+  votes : Evidence.t list array;  (* per modulus id, by vendor *)
+  by_fingerprint : (string, Rules.label option) Hashtbl.t;
+      (* the artifact; a run copies it before adding to it *)
+}
+
+let no_subjects =
+  {
+    cert_modulus = [||];
+    cert_records = [||];
+    titles = [||];
+    labels = [||];
+    modulus_certs = [||];
+    votes = [||];
+    by_fingerprint = Hashtbl.create 16;
+  }
+
+(* Vote per (modulus id, vendor): one vote per host record whose
+   certificate matched a rule, exactly the tally the majority label
+   used. A model id rides along when any voting certificate carries
+   one (smallest lexicographically, for determinism). *)
+let subject_votes labels cert_records m certs =
+  let tally =
+    List.fold_left
+      (fun acc c ->
+        match labels.(c) with
+        | None -> acc
+        | Some { Rules.vendor; model_id } ->
+          let count, model =
+            Option.value ~default:(0, None) (List.assoc_opt vendor acc)
+          in
+          let model =
+            match (model, model_id) with
+            | None, m -> m
+            | Some a, Some m when String.compare m a < 0 -> Some m
+            | m, _ -> m
+          in
+          (vendor, (count + cert_records.(c), model))
+          :: List.remove_assoc vendor acc)
+      [] certs
+  in
+  List.map
+    (fun (vendor, (count, model)) ->
+      Evidence.make ~subject:m ~technique:Evidence.Subject_rule ~vendor
+        ?model_id:model ~weight:count ())
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) tally)
+
+(* Only the fresh records' votes are added and only fresh certificates
+   labelled — except an old certificate that had no page title and
+   gains one from a fresh record: it is relabelled (the title may name
+   the vendor) and its modulus's votes recounted. *)
+let rec subject_step st (ctx : Pass.Ctx.t) (delta : Pass.Delta.t) _attr =
+  let certs = ctx.Pass.Ctx.certs and grow = Scan_ids.grow in
+  let nc = Cert_store.size certs and n = Store.size ctx.Pass.Ctx.store in
+  let cert_modulus = grow st.cert_modulus nc (-1)
+  and cert_records = grow st.cert_records nc 0
+  and titles = grow st.titles nc None
+  and labels = grow st.labels nc None
+  and modulus_certs = grow st.modulus_certs n []
+  and votes = grow st.votes n [] in
+  let dirty = Array.make n false and touched = ref [] in
+  let touch m =
+    if not dirty.(m) then begin
+      dirty.(m) <- true;
+      touched := m :: !touched
+    end
+  in
+  let retitled = ref [] in
   List.iter
     (fun (s : Scan_ids.t) ->
       Array.iteri
         (fun i (r : Sc.host_record) ->
-          let c = s.Scan_ids.cert_ids.(i) in
-          if titles.(c) = None then titles.(c) <- r.Sc.page_title)
+          let c = s.Scan_ids.cert_ids.(i) and m = s.Scan_ids.modulus_ids.(i) in
+          if cert_records.(c) = 0 then begin
+            cert_modulus.(c) <- m;
+            modulus_certs.(m) <- c :: modulus_certs.(m)
+          end;
+          cert_records.(c) <- cert_records.(c) + 1;
+          (match (titles.(c), r.Sc.page_title) with
+          | None, Some _ ->
+            titles.(c) <- r.Sc.page_title;
+            if c < delta.Pass.Delta.certs_from then retitled := c :: !retitled
+          | _ -> ());
+          touch m)
         s.Scan_ids.scan.Sc.records)
-    ctx.Pass.Ctx.scans;
-  let labels =
-    Array.mapi
-      (fun c page_title ->
-        Rules.of_certificate ?page_title (Cert_store.get certs c))
-      titles
+    delta.Pass.Delta.scans;
+  let by_fingerprint = Hashtbl.copy st.by_fingerprint in
+  let label c =
+    let l = Rules.of_certificate ?page_title:titles.(c) (Cert_store.get certs c) in
+    labels.(c) <- l;
+    Hashtbl.replace by_fingerprint (Cert_store.fingerprint certs c) l;
+    touch cert_modulus.(c)
   in
-  let by_fingerprint = Hashtbl.create (Array.length labels) in
-  Array.iteri
-    (fun c label ->
-      Hashtbl.replace by_fingerprint (Cert_store.fingerprint certs c) label)
-    labels;
-  (labels, by_fingerprint)
-
-let subject_run (ctx : Pass.Ctx.t) _attr =
-  let labels, by_fingerprint = cert_labels ctx in
-  (* Vote per (modulus id, vendor): one vote per host record whose
-     certificate matched a rule, exactly the tally the majority label
-     used. A model id rides along when any voting certificate carries
-     one (smallest lexicographically, for determinism). *)
-  let votes : (int, (string, int * string option) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 4096
-  in
+  for c = delta.Pass.Delta.certs_from to nc - 1 do
+    label c
+  done;
+  List.iter label !retitled;
   List.iter
-    (fun (s : Scan_ids.t) ->
-      Array.iteri
-        (fun i c ->
-          match labels.(c) with
-          | Some { Rules.vendor; model_id } ->
-            let id = s.Scan_ids.modulus_ids.(i) in
-            let tally =
-              match Hashtbl.find_opt votes id with
-              | Some t -> t
-              | None ->
-                let t = Hashtbl.create 4 in
-                Hashtbl.replace votes id t;
-                t
-            in
-            let count, model =
-              Option.value ~default:(0, None) (Hashtbl.find_opt tally vendor)
-            in
-            let model =
-              match (model, model_id) with
-              | None, m -> m
-              | Some a, Some m when String.compare m a < 0 -> Some m
-              | m, _ -> m
-            in
-            Hashtbl.replace tally vendor (count + 1, model)
-          | None -> ())
-        s.Scan_ids.cert_ids)
-    ctx.Pass.Ctx.scans;
-  let evidence =
-    Hashtbl.fold
-      (fun id tally acc ->
-        Hashtbl.fold
-          (fun vendor (count, model) acc ->
-            Evidence.make ~subject:id ~technique:Evidence.Subject_rule ~vendor
-              ?model_id:model ~weight:count ()
-            :: acc)
-          tally acc)
-      votes []
+    (fun m -> votes.(m) <- subject_votes labels cert_records m modulus_certs.(m))
+    !touched;
+  let st =
+    { cert_modulus; cert_records; titles; labels; modulus_certs; votes;
+      by_fingerprint }
   in
-  let evidence =
-    List.sort
-      (fun (a : Evidence.t) (b : Evidence.t) ->
-        match Int.compare a.Evidence.subject b.Evidence.subject with
-        | 0 ->
-          String.compare
-            (Option.value ~default:"" a.Evidence.vendor)
-            (Option.value ~default:"" b.Evidence.vendor)
-        | c -> c)
-      evidence
-  in
-  { Pass.evidence; artifacts = [ Attribution.Cert_labels by_fingerprint ] }
+  {
+    Pass.evidence = concat_by_id votes;
+    artifacts = [ Attribution.Cert_labels by_fingerprint ];
+    resume = Some (subject_step st);
+  }
 
 let subject_rules =
   {
     Pass.name = "subject-rules";
     deps = [];
     doc = "certificate subject and page-content rules (Section 3.3.1)";
-    run = subject_run;
+    rule = Pass.Delta (subject_step no_subjects);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -130,33 +164,64 @@ let clique_run (ctx : Pass.Ctx.t) _attr =
           ids)
       cliques
   in
-  { Pass.evidence; artifacts = [ Attribution.Cliques cliques ] }
+  { Pass.evidence; artifacts = [ Attribution.Cliques cliques ]; resume = None }
 
 let ibm_clique =
   {
     Pass.name = "ibm-clique";
     deps = [];
     doc = "both-primes-shared clique detection, IBM RSA-II (Section 4.1)";
-    run = clique_run;
+    rule = Pass.Full clique_run;
   }
 
 (* ------------------------------------------------------------------ *)
 (* bit-errors: non-well-formed modulus triage                          *)
 (* ------------------------------------------------------------------ *)
 
-let bit_errors_run (ctx : Pass.Ctx.t) _attr =
-  let bits = ctx.Pass.Ctx.modulus_bits in
-  let suspects =
-    List.filter
-      (fun (f : BG.finding) -> Bit_errors.suspicious ~bits f.BG.modulus)
-      ctx.Pass.Ctx.findings
+module Int_map = Map.Make (Int)
+
+(* Per finding id: (suspicious, a corpus member sits one bit flip
+   away). Whether a modulus is suspicious depends on it alone; a
+   neighbour can only appear. So a new finding is judged against the
+   whole corpus, and an old suspect without a neighbour only against
+   the fresh moduli. *)
+let rec bit_errors_step triage (ctx : Pass.Ctx.t) (delta : Pass.Delta.t) _attr
+    =
+  let bits = ctx.Pass.Ctx.modulus_bits and corpus = ctx.Pass.Ctx.corpus in
+  let from = delta.Pass.Delta.moduli_from in
+  let fresh = Array.sub corpus from (Array.length corpus - from) in
+  let triage =
+    Int_map.mapi
+      (fun id ((suspicious, near) as v) ->
+        if
+          suspicious && (not near)
+          && Array.exists (Bit_errors.is_bitflip_of corpus.(id)) fresh
+        then (true, true)
+        else v)
+      triage
   in
   let known n = Store.mem ctx.Pass.Ctx.store n in
+  let triage =
+    List.fold_left
+      (fun triage (f : BG.finding) ->
+        if Int_map.mem f.BG.index triage then triage
+        else
+          let suspicious = Bit_errors.suspicious ~bits f.BG.modulus in
+          let near =
+            suspicious && Bit_errors.bitflip_neighbor ~known f.BG.modulus <> None
+          in
+          Int_map.add f.BG.index (suspicious, near) triage)
+      triage delta.Pass.Delta.findings
+  in
+  let suspects =
+    List.filter
+      (fun (f : BG.finding) -> fst (Int_map.find f.BG.index triage))
+      ctx.Pass.Ctx.findings
+  in
   let near_corpus =
     List.length
       (List.filter
-         (fun (f : BG.finding) ->
-           Bit_errors.bitflip_neighbor ~known f.BG.modulus <> None)
+         (fun (f : BG.finding) -> snd (Int_map.find f.BG.index triage))
          suspects)
   in
   let evidence =
@@ -178,6 +243,7 @@ let bit_errors_run (ctx : Pass.Ctx.t) _attr =
             near_corpus;
           };
       ];
+    resume = Some (bit_errors_step triage);
   }
 
 let bit_errors =
@@ -185,17 +251,18 @@ let bit_errors =
     Pass.name = "bit-errors";
     deps = [];
     doc = "non-well-formed modulus triage, set aside (Section 3.3.5)";
-    run = bit_errors_run;
+    rule = Pass.Delta (bit_errors_step Int_map.empty);
   }
 
 (* ------------------------------------------------------------------ *)
 (* mitm-substitution: ISP key substitution                             *)
 (* ------------------------------------------------------------------ *)
 
-let mitm_run (ctx : Pass.Ctx.t) _attr =
-  let detections =
-    Rimon.detect ctx.Pass.Ctx.store ctx.Pass.Ctx.scans
-  in
+(* The detector's per-key aggregates fold in the fresh scans' records
+   ({!Rimon.add}); only keys that gained records are re-judged. *)
+let rec mitm_step tally (ctx : Pass.Ctx.t) (delta : Pass.Delta.t) _attr =
+  let tally = Rimon.add ctx.Pass.Ctx.store tally delta.Pass.Delta.scans in
+  let detections = Rimon.detections tally in
   let evidence =
     List.filter_map
       (fun (d : Rimon.detection) ->
@@ -208,14 +275,18 @@ let mitm_run (ctx : Pass.Ctx.t) _attr =
                ~weight:(List.length d.Rimon.ips) ()))
       detections
   in
-  { Pass.evidence; artifacts = [ Attribution.Mitm detections ] }
+  {
+    Pass.evidence;
+    artifacts = [ Attribution.Mitm detections ];
+    resume = Some (mitm_step tally);
+  }
 
 let mitm_substitution =
   {
     Pass.name = "mitm-substitution";
     deps = [];
     doc = "one key at many IPs with broken signatures (Section 3.3.3)";
-    run = mitm_run;
+    rule = Pass.Delta (mitm_step (Rimon.empty ()));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -292,14 +363,14 @@ let shared_prime_run (ctx : Pass.Ctx.t) attr =
                  ~vendor ~confidence:0.9 ~witnesses ())))
       ctx.Pass.Ctx.factored
   in
-  { Pass.evidence; artifacts = [ Attribution.Shared shared ] }
+  { Pass.evidence; artifacts = [ Attribution.Shared shared ]; resume = None }
 
 let shared_prime =
   {
     Pass.name = "shared-prime";
     deps = [ "subject-rules"; "ibm-clique" ];
     doc = "shared-prime pool extrapolation of known labels (Section 3.3.2)";
-    run = shared_prime_run;
+    rule = Pass.Full shared_prime_run;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -321,14 +392,18 @@ let openssl_run (ctx : Pass.Ctx.t) attr =
       ctx.Pass.Ctx.factored
   in
   let rows = Openssl_fp.classify_vendors entries in
-  { Pass.evidence = []; artifacts = [ Attribution.Openssl_table rows ] }
+  {
+    Pass.evidence = [];
+    artifacts = [ Attribution.Openssl_table rows ];
+    resume = None;
+  }
 
 let openssl_fingerprint =
   {
     Pass.name = "openssl-fingerprint";
     deps = [ "subject-rules"; "ibm-clique"; "shared-prime" ];
     doc = "Mironov OpenSSL prime fingerprint per vendor (Table 5)";
-    run = openssl_run;
+    rule = Pass.Full openssl_run;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -391,24 +466,49 @@ let schedule passes =
   in
   waves passes
 
-let run ?pool ?only ctx passes =
+type outcome = {
+  attribution : Attribution.t;
+  times : (string * float) list;
+  results : (string * Pass.result) list;
+}
+
+let run ?pool ?only ?parent ctx passes =
   let passes = select ?only passes in
   let waves = schedule passes in
   let attr =
     Attribution.create ~size:(Store.size ctx.Pass.Ctx.store) ()
   in
-  let times = ref [] in
+  (* A delta rule resumes from its parent result when there is one;
+     otherwise it runs from the empty parent. *)
+  let resumed p =
+    Option.bind parent (fun (delta, results) ->
+        List.find_map
+          (fun (name, (r : Pass.result)) ->
+            if String.equal name p.Pass.name then
+              Option.map (fun k -> k ctx delta) r.Pass.resume
+            else None)
+          results)
+  in
+  let apply p =
+    match p.Pass.rule with
+    | Pass.Full f -> f ctx attr
+    | Pass.Delta start -> (
+      match resumed p with
+      | Some k -> k attr
+      | None -> start ctx (Pass.Delta.everything ctx) attr)
+  in
+  let times = ref [] and results = ref [] in
   List.iter
     (fun wave ->
       let exec p =
         let t0 = Unix.gettimeofday () in
-        let r = p.Pass.run ctx attr in
+        let r = apply p in
         (p, r, Unix.gettimeofday () -. t0)
       in
       (* Concurrency is per wave: the merge below is sequential and in
          registration order, so the table (and everything derived from
          it) is identical at any pool size. *)
-      let results =
+      let ran =
         match pool with
         | Some pool when Parallel.Pool.size pool > 1 && List.length wave > 1
           ->
@@ -419,7 +519,8 @@ let run ?pool ?only ctx passes =
         (fun (p, (r : Pass.result), dt) ->
           List.iter (Attribution.add attr) r.Pass.evidence;
           List.iter (Attribution.add_artifact attr) r.Pass.artifacts;
-          times := (p.Pass.name, dt) :: !times)
-        results)
+          times := (p.Pass.name, dt) :: !times;
+          results := (p.Pass.name, r) :: !results)
+        ran)
     waves;
-  (attr, List.rev !times)
+  { attribution = attr; times = List.rev !times; results = List.rev !results }

@@ -41,14 +41,32 @@ val schedule : Pass.t list -> Pass.t list list
     @raise Unknown_pass on a dep not in the list.
     @raise Invalid_argument on a dependency cycle. *)
 
+type outcome = {
+  attribution : Attribution.t;  (** the merged table *)
+  times : (string * float) list;
+      (** per-pass wall-clock seconds, in execution order *)
+  results : (string * Pass.result) list;
+      (** every pass's result, in execution order: the [parent] of the
+          run over the next, larger context *)
+}
+
 val run :
   ?pool:Parallel.Pool.t ->
   ?only:string list ->
+  ?parent:Pass.Delta.t * (string * Pass.result) list ->
   Pass.Ctx.t ->
   Pass.t list ->
-  Attribution.t * (string * float) list
-(** Execute the (selected) passes and return the merged attribution
-    table plus per-pass wall-clock seconds in execution order. With a
-    [pool] of size >= 2, waves with several passes run them
-    concurrently; the merge is always sequential in registration
-    order, so the table is the same either way. *)
+  outcome
+(** Execute the (selected) passes and merge their evidence and
+    artifacts into one attribution table. With a [pool] of size >= 2,
+    waves with several passes run them concurrently; the merge is
+    always sequential in registration order, so the table is the same
+    either way.
+
+    [parent = (delta, results)] is an earlier run's {!outcome.results}
+    over a context that [ctx] extends by [delta]. A {!Pass.Delta} pass
+    with a result there resumes from it; one without (not selected in
+    that run, or no earlier run at all, such as after a checkpoint
+    restore) runs its rule from the empty parent with
+    {!Pass.Delta.everything}. {!Pass.Full} passes rerun over [ctx].
+    The table equals a run without [parent]. *)

@@ -19,4 +19,27 @@ val detect :
     substitution signature. Intermediate-certificate records are
     ignored (a CA key legitimately appears at many addresses but with
     a single subject). Sorted by IP count, largest first; ties in id
-    order. *)
+    order. Each certificate's signature is verified once, and only
+    for keys that reach [min_ips] addresses. This is
+    [detections (add store (empty ?min_ips ()) scans)]. *)
+
+(** {2 Folding scans in}
+
+    The detector's per-key aggregates — record count, distinct
+    addresses, distinct certificates and their subjects, invalid
+    signatures — kept so that a fresh scan's records fold in without
+    rereading the old ones. *)
+
+type tally
+
+val empty : ?min_ips:int -> unit -> tally
+(** No records yet; [min_ips] as for {!detect}. *)
+
+val add : Corpus.Store.t -> tally -> Scan_ids.t list -> tally
+(** [add store t scans] folds the records of [scans] into [t]. [store]
+    holds every modulus id of [t] and of [scans]. [t] is not modified
+    and stays valid. Only keys that gain records are re-judged. *)
+
+val detections : tally -> detection list
+(** The detections over every record folded in, ordered as by
+    {!detect}. *)

@@ -29,3 +29,5 @@ let sub t keep =
     cert_ids = pick t.cert_ids;
     modulus_ids = pick t.modulus_ids;
   }
+
+let grow a n fill = Array.append a (Array.make (n - Array.length a) fill)

@@ -18,3 +18,8 @@ val intern :
 val sub : t -> int array -> t
 (** [sub s keep] keeps the records at the indices [keep], in that
     order, with their ids. *)
+
+val grow : 'a array -> int -> 'a -> 'a array
+(** [grow a n fill] is a fresh copy of the per-id array [a], grown to
+    [n] slots with [fill] (ids only grow). A delta pass writes to such
+    a copy, so the parent's array stays as it was. *)

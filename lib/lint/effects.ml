@@ -537,7 +537,8 @@ let check_pool_sites env (fi : file_info) =
 (* Attribution pass bodies receive the shared Ctx and the
    accumulating table; they must only read them. Checked for every
    lib/fingerprint function whose first parameters include [ctx], and
-   for inline [run = (fun ctx ... -> ...)] record fields. *)
+   for inline rules [Pass.Full (fun ctx ... -> ...)] and
+   [Pass.Delta (fun ctx ... -> ...)]. *)
 let check_ctx_readonly (fi : file_info) =
   if not (Stringx.starts_with ~prefix:"lib/fingerprint/" fi.path) then []
   else begin
@@ -566,15 +567,19 @@ let check_ctx_readonly (fi : file_info) =
              else "`" ^ b.Structure.name ^ "`")
             b.Structure.body_start b.Structure.stop)
       fi.bindings;
-    (* run = (fun ctx ... -> ...) record fields *)
+    (* Full (fun ctx ... -> ...) and Delta (fun ctx ... -> ...) rules *)
+    let rule_constructor name =
+      List.exists
+        (fun c -> name = c || Stringx.ends_with ~suffix:("." ^ c) name)
+        [ "Full"; "Delta" ]
+    in
     let n = Array.length toks in
-    for i = 0 to n - 4 do
+    for i = 0 to n - 3 do
       match
-        ( toks.(i).Lexer.kind, toks.(i + 1).Lexer.kind,
-          toks.(i + 2).Lexer.kind, toks.(i + 3).Lexer.kind )
+        (toks.(i).Lexer.kind, toks.(i + 1).Lexer.kind, toks.(i + 2).Lexer.kind)
       with
-      | Lexer.Ident "run", Lexer.Sym "=", Lexer.Sym "(", Lexer.Ident "fun" ->
-        let d = ref 1 and k = ref (i + 3) in
+      | Lexer.Ident c, Lexer.Sym "(", Lexer.Ident "fun" when rule_constructor c ->
+        let d = ref 1 and k = ref (i + 2) in
         while !d > 0 && !k < n do
           incr k;
           (match if !k < n then Some toks.(!k).Lexer.kind else None with
@@ -582,7 +587,7 @@ let check_ctx_readonly (fi : file_info) =
           | Some (Lexer.Sym ")") -> decr d
           | _ -> ())
         done;
-        check_range "a pass body" (i + 3) !k
+        check_range "a pass body" (i + 2) !k
       | _ -> ()
     done;
     List.rev !out

@@ -390,6 +390,14 @@ let test_pass_ctx_mutation () =
         \  attr" ) ];
   check_deep_clean "reads are fine" rule path
     [ (path, "let run ctx attr = Hashtbl.find_opt ctx.tbl 1") ];
+  check_deep_flagged "inline delta rule writes through ctx" rule path
+    [ ( path,
+        "let p = { name = \"p\"; rule = Pass.Delta (fun ctx d attr ->\n\
+        \  ctx.cache <- d; attr) }" ) ];
+  check_deep_clean "inline full rule reads" rule path
+    [ ( path,
+        "let p = { name = \"p\"; rule = Full (fun ctx attr ->\n\
+        \  ignore (Hashtbl.find_opt ctx.tbl 1); attr) }" ) ];
   check_deep_clean "other directories are out of scope" rule
     "lib/analysis/pass_extra.ml"
     [ ("lib/analysis/pass_extra.ml", "let run ctx attr = ctx.cache <- 1; attr") ]
