@@ -203,11 +203,6 @@ let add_int a k =
   else if k = 0 then a
   else add a (of_int k)
 
-let sub_int a k =
-  if k < 0 then invalid_arg "Nat.sub_int: negative"
-  else if k = 0 then a
-  else sub a (of_int k)
-
 (* ------------------------------------------------------------------ *)
 (* Multiplication                                                      *)
 (* ------------------------------------------------------------------ *)

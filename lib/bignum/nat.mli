@@ -88,8 +88,6 @@ val add_int : t -> int -> t
 val sub : t -> t -> t
 (** @raise Invalid_argument if the result would be negative. *)
 
-val sub_int : t -> int -> t
-
 val mul : t -> t -> t
 (** Schoolbook below 24 limbs in the smaller operand, Karatsuba above,
     Toom-Cook-3 once both operands reach 96 limbs and are

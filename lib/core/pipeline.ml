@@ -114,28 +114,6 @@ let corpus_key corpus tag =
   Buffer.add_string buf tag;
   Hashes.Sha256.hexdigest (Buffer.contents buf)
 
-(* The attribution table additionally depends on the scan records the
-   labeling passes read (certificates, page titles, IPs): digest them
-   so a checkpoint from a different scan history never restores. *)
-let scans_digest certs scan_ids =
-  let h = Hashes.Sha256.init () in
-  List.iter
-    (fun (ids : Scan_ids.t) ->
-      let s = ids.Scan_ids.scan in
-      Hashes.Sha256.update h (Sc.source_name s.Sc.scan_source);
-      Hashes.Sha256.update h (X509lite.Date.to_string s.Sc.scan_date);
-      Hashes.Sha256.update h (string_of_int (Array.length s.Sc.records));
-      Array.iteri
-        (fun i (r : Sc.host_record) ->
-          Hashes.Sha256.update h (Netsim.Ipv4.to_string r.Sc.ip);
-          Hashes.Sha256.update h
-            (Cert_store.fingerprint certs ids.Scan_ids.cert_ids.(i));
-          Hashes.Sha256.update h (if r.Sc.is_intermediate then "i" else "-");
-          Hashes.Sha256.update h (Option.value ~default:"" r.Sc.page_title))
-        s.Sc.records)
-    scan_ids;
-  Hashes.Sha256.to_hex (Hashes.Sha256.finalize h)
-
 let stage_index store findings factored =
   let n = Store.size store in
   let vuln_index = Id_set.create ~size:n () in
@@ -153,56 +131,30 @@ let stage_index store findings factored =
    shared context, merged into the evidence table ({!Registry.run}).
    With [parent], the delta passes resume from the parent run's
    results. Per-pass wall clocks land in the stage timing table as
-   "pass:NAME"; with a checkpoint dir the whole table is
-   content-addressed like the GCD artifact, and a restored table comes
-   without pass results, so the next extend runs every pass in full. *)
-let stage_attribution sctx ~checkpointed ?pool ?only_passes ?parent world
-    certs scan_ids store corpus findings factored factored_index unrecovered =
-  let bits = (Netsim.World.config world).Netsim.World.modulus_bits in
-  let results = ref [] in
-  let compute () =
-    let ctx =
-      {
-        FPass.Ctx.store;
-        corpus;
-        findings;
-        factored;
-        factored_index;
-        unrecovered;
-        scans = scan_ids;
-        certs;
-        modulus_bits = bits;
-      }
-    in
-    let r =
-      Registry.run ?pool ?only:only_passes ?parent ctx Registry.builtin
-    in
-    List.iter
-      (fun (name, seconds) -> Stage.note sctx ("pass:" ^ name) ~seconds)
-      r.Registry.times;
-    results := r.Registry.results;
-    r.Registry.attribution
-  in
-  let attribution =
-    if not checkpointed then Stage.run sctx "attribution" compute
-    else begin
-      let selected =
-        List.map
-          (fun p -> p.FPass.name)
-          (Registry.select ?only:only_passes Registry.builtin)
+   "pass:NAME". *)
+let stage_attribution sctx ?pool ?only_passes ?parent world certs scan_ids
+    store corpus findings factored factored_index unrecovered =
+  Stage.run sctx "attribution" (fun () ->
+      let ctx =
+        {
+          FPass.Ctx.store;
+          corpus;
+          findings;
+          factored;
+          factored_index;
+          unrecovered;
+          scans = scan_ids;
+          certs;
+          modulus_bits = (Netsim.World.config world).Netsim.World.modulus_bits;
+        }
       in
-      let tag =
-        Printf.sprintf "/attribution/bits=%d/passes=%s/scans=%s" bits
-          (String.concat "," selected)
-          (scans_digest certs scan_ids)
+      let r =
+        Registry.run ?pool ?only:only_passes ?parent ctx Registry.builtin
       in
-      Stage.run_cached sctx "attribution" ~key:(lazy (corpus_key corpus tag))
-        ~save:Attribution.save
-        ~load:(Attribution.load ~subjects:(Array.length corpus))
-        compute
-    end
-  in
-  (attribution, !results)
+      List.iter
+        (fun (name, seconds) -> Stage.note sctx ("pass:" ^ name) ~seconds)
+        r.Registry.times;
+      (r.Registry.attribution, r.Registry.results))
 
 (* Findings that are new since [before] or whose divisor changed. *)
 let changed_findings before findings =
@@ -245,10 +197,9 @@ let build_view ~attribution ~certs ~vuln_index ~moduli monthly_ids =
   let vendor_id, vendor_names = namer () in
   let model_id, model_names = namer () in
   let labels =
-    let by_fp = Attribution.cert_labels attribution in
-    Array.init (Cert_store.size certs) (fun c ->
-        Option.bind by_fp (fun h ->
-            Option.join (Hashtbl.find_opt h (Cert_store.fingerprint certs c))))
+    match Attribution.cert_labels attribution with
+    | Some labels -> labels
+    | None -> Array.make (Cert_store.size certs) None
   in
   let cert_vendor =
     Array.map
@@ -303,7 +254,7 @@ let build_view ~attribution ~certs ~vuln_index ~moduli monthly_ids =
    [parent] (the pipeline extended and the scans it gains), findings
    that kept their divisor keep their split, and the delta passes
    resume from the parent's results. *)
-let finish sctx ?pool ?only_passes ?parent ~checkpointed world certs scan_ids
+let finish sctx ?pool ?only_passes ?parent world certs scan_ids
     monthly_ids protocol_snapshots (https_moduli, https_ids) store corpus gcd =
   let findings = gcd_findings gcd in
   let factored, unrecovered, delta =
@@ -333,9 +284,8 @@ let finish sctx ?pool ?only_passes ?parent ~checkpointed world certs scan_ids
     Stage.run sctx "index" (fun () -> stage_index store findings factored)
   in
   let attribution, pass_results =
-    stage_attribution sctx ~checkpointed ?pool ?only_passes ?parent:delta
-      world certs scan_ids store corpus findings factored factored_index
-      unrecovered
+    stage_attribution sctx ?pool ?only_passes ?parent:delta world certs
+      scan_ids store corpus findings factored factored_index unrecovered
   in
   let scan_of (s : Scan_ids.t) = s.Scan_ids.scan in
   {
@@ -419,10 +369,8 @@ let of_scans ?progress ?shards ?domains ?checkpoint_dir
         (fun () -> Sharded (Sh.create ~pool ~stride corpus))
   in
   say (Printf.sprintf "%d moduli factored" (List.length (gcd_findings gcd)));
-  finish sctx ~pool ?only_passes
-    ~checkpointed:(checkpoint_dir <> None)
-    world certs scan_ids monthly_ids protocol_snapshots https store
-    corpus gcd
+  finish sctx ~pool ?only_passes world certs scan_ids monthly_ids
+    protocol_snapshots https store corpus gcd
 
 let of_world ?progress ?shards ?domains ?checkpoint_dir ?only_passes world =
   (match progress with Some f -> f "running scan campaigns" | None -> ());
@@ -478,10 +426,8 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
         | Flat inc -> Flat (Inc.extend ~pool inc fresh)
         | Sharded sh -> Sharded (Sh.extend ~pool sh fresh))
   in
-  finish sctx ~pool ?only_passes ~parent:(t, new_ids)
-    ~checkpointed:(checkpoint_dir <> None)
-    t.world certs scan_ids monthly_ids t.protocol_snapshots
-    https store corpus gcd
+  finish sctx ~pool ?only_passes ~parent:(t, new_ids) t.world certs scan_ids
+    monthly_ids t.protocol_snapshots https store corpus gcd
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -500,7 +446,6 @@ let cliques t = Option.value ~default:[] (Attribution.cliques t.attribution)
 let shared t = Attribution.shared t.attribution
 let rimon t = Option.value ~default:[] (Attribution.mitm t.attribution)
 let openssl_table t = Attribution.openssl_table t.attribution
-let passes_run t = Stage.timings_named "pass:" t.timings
 
 let view t = Lazy.force t.view
 let vendor_series t name = Ts.series (view t).vendors name
@@ -554,11 +499,6 @@ let labeled_factored t =
       in
       (f, label))
     t.factored
-
-let suspected_bit_errors t =
-  match Attribution.bit_error_triage t.attribution with
-  | Some (suspects, _) -> suspects
-  | None -> []
 
 let bit_error_summary t =
   match Attribution.bit_error_triage t.attribution with

@@ -23,9 +23,9 @@
     topologically scheduled by declared deps, run concurrently on the
     {!Parallel.Pool} where independent, and merged into one typed
     {!Fingerprint.Attribution.t} evidence table. Per-pass wall clocks
-    appear in {!type-t.timings} as ["pass:NAME"] entries, and with a
-    checkpoint directory the whole table is content-addressed and
-    restorable like the GCD artifact. *)
+    appear in {!type-t.timings} as ["pass:NAME"] entries. The stage is
+    cheap next to the batch GCD and always runs; only the GCD artifact
+    is checkpointed. *)
 
 type gcd_state =
   | Flat of Batchgcd.Incremental.t
@@ -86,8 +86,7 @@ type t = {
       (** the merged evidence table every query below reads *)
   pass_results : (string * Fingerprint.Pass.result) list;
       (** each pass's result ({!Fingerprint.Registry.outcome}): the
-          state {!extend} resumes the delta passes from. Empty when the
-          attribution table came from a checkpoint. *)
+          state {!extend} resumes the delta passes from. *)
   (* Precomputed id-keyed indexes (caches; use the query functions
      below). *)
   vuln_index : Corpus.Id_set.t;
@@ -115,11 +114,11 @@ val run :
     level-parallel tree kernels and the attribution passes (default:
     the hardware's recommended domain count, overridable via the
     [WEAKKEYS_DOMAINS] environment variable).
-    [checkpoint_dir] enables checkpoint/resume for the GCD and
-    attribution stages: finished artifacts are written there, and a
-    rerun over the identical inputs restores them instead of
-    recomputing. [only_passes] restricts the attribution stage to the
-    named passes closed over their deps
+    [checkpoint_dir] enables checkpoint/resume for the GCD stage: its
+    forest is written there as [batchgcd.ckpt], and a rerun over the
+    identical corpus restores it instead of recomputing; the
+    attribution stage always runs. [only_passes] restricts the
+    attribution stage to the named passes closed over their deps
     ({!Fingerprint.Registry.select}); report sections whose pass did
     not run render as explicitly skipped.
     @raise Fingerprint.Registry.Unknown_pass on an unknown pass name. *)
@@ -195,10 +194,6 @@ val labeled_factored :
 (** Factored moduli with their final vendor labels (full
     {!Fingerprint.Attribution.vendor_of} merge). *)
 
-val suspected_bit_errors : t -> Bignum.Nat.t list
-(** Flagged moduli that are not well-formed RSA moduli (empty when the
-    [bit-errors] pass did not run). *)
-
 val bit_error_summary : t -> (int * int) option
 (** (suspect count, near-corpus count) from the bit-error triage
     artifact; [None] when the pass did not run. *)
@@ -215,9 +210,6 @@ val rimon : t -> Fingerprint.Rimon.detection list
 
 val openssl_table :
   t -> (string * Fingerprint.Openssl_fp.verdict * int) list option
-
-val passes_run : t -> Stage.timing list
-(** The ["pass:NAME"] timing entries, in execution order. *)
 
 val majority_vendor : (string * int) list -> string option
 (** Winner of a vendor vote tally: highest count, ties broken by the

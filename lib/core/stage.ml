@@ -18,11 +18,6 @@ let record ctx stage seconds restored =
 
 let note ctx stage ~seconds = record ctx stage seconds false
 
-let timings_named prefix timings =
-  List.filter
-    (fun t -> Stringx.starts_with ~prefix t.stage)
-    timings
-
 let run ctx name f =
   let t0 = Unix.gettimeofday () in
   let v = f () in

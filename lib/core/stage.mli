@@ -2,9 +2,10 @@
 
     {!Pipeline.of_scans} is a linear chain of named stages
     (scan → intern → batchgcd → fingerprint → index → attribution); this
-    module times each stage, reports progress, and — for the expensive
-    ones — serializes the stage artifact to a checkpoint directory so
-    a rerun (or {!Pipeline.extend}) can restore instead of recompute.
+    module times each stage, reports progress, and — for the one
+    expensive stage, the batch GCD — serializes the stage artifact to a
+    checkpoint directory so a rerun (or {!Pipeline.extend}) can restore
+    instead of recompute.
 
     Checkpoints are content-addressed: each file starts with a caller
     supplied key (a digest of the stage's inputs); {!run_cached} only
@@ -50,10 +51,6 @@ val run_cached :
 val note : ctx -> string -> seconds:float -> unit
 (** Record an externally-timed step (e.g. one attribution pass whose
     wall clock the scheduler already measured) in the timing table. *)
-
-val timings_named : string -> timing list -> timing list
-(** Timings whose stage name starts with the given prefix, in
-    execution order — e.g. ["pass:"] for the attribution passes. *)
 
 val timings : ctx -> timing list
 (** Stages in execution order. *)

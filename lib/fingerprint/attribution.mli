@@ -56,8 +56,9 @@ val model_of : t -> int -> string option
     artifact; re-deposits shadow earlier ones. *)
 
 type artifact =
-  | Cert_labels of (string, Rules.label option) Hashtbl.t
-      (** certificate fingerprint -> subject/content rule label *)
+  | Cert_labels of Rules.label option array
+      (** per {!X509lite.Cert_store} id: the subject/content rule
+          label. Read-only: later runs of the pass copy it. *)
   | Cliques of Ibm_clique.clique list
   | Shared of Shared_prime.t
   | Mitm of Rimon.detection list
@@ -68,24 +69,17 @@ type artifact =
 
 val add_artifact : t -> artifact -> unit
 
-val cert_labels : t -> (string, Rules.label option) Hashtbl.t option
+val cert_labels : t -> Rules.label option array option
 val cliques : t -> Ibm_clique.clique list option
 val shared : t -> Shared_prime.t option
 val mitm : t -> Rimon.detection list option
 val bit_error_triage : t -> (Bignum.Nat.t list * int) option
 val openssl_table : t -> (string * Openssl_fp.verdict * int) list option
 
-(** {2 Equality and serialization} *)
+(** {2 Equality} *)
 
 val equal_evidence : t -> t -> bool
 (** Per-id evidence lists are structurally equal (artifacts are not
     compared — they are deterministic functions of the same inputs).
     Used to assert pooled pass execution equals sequential. *)
 
-val save : out_channel -> t -> unit
-
-val load : subjects:int -> in_channel -> t
-(** Read a table whose subject ids are below [subjects] (the corpus
-    size).
-    @raise Corpus.Io.Corrupt on malformed input, or on any subject id
-    at or above [subjects]. *)

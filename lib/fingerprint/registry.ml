@@ -21,11 +21,11 @@ type subject_state = {
   cert_modulus : int array;  (* per certificate id *)
   cert_records : int array;  (* per certificate id: host records *)
   titles : string option array;  (* per certificate id: first title *)
-  labels : Rules.label option array;  (* per certificate id *)
+  labels : Rules.label option array;
+      (* per certificate id; also the artifact, so never written after
+         the run that grew it *)
   modulus_certs : int list array;  (* per modulus id *)
   votes : Evidence.t list array;  (* per modulus id, by vendor *)
-  by_fingerprint : (string, Rules.label option) Hashtbl.t;
-      (* the artifact; a run copies it before adding to it *)
 }
 
 let no_subjects =
@@ -36,7 +36,6 @@ let no_subjects =
     labels = [||];
     modulus_certs = [||];
     votes = [||];
-    by_fingerprint = Hashtbl.create 16;
   }
 
 (* Vote per (modulus id, vendor): one vote per host record whose
@@ -108,11 +107,9 @@ let rec subject_step st (ctx : Pass.Ctx.t) (delta : Pass.Delta.t) _attr =
           touch m)
         s.Scan_ids.scan.Sc.records)
     delta.Pass.Delta.scans;
-  let by_fingerprint = Hashtbl.copy st.by_fingerprint in
   let label c =
-    let l = Rules.of_certificate ?page_title:titles.(c) (Cert_store.get certs c) in
-    labels.(c) <- l;
-    Hashtbl.replace by_fingerprint (Cert_store.fingerprint certs c) l;
+    labels.(c) <-
+      Rules.of_certificate ?page_title:titles.(c) (Cert_store.get certs c);
     touch cert_modulus.(c)
   in
   for c = delta.Pass.Delta.certs_from to nc - 1 do
@@ -123,12 +120,11 @@ let rec subject_step st (ctx : Pass.Ctx.t) (delta : Pass.Delta.t) _attr =
     (fun m -> votes.(m) <- subject_votes labels cert_records m modulus_certs.(m))
     !touched;
   let st =
-    { cert_modulus; cert_records; titles; labels; modulus_certs; votes;
-      by_fingerprint }
+    { cert_modulus; cert_records; titles; labels; modulus_certs; votes }
   in
   {
     Pass.evidence = concat_by_id votes;
-    artifacts = [ Attribution.Cert_labels by_fingerprint ];
+    artifacts = [ Attribution.Cert_labels labels ];
     resume = Some (subject_step st);
   }
 

@@ -11,10 +11,6 @@ val build : (Factored.t * string option) list -> t
 (** [build entries]: each factored modulus with its subject-rule
     vendor, if any. *)
 
-val vendors_of_prime : t -> Bignum.Nat.t -> string list
-(** Vendors whose pool contains the prime (usually 0 or 1; 2+ is an
-    overlap). *)
-
 val label_modulus : t -> Factored.t -> string option
 (** The pool vendor for a factored modulus: the unique vendor owning
     either prime. [None] when unlabeled or ambiguous. *)
@@ -29,6 +25,5 @@ val overlaps : t -> (string * string * Bignum.Nat.t) list
     once. *)
 
 val entries : t -> (Factored.t * string option) list
-(** The labeled input entries, as given to {!build} — the pools are a
-    deterministic function of these, so serializing a pool table means
-    serializing its entries and rebuilding. *)
+(** The labeled input entries, as given to {!build}; the pools are a
+    deterministic function of these. *)

@@ -86,7 +86,7 @@ let phys_equal ctx =
 (* Rule 3: no polymorphic compare in the bignum layers                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A file that defines its own top-level [let compare] (Nat, Zz) may of
+(* A file that defines its own top-level [let compare] (Nat) may of
    course call it unqualified; only files without such a definition are
    using [Stdlib.compare], which on [Nat.t] would order by limb-array
    identity rather than numeric value. *)
@@ -596,16 +596,16 @@ let all =
     { id = "phys-equal";
       severity = Error;
       doc =
-        "== / != compare heap identity; on boxed Nat.t/Zz.t two equal \
+        "== / != compare heap identity; on boxed Nat.t two equal \
          numbers are routinely distinct blocks";
-      hint = "use =, Nat.equal or Zz.equal";
+      hint = "use = or Nat.equal";
       check = phys_equal };
     { id = "poly-compare";
       severity = Error;
       doc =
         "polymorphic compare in lib/bignum and lib/batchgcd orders limb \
          arrays structurally, not numerically";
-      hint = "use Nat.compare / Zz.compare / Nat.equal";
+      hint = "use Nat.compare / Nat.equal";
       check = poly_compare };
     { id = "catchall-exn";
       severity = Error;

@@ -108,4 +108,3 @@ let additional = [ not_notified "Siemens"; not_notified "Generic" ]
 let all = table2 @ newly_vulnerable_2016 @ additional
 
 let find name = List.find (fun v -> v.name = name) all
-let by_response r = List.filter (fun v -> v.response = r) all

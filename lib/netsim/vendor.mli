@@ -24,12 +24,8 @@ val response_to_string : response -> string
 val table2 : t list
 (** The 37 vendors of Table 2, in the paper's column order. *)
 
-val newly_vulnerable_2016 : t list
-(** ADTRAN, D-Link, Huawei, Sangfor, Schmid Telecom (Section 4.4). *)
-
 val all : t list
 
 val find : string -> t
 (** @raise Not_found for unknown vendor names. *)
 
-val by_response : response -> t list

@@ -49,6 +49,7 @@ type t = {
 
 let start_date = Date.of_ymd 2005 1 1
 let end_date = Date.of_ymd 2016 5 31
+(* The disclosure; the 04/2014 scans land after it. *)
 let heartbleed_date = Date.of_ymd 2014 4 7
 let ssh_snapshot_date = Date.of_ymd 2015 10 29
 
@@ -397,16 +398,6 @@ let cert_at d date =
     let best = ref None in
     Array.iter
       (fun e -> if Date.(e.from_date <= date) then best := Some e.cert)
-      d.epochs;
-    !best
-  end
-
-let key_at d date =
-  if not (alive d date) then None
-  else begin
-    let best = ref None in
-    Array.iter
-      (fun e -> if Date.(e.from_date <= date) then best := Some e.key)
       d.epochs;
     !best
   end

@@ -50,17 +50,11 @@ val rimon_public : t -> Rsa.Keypair.public
 
 val is_rimon_customer : t -> device -> bool
 
-val start_date : X509lite.Date.t
-val end_date : X509lite.Date.t
-val heartbleed_date : X509lite.Date.t
-(** 2014-04-07, the disclosure; the 04/2014 scans land after it. *)
-
 val ssh_snapshot_date : X509lite.Date.t
 (** 2015-10-29, the Censys SSH scan of Table 4. *)
 
 val alive : device -> X509lite.Date.t -> bool
 val cert_at : device -> X509lite.Date.t -> X509lite.Certificate.t option
-val key_at : device -> X509lite.Date.t -> Rsa.Keypair.private_key option
 val ip_at : device -> X509lite.Date.t -> Ipv4.t
 
 (** {1 Ground truth} — the oracle the pipeline's output is tested
@@ -72,9 +66,6 @@ val all_tls_moduli : t -> Bignum.Nat.t array
 val factorable_ground_truth : t -> (Bignum.Nat.t -> bool)
 (** Whether a modulus shares at least one prime factor with some other
     distinct modulus in the full corpus (TLS and SSH keys combined). *)
-
-val prime_sharing_count : t -> Bignum.Nat.t -> int
-(** Number of distinct moduli using the given prime. *)
 
 val factors_of : t -> Bignum.Nat.t -> (Bignum.Nat.t * Bignum.Nat.t) option
 (** The two primes of a corpus modulus (TLS or SSH); [None] for

@@ -6,9 +6,6 @@
     The nine primes are deterministic per key size, mirroring firmware
     that always walked the same RNG states. *)
 
-val pool_size : int
-(** 9. *)
-
 val primes : bits:int -> Bignum.Nat.t array
 (** The nine primes of [bits] bits. Deterministic in [bits]. *)
 

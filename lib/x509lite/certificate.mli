@@ -14,11 +14,6 @@ type t = {
   signature : Bignum.Nat.t;
 }
 
-val tbs_encoding : t -> string
-(** Canonical "to-be-signed" serialization: every field except the
-    signature, in a fixed order. Signing and verification operate on
-    this string. *)
-
 val self_sign :
   serial:Bignum.Nat.t -> subject:Dn.t -> ?subject_alt_names:string list ->
   not_before:Date.t -> not_after:Date.t -> key:Rsa.Keypair.private_key ->

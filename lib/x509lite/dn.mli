@@ -6,9 +6,6 @@ type attr = CN | O | OU | C | L | ST | Email | Unstructured of string
 
 type t = (attr * string) list
 
-val attr_to_string : attr -> string
-val attr_of_string : string -> attr
-
 val make : ?extra:(attr * string) list -> ?cn:string -> ?o:string ->
   ?ou:string -> unit -> t
 (** Build a DN in CN, O, OU, extra order, skipping absent parts. *)

@@ -1,5 +1,5 @@
 (* The attribution engine: typed evidence merge, pass registry
-   scheduling, serialization, and pooled-vs-sequential equivalence. *)
+   scheduling, and pooled-vs-sequential equivalence. *)
 
 module A = Fingerprint.Attribution
 module E = Fingerprint.Evidence
@@ -65,110 +65,6 @@ let test_model_of () =
   Alcotest.(check (option string))
     "smallest model among the winning vendor's evidence" (Some "RV042")
     (A.model_of a 2)
-
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_save_load_round_trip () =
-  let a = A.create () in
-  A.add a
-    (E.make ~subject:3 ~technique:E.Shared_prime ~vendor:"IBM"
-       ~confidence:0.9 ~weight:2 ~witnesses:[ 1; 2 ] ());
-  A.add a
-    (E.make ~subject:0 ~technique:E.Subject_rule ~vendor:"Cisco"
-       ~model_id:"RV042" ());
-  A.add a (E.make ~subject:5 ~technique:E.Bit_error ~confidence:0.875 ());
-  let labels = Hashtbl.create 4 in
-  Hashtbl.replace labels "fp1"
-    (Some { Fingerprint.Rules.vendor = "AVM"; model_id = None });
-  Hashtbl.replace labels "fp2" None;
-  A.add_artifact a (A.Cert_labels labels);
-  A.add_artifact a
-    (A.Bit_error_triage
-       { suspects = [ Bignum.Nat.of_int 77 ]; near_corpus = 1 });
-  A.add_artifact a
-    (A.Openssl_table [ ("IBM", Fingerprint.Openssl_fp.Satisfies, 4) ]);
-  let path = Filename.temp_file "weakkeys-attr" ".bin" in
-  let oc = open_out_bin path in
-  A.save oc a;
-  close_out oc;
-  let ic = open_in_bin path in
-  let b = A.load ~subjects:6 ic in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check bool) "evidence tables equal" true (A.equal_evidence a b);
-  Alcotest.(check (option string))
-    "merge result survives" (A.vendor_of a 3) (A.vendor_of b 3);
-  (match A.cert_labels b with
-  | Some l ->
-    Alcotest.(check int) "both label entries restored" 2 (Hashtbl.length l)
-  | None -> Alcotest.fail "cert-labels artifact lost");
-  (match A.bit_error_triage b with
-  | Some (suspects, near) ->
-    Alcotest.(check int) "one suspect" 1 (List.length suspects);
-    Alcotest.(check int) "near-corpus count" 1 near
-  | None -> Alcotest.fail "bit-error artifact lost");
-  match A.openssl_table b with
-  | Some [ ("IBM", Fingerprint.Openssl_fp.Satisfies, 4) ] -> ()
-  | _ -> Alcotest.fail "openssl table artifact lost"
-
-let test_load_rejects_corrupt () =
-  let path = Filename.temp_file "weakkeys-attr" ".bin" in
-  let oc = open_out_bin path in
-  output_string oc "not an attribution table";
-  close_out oc;
-  let ic = open_in_bin path in
-  let raised =
-    try
-      ignore (A.load ~subjects:1024 ic);
-      false
-    with Corpus.Io.Corrupt _ | End_of_file -> true
-  in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check bool) "corrupt input raises" true raised
-
-(* The table is dense over subject ids, so a well-formed file whose
-   one record sits at subject 10^9 would allocate 10^9 slots; [load]
-   must reject it against the corpus size before allocating. The file
-   is a saved one-record table with its max id, record id and evidence
-   subject rewritten (big-endian ints at offsets 0, 8 and 16). *)
-let test_load_rejects_subject_beyond_corpus () =
-  let a = A.create () in
-  A.add a (E.make ~subject:3 ~technique:E.Subject_rule ~vendor:"Cisco" ());
-  let path = Filename.temp_file "weakkeys-attr" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      A.save oc a;
-      close_out oc;
-      let load ~subjects =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            match A.load ~subjects ic with
-            | _ -> true
-            | exception Corpus.Io.Corrupt _ -> false)
-      in
-      Alcotest.(check bool) "subject 3 loads with 4 subjects" true
-        (load ~subjects:4);
-      Alcotest.(check bool) "subject 3 rejected with 3 subjects" false
-        (load ~subjects:3);
-      let ic = open_in_bin path in
-      let bytes = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
-      close_in ic;
-      let far = 1_000_000_000 in
-      List.iter
-        (fun (off, v) -> Bytes.set_int32_be bytes off (Int32.of_int v))
-        [ (0, far + 1); (8, far); (16, far) ];
-      let oc = open_out_bin path in
-      output_bytes oc bytes;
-      close_out oc;
-      Alcotest.(check bool) "subject 10^9 rejected with 1024 subjects" false
-        (load ~subjects:1024))
 
 (* ------------------------------------------------------------------ *)
 (* Registry scheduling                                                 *)
@@ -389,8 +285,8 @@ let check_delta ?only ?(findings0 = []) ?(findings1 = []) ~what before after =
   List.iter2
     (fun (section, e) (_, a) ->
       Alcotest.(check (list string)) (what ^ ": " ^ section) e a)
-    (Worlds.artifact_lines full.R.attribution)
-    (Worlds.artifact_lines resumed.R.attribution);
+    (Worlds.artifact_lines c1.FPass.Ctx.certs full.R.attribution)
+    (Worlds.artifact_lines c1.FPass.Ctx.certs resumed.R.attribution);
   (r0.R.attribution, resumed.R.attribution)
 
 let test_snapgear_title_arrives_late () =
@@ -524,11 +420,6 @@ let tests =
     Alcotest.test_case "vendorless evidence" `Quick
       test_vendorless_evidence_is_not_a_vote;
     Alcotest.test_case "model of" `Quick test_model_of;
-    Alcotest.test_case "save/load round trip" `Quick
-      test_save_load_round_trip;
-    Alcotest.test_case "load rejects corrupt" `Quick test_load_rejects_corrupt;
-    Alcotest.test_case "load rejects subject beyond corpus" `Quick
-      test_load_rejects_subject_beyond_corpus;
     Alcotest.test_case "builtin schedule" `Quick test_builtin_schedule;
     Alcotest.test_case "select closes over deps" `Quick
       test_select_closes_over_deps;

@@ -3,7 +3,6 @@ let () =
     [
       ("nat", Test_nat.tests);
       ("montgomery", Test_montgomery.tests);
-      ("zz", Test_zz.tests);
       ("prime", Test_prime.tests);
       ("hashes", Test_hashes.tests);
       ("entropy", Test_entropy.tests);

@@ -338,26 +338,37 @@ module Oracle = struct
         Hashtbl.replace memo c fp;
         fp
 
-  let label p (r : Sc.host_record) =
-    match Fingerprint.Attribution.cert_labels p.P.attribution with
-    | None -> None
-    | Some labels -> Option.join (Hashtbl.find_opt labels (fingerprint r.Sc.cert))
+  (* The labels are per certificate id: key them by fingerprint once,
+     and find a record's label through its certificate's fingerprint,
+     never through the record's interned id. *)
+  let label p =
+    let by_fp = Hashtbl.create 4096 in
+    Option.iter
+      (Array.iteri (fun c l ->
+           Hashtbl.replace by_fp (X509lite.Cert_store.fingerprint p.P.certs c) l))
+      (Fingerprint.Attribution.cert_labels p.P.attribution);
+    fun (r : Sc.host_record) ->
+      Option.join (Hashtbl.find_opt by_fp (fingerprint r.Sc.cert))
 
-  let vendor p r =
-    match label p r with
-    | Some l -> Some l.Fingerprint.Rules.vendor
-    | None -> (
-      match P.id_of p (modulus r) with
-      | None -> None
-      | Some id ->
-        Fingerprint.Attribution.vendor_of
-          ~use:[ Fingerprint.Evidence.Prime_clique; Fingerprint.Evidence.Shared_prime ]
-          p.P.attribution id)
+  let vendor p =
+    let label = label p in
+    fun r ->
+      match label r with
+      | Some l -> Some l.Fingerprint.Rules.vendor
+      | None -> (
+        match P.id_of p (modulus r) with
+        | None -> None
+        | Some id ->
+          Fingerprint.Attribution.vendor_of
+            ~use:[ Fingerprint.Evidence.Prime_clique; Fingerprint.Evidence.Shared_prime ]
+            p.P.attribution id)
 
-  let model p r =
-    match label p r with
-    | Some { Fingerprint.Rules.model_id = Some m; _ } -> Some m
-    | _ -> None
+  let model p =
+    let label = label p in
+    fun r ->
+      match label r with
+      | Some { Fingerprint.Rules.model_id = Some m; _ } -> Some m
+      | _ -> None
 
   let count ~keep ~vulnerable scans name =
     let points =
@@ -455,6 +466,7 @@ let report_vendors =
 
 let check_against_oracle what p =
   let vulnerable = P.is_vulnerable p in
+  let vendor_of = Oracle.vendor p and model_of = Oracle.model p in
   let series = Alcotest.testable (fun ppf (s : Ts.series) ->
       Format.fprintf ppf "%s: %s" s.Ts.name
         (String.concat " "
@@ -468,7 +480,7 @@ let check_against_oracle what p =
       Alcotest.check series
         (Printf.sprintf "%s: %s series" what vendor)
         (Oracle.count
-           ~keep:(fun r -> Oracle.vendor p r = Some vendor)
+           ~keep:(fun r -> vendor_of r = Some vendor)
            ~vulnerable p.P.monthly vendor)
         (P.vendor_series p vendor))
     report_vendors;
@@ -477,14 +489,14 @@ let check_against_oracle what p =
       let id = m.Netsim.Device_model.id in
       Alcotest.check series
         (Printf.sprintf "%s: model %s series" what id)
-        (Oracle.count ~keep:(fun r -> Oracle.model p r = Some id) ~vulnerable
+        (Oracle.count ~keep:(fun r -> model_of r = Some id) ~vulnerable
            p.P.monthly id)
         (P.model_series p id))
     Netsim.Device_model.cisco_eol_models;
   Alcotest.(check bool)
     (what ^ ": Juniper transitions")
     true
-    (Oracle.transitions ~label:(Oracle.vendor p) ~vulnerable p.P.monthly
+    (Oracle.transitions ~label:vendor_of ~vulnerable p.P.monthly
        "Juniper"
     = P.transitions p "Juniper");
   Alcotest.(check int)
@@ -862,7 +874,7 @@ module Attr_view = struct
       Printf.sprintf "%s=%s*%s" (hex f.Fingerprint.Factored.modulus)
         (hex f.Fingerprint.Factored.p) (hex f.Fingerprint.Factored.q)
     in
-    Worlds.artifact_lines p.P.attribution
+    Worlds.artifact_lines p.P.certs p.P.attribution
     @ [
         ("factored", List.map factored p.P.factored);
         ("unrecovered", List.map hex p.P.unrecovered);
@@ -994,9 +1006,16 @@ let test_attribution_extend_every_split () =
   done;
   Attr_view.check_equal ~what:"end of chain" union (Attr_view.by_value !p)
 
-(* A pipeline whose attribution table came from a checkpoint holds no
-   pass results, so extend runs every pass in full: the result equals a
-   full rerun over its ids and the delta extend of a computed parent. *)
+let stage_restored name (p : P.t) =
+  List.exists
+    (fun (tm : Weakkeys.Stage.timing) ->
+      tm.Weakkeys.Stage.stage = name && tm.Weakkeys.Stage.restored)
+    p.P.timings
+
+(* Only the GCD stage is checkpointed: a pipeline whose forest was
+   restored still computes its attribution, so it carries every pass
+   result and extends through the delta passes. The extend equals a
+   full rerun over its ids and the extend of a computed parent. *)
 let test_extend_after_checkpoint_restore () =
   let world = Lazy.force Worlds.small in
   let subset =
@@ -1008,18 +1027,125 @@ let test_extend_after_checkpoint_restore () =
   with_temp_dir (fun dir ->
       ignore (P.of_scans ~checkpoint_dir:dir world prefix);
       let restored = P.of_scans ~checkpoint_dir:dir world prefix in
-      Alcotest.(check bool) "attribution restored" true
-        (List.exists
-           (fun (tm : Weakkeys.Stage.timing) ->
-             tm.Weakkeys.Stage.stage = "attribution" && tm.Weakkeys.Stage.restored)
-           restored.P.timings);
-      Alcotest.(check int) "no pass results" 0
-        (List.length restored.P.pass_results);
+      Alcotest.(check bool) "batch GCD restored" true
+        (stage_restored "batchgcd" restored);
+      Alcotest.(check (list string)) "a result for every pass"
+        (List.sort String.compare
+           (List.map
+              (fun p -> p.Fingerprint.Pass.name)
+              Fingerprint.Registry.builtin))
+        (List.sort String.compare (List.map fst restored.P.pass_results));
       let pe = P.extend restored suffix in
       check_full_attribution ~what:"after restore" pe;
       Attr_view.check_equal ~what:"restored parent = computed parent"
         (Attr_view.by_value (P.extend (P.of_scans world prefix) suffix))
         (Attr_view.by_value pe))
+
+(* A checkpoint directory holds the GCD forest and nothing else. An
+   attribution.ckpt left there by an older version is neither read nor
+   rewritten: the forest restores and attribution is computed, equal by
+   value to the first run's. *)
+let test_stray_attribution_checkpoint () =
+  let world = Lazy.force Worlds.small in
+  let subset =
+    List.filteri (fun i _ -> i mod 12 = 0) (Lazy.force Worlds.small_scans)
+  in
+  with_temp_dir (fun dir ->
+      let first = P.of_scans ~checkpoint_dir:dir world subset in
+      Alcotest.(check (list string)) "only the GCD checkpoint"
+        [ "batchgcd.ckpt" ]
+        (Array.to_list (Sys.readdir dir));
+      let stray = Filename.concat dir "attribution.ckpt" in
+      let old =
+        "\000\000\000\064" ^ String.make 64 'a' ^ "an older attribution table"
+      in
+      Out_channel.with_open_bin stray (fun oc -> output_string oc old);
+      let p = P.of_scans ~checkpoint_dir:dir world subset in
+      Alcotest.(check bool) "batch GCD restored" true
+        (stage_restored "batchgcd" p);
+      Alcotest.(check (list bool)) "attribution computed, not restored"
+        [ false ]
+        (List.filter_map
+           (fun (tm : Weakkeys.Stage.timing) ->
+             if tm.Weakkeys.Stage.stage = "attribution" then
+               Some tm.Weakkeys.Stage.restored
+             else None)
+           p.P.timings);
+      Alcotest.(check string) "stray file untouched" old
+        (In_channel.with_open_bin stray In_channel.input_all);
+      Attr_view.check_equal ~what:"stray checkpoint"
+        (Attr_view.by_value first) (Attr_view.by_value p))
+
+(* Damaged GCD checkpoints read as a miss. batchgcd.ckpt is the key,
+   the "flat" or "sharded" tag, then the forest, whose last record is
+   the findings. Each damaged file below makes the stage recompute: no
+   exception escapes and the findings equal a fresh run's. A flipped
+   byte inside a Nat payload can still load, since no payload is
+   checksummed, so the flips stay in the key and the tag. Every damaged
+   file costs a batch GCD, so the world is a fifth of the small one. *)
+let test_gcd_checkpoint_fuzz () =
+  let world = W.build { Worlds.small_config with W.scale = 0.01 } in
+  let scans = Sc.run_all world in
+  List.iter
+    (fun (tag, shards) ->
+      with_temp_dir (fun dir ->
+          let run () = P.of_scans ?shards ~checkpoint_dir:dir world scans in
+          let fresh = run () in
+          let path = Filename.concat dir "batchgcd.ckpt" in
+          let good = In_channel.with_open_bin path In_channel.input_all in
+          let len = String.length good in
+          let int_at i = Int32.to_int (String.get_int32_be good i) in
+          let tag_at = 4 + int_at 0 in
+          Alcotest.(check string) (tag ^ ": tag") tag
+            (String.sub good (tag_at + 4) (int_at tag_at));
+          let nf = List.length fresh.P.findings in
+          Alcotest.(check bool) (tag ^ ": has findings") true (nf > 0);
+          let nf_at =
+            List.fold_left
+              (fun at (f : BG.finding) ->
+                let nat n = 4 + String.length (N.to_bytes_be n) in
+                at - 4 - nat f.BG.modulus - nat f.BG.divisor)
+              (len - 4) fresh.P.findings
+          in
+          Alcotest.(check int) (tag ^ ": findings count field") nf (int_at nf_at);
+          let set_int i v =
+            let b = Bytes.of_string good in
+            Bytes.set_int32_be b i (Int32.of_int v);
+            Bytes.to_string b
+          in
+          let flip i =
+            let b = Bytes.of_string good in
+            Bytes.set b i (Char.chr (Char.code good.[i] lxor 0x20));
+            Bytes.to_string b
+          in
+          let prefix n = String.sub good 0 n in
+          List.iter
+            (fun (what, bytes) ->
+              let what = tag ^ ": " ^ what in
+              Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+              let p = run () in
+              Alcotest.(check bool) (what ^ " misses") false
+                (stage_restored "batchgcd" p);
+              Alcotest.(check bool) (what ^ ": findings = fresh") true
+                (BG.findings_equal fresh.P.findings p.P.findings))
+            [
+              ("empty file", prefix 0);
+              ("truncated in the key's length", prefix 2);
+              ("truncated in the key", prefix (tag_at / 2));
+              ("truncated in the tag", prefix (tag_at + 5));
+              ("truncated mid-payload", prefix ((tag_at + len) / 2));
+              ("last byte dropped", prefix (len - 1));
+              ("findings count - 1", set_int nf_at (nf - 1));
+              ("findings count + 1", set_int nf_at (nf + 1));
+              ("findings count 2^30 - 1", set_int nf_at 0x3FFFFFFF);
+              ("first key byte flipped", flip 4);
+              ("last key byte flipped", flip (tag_at - 1));
+              ("tag length flipped", flip (tag_at + 3));
+              ("tag byte flipped", flip (tag_at + 4));
+            ];
+          Alcotest.(check bool) (tag ^ ": rewritten checkpoint restores") true
+            (stage_restored "batchgcd" (run ()))))
+    [ ("flat", None); ("sharded", Some 4) ]
 
 let tests =
   [
@@ -1063,4 +1189,7 @@ let tests =
       test_attribution_extend_every_split;
     Alcotest.test_case "extend after checkpoint restore = full" `Slow
       test_extend_after_checkpoint_restore;
+    Alcotest.test_case "stray attribution checkpoint ignored" `Slow
+      test_stray_attribution_checkpoint;
+    Alcotest.test_case "GCD checkpoint fuzz" `Slow test_gcd_checkpoint_fuzz;
   ]

@@ -17,9 +17,10 @@ let gen_of seed =
   fun n -> String.init n (fun _ -> Char.chr (Random.State.int st 256))
 
 (* Every attribution artifact, one line per entry in the artifact's own
-   order (certificate labels, a hash table, sorted by fingerprint), with
-   values in place of ids: "absent" when the owning pass did not run. *)
-let artifact_lines attr =
+   order (certificate labels, by id, sorted by their fingerprint in
+   [certs]), with values in place of ids: "absent" when the owning pass
+   did not run. *)
+let artifact_lines certs attr =
   let module A = Fingerprint.Attribution in
   let opt = Option.value ~default:"-" in
   let hex = Bignum.Nat.to_hex in
@@ -30,17 +31,18 @@ let artifact_lines attr =
   [
     ( "certificate labels",
       section
-        (fun h ->
-          Hashtbl.fold
-            (fun fp l acc ->
-              (fp ^ "="
-              ^
-              match l with
-              | None -> "-"
-              | Some { Fingerprint.Rules.vendor; model_id } ->
-                vendor ^ "/" ^ opt model_id)
-              :: acc)
-            h []
+        (fun labels ->
+          Array.to_list
+            (Array.mapi
+               (fun c l ->
+                 X509lite.Cert_store.fingerprint certs c
+                 ^ "="
+                 ^
+                 match l with
+                 | None -> "-"
+                 | Some { Fingerprint.Rules.vendor; model_id } ->
+                   vendor ^ "/" ^ opt model_id)
+               labels)
           |> List.sort String.compare)
         (A.cert_labels attr) );
     ( "cliques",
