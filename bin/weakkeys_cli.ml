@@ -4,15 +4,28 @@
      report  - run the full study and print every table and figure
      table   - print one of the paper's tables (1-5)
      figure  - print one of the paper's figures (1-10)
-     factor  - batch-GCD a file of hex moduli (one per line)
-     ingest  - batch-GCD a moduli file and write a checkpoint directory
-     extend  - fold new moduli into an existing checkpoint incrementally
-     keygen  - generate demonstration keys under an entropy profile
-     world   - build the simulated internet and print summary stats *)
+     factor  - batch-GCD a file of moduli (one per line, hex or decimal)
+     ingest  - batch-GCD a moduli file and keep its forest in DIR/gcd.ckpt
+     extend  - fold new moduli into DIR/gcd.ckpt incrementally
+     keygen  - print demonstration moduli (0x hex) under an entropy profile
+     passes  - list the attribution passes
+     export  - write the study's records, moduli and series as files
+     world   - build the simulated internet and print summary stats
+
+   Input errors (a malformed moduli line, a missing or damaged
+   checkpoint, --shards below 1, a key size keygen cannot make) print
+   one line on stderr and exit with code 2. *)
 
 module N = Bignum.Nat
-let ( let* ) = Result.bind
-let _ = ( let* )
+module Pipeline = Weakkeys.Pipeline
+
+(* Every input error ends the same way: one line on stderr, exit 2. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("weakkeys: " ^ msg);
+      exit 2)
+    fmt
 
 open Cmdliner
 
@@ -37,9 +50,7 @@ let shards_arg =
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"S" ~doc)
 
 let checked_shards = function
-  | Some s when s < 1 ->
-    Printf.eprintf "weakkeys: --shards %d is not a positive count\n%!" s;
-    exit 2
+  | Some s when s < 1 -> fail "--shards %d is not a positive count" s
   | shards -> shards
 
 let quiet_arg =
@@ -53,7 +64,7 @@ let progress_of quiet =
   if quiet then fun _ -> () else fun m -> Printf.eprintf "[weakkeys] %s\n%!" m
 
 let run_pipeline ?shards ?checkpoint_dir ?only_passes seed scale quiet =
-  Weakkeys.Pipeline.run ~progress:(progress_of quiet) ?shards
+  Pipeline.run ~progress:(progress_of quiet) ?shards
     ?checkpoint_dir ?only_passes (config_of seed scale)
 
 (* ------------- report ------------- *)
@@ -94,11 +105,8 @@ let report_cmd =
         ?only_passes:(only_passes_of only_pass) seed scale quiet
     with
     | exception Fingerprint.Registry.Unknown_pass name ->
-      Printf.eprintf
-        "weakkeys: unknown attribution pass `%s` (list them with \
-         `weakkeys passes`)\n%!"
-        name;
-      exit 2
+      fail "unknown attribution pass `%s` (list them with `weakkeys passes`)"
+        name
     | p ->
       if not quiet then
         List.iter
@@ -106,7 +114,7 @@ let report_cmd =
             Printf.eprintf "[weakkeys] stage %-12s %6.2fs%s\n%!"
               tm.Weakkeys.Stage.stage tm.Weakkeys.Stage.seconds
               (if tm.Weakkeys.Stage.restored then " (restored)" else ""))
-          p.Weakkeys.Pipeline.timings;
+          p.Pipeline.timings;
       print_string (Weakkeys.Report.full_report p)
   in
   Cmd.v
@@ -173,28 +181,42 @@ let moduli_file_arg =
   Arg.(
     required & pos 0 (some string) None
     & info [] ~docv:"FILE"
-        ~doc:"File of moduli, one per line, hex (0x optional) or decimal. \
-              Use - for stdin.")
+        ~doc:"File of moduli, one per line, hex (0x optional) or decimal; \
+              lines starting with # are comments. Use - for stdin.")
+
+(* A line with a hex letter and no 0x prefix is hex; any other line
+   is read by [N.of_string] (0x hex, else decimal). *)
+let parse_modulus line =
+  let prefixed =
+    String.length line >= 2 && line.[0] = '0' && (line.[1] = 'x' || line.[1] = 'X')
+  in
+  let hex_letter = function 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  N.of_string
+    (if String.exists hex_letter line && not prefixed then "0x" ^ line else line)
+
+exception Bad_line of int * string
 
 let read_moduli file =
-  let ic = if file = "-" then stdin else open_in file in
-  let moduli = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then begin
-         let n =
-           if String.length line > 2 && line.[0] = '0' && line.[1] = 'x' then
-             N.of_string line
-           else if String.exists (function 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) line
-           then N.of_string ("0x" ^ line)
-           else N.of_string line
-         in
-         moduli := n :: !moduli
-       end
-     done
-   with End_of_file -> if file <> "-" then close_in ic);
-  Array.of_list (List.rev !moduli)
+  let read ic =
+    let rec go lineno acc =
+      match In_channel.input_line ic with
+      | None -> Array.of_list (List.rev acc)
+      | Some line ->
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then go (lineno + 1) acc
+        else
+          match parse_modulus line with
+          | n -> go (lineno + 1) (n :: acc)
+          | exception Invalid_argument _ -> raise (Bad_line (lineno, line))
+    in
+    go 1 []
+  in
+  match if file = "-" then read stdin else In_channel.with_open_text file read with
+  | moduli -> moduli
+  | exception Sys_error msg -> fail "cannot read moduli: %s" msg
+  | exception Bad_line (lineno, line) ->
+    fail "%s:%d: not a modulus: %s" (if file = "-" then "<stdin>" else file)
+      lineno line
 
 let print_findings ~total findings =
   Printf.printf "# %d of %d moduli share factors\n" (List.length findings) total;
@@ -226,149 +248,98 @@ let factor_cmd =
     (Cmd.info "factor" ~doc:"Batch-GCD a file of RSA moduli.")
     Term.(const run $ moduli_file_arg $ k_arg)
 
-(* [ingest] and [extend] keep the product-tree forest of
-   [Batchgcd.Incremental] in DIR/incremental.ckpt, so folding next
-   month's moduli in costs one delta tree plus remainder descents
-   instead of a full recompute. With --shards the state is instead a
-   [Batchgcd.Sharded] checkpoint, one file DIR/sweep; [extend] tells
-   the two apart by whether DIR/sweep exists. *)
+(* [ingest] and [extend] keep the batch-GCD state in one file,
+   DIR/gcd.ckpt: the product-tree forest ({!Pipeline.save_gcd}), cut
+   into id-range shards with --shards. Folding next month's moduli in
+   costs one delta tree plus remainder descents instead of a full
+   recompute, in whichever mode the state was ingested. *)
 
 let ckpt_req_arg =
   let doc = "Checkpoint directory holding the cached batch-GCD state." in
   Arg.(required & opt (some string) None & info [ "ckpt" ] ~docv:"DIR" ~doc)
 
-let state_path dir = Filename.concat dir "incremental.ckpt"
+let state_file dir = Filename.concat dir "gcd.ckpt"
 
-let save_state dir inc =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = state_path dir in
-  Corpus.Io.write_atomic path (fun oc -> Batchgcd.Incremental.save oc inc);
-  path
+(* The moduli of [file] not in [known] (distinct moduli), each once, in
+   file order. *)
+let fresh_moduli known file =
+  let store = Corpus.Store.create ~size:(2 * Array.length known) () in
+  Array.iter (fun m -> ignore (Corpus.Store.intern store m)) known;
+  let before = Corpus.Store.size store in
+  Array.iter (fun m -> ignore (Corpus.Store.intern store m)) (read_moduli file);
+  Array.init (Corpus.Store.size store - before) (fun i ->
+      Corpus.Store.get store (before + i))
 
+(* A missing, damaged or older-format checkpoint is a one-line error,
+   not an uncaught exception. *)
 let load_state dir =
-  In_channel.with_open_bin (state_path dir) (fun ic ->
-      let inc = Batchgcd.Incremental.load ic in
-      Corpus.Io.expect_end ic;
-      inc)
+  let file = state_file dir in
+  match
+    In_channel.with_open_bin file (fun ic ->
+        let g = Pipeline.load_gcd ic in
+        Corpus.Io.expect_end ic;
+        g)
+  with
+  | g -> g
+  | exception Sys_error _
+    when List.exists
+           (fun old -> Sys.file_exists (Filename.concat dir old))
+           [ "incremental.ckpt"; "sweep" ] ->
+    fail "%s holds an older-format checkpoint; ingest the moduli again" dir
+  | exception Sys_error msg -> fail "cannot read checkpoint: %s" msg
+  | exception (Corpus.Io.Corrupt _ | End_of_file) ->
+    fail "%s is damaged or older-format; ingest the moduli again" file
 
-(* The moduli of [file] for which [known] is false, each once, in file
-   order. *)
-let fresh_moduli ?(known = fun _ -> false) file =
-  let store = Corpus.Store.create () in
-  Array.iter
-    (fun m -> if not (known m) then ignore (Corpus.Store.intern store m))
-    (read_moduli file);
-  Corpus.Store.to_array store
-
-(* Membership in an incremental checkpoint's corpus, which keeps no
-   index of its own. *)
-let known_in corpus =
-  let store = Corpus.Store.create ~size:(2 * Array.length corpus) () in
-  Array.iter (fun m -> ignore (Corpus.Store.intern store m)) corpus;
-  Corpus.Store.mem store
+(* Write [g] to DIR/gcd.ckpt and print its findings; [before] is the
+   finding count of the state it grew from. *)
+let save_state dir ~before g =
+  let file = state_file dir in
+  (try
+     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+     Corpus.Io.write_atomic file (fun oc -> Pipeline.save_gcd oc g)
+   with Sys_error msg -> fail "cannot write checkpoint: %s" msg);
+  let findings = Pipeline.gcd_findings g in
+  Printf.eprintf "[weakkeys] wrote %s (%d segments, +%d findings)\n%!" file
+    (Pipeline.gcd_segment_count g)
+    (List.length findings - before);
+  print_findings ~total:(Pipeline.gcd_corpus_size g) findings
 
 let ingest_cmd =
   let run ckpt file shards =
-    let arr = fresh_moduli file in
-    match checked_shards shards with
-    | Some shards ->
-      let stride = Batchgcd.Sharded.stride_for ~shards (Array.length arr) in
-      Printf.eprintf
-        "[weakkeys] ingesting %d distinct moduli (sharded, stride=%d)\n%!"
-        (Array.length arr) stride;
-      let sh = Batchgcd.Sharded.create ~stride arr in
-      Batchgcd.Sharded.save_dir sh ckpt;
-      Printf.eprintf "[weakkeys] wrote %s (%d shards)\n%!" ckpt
-        (Batchgcd.Sharded.shard_count sh);
-      print_findings
-        ~total:(Batchgcd.Sharded.corpus_size sh)
-        (Batchgcd.Sharded.findings sh)
-    | None ->
-      Printf.eprintf "[weakkeys] ingesting %d distinct moduli\n%!"
-        (Array.length arr);
-      let inc = Batchgcd.Incremental.create arr in
-      let path = save_state ckpt inc in
-      Printf.eprintf "[weakkeys] wrote %s (%d segments)\n%!" path
-        (Batchgcd.Incremental.segment_count inc);
-      print_findings
-        ~total:(Batchgcd.Incremental.corpus_size inc)
-        (Batchgcd.Incremental.findings inc)
+    let shards = checked_shards shards in
+    let fresh = fresh_moduli [||] file in
+    Printf.eprintf "[weakkeys] ingesting %d distinct moduli\n%!"
+      (Array.length fresh);
+    save_state ckpt ~before:0
+      (Pipeline.gcd_create ~pool:(Parallel.Pool.get ()) ?shards fresh)
   in
   Cmd.v
     (Cmd.info "ingest"
        ~doc:
          "Batch-GCD a file of RSA moduli and cache the product-tree forest \
-          in a checkpoint directory for later 'extend' runs. With --shards, \
-          the forest is cut into id-range shards.")
+          in DIR/gcd.ckpt for later 'extend' runs. With --shards, the \
+          forest is cut into id-range shards.")
     Term.(
       const run $ ckpt_req_arg $ moduli_file_arg $ shards_arg)
 
-(* A missing, damaged or older-format checkpoint is a one-line error,
-   not an uncaught exception. *)
-let load_or_exit load ckpt =
-  match load ckpt with
-  | v -> v
-  | exception Sys_error msg ->
-    Printf.eprintf "weakkeys: cannot read checkpoint: %s\n%!" msg;
-    exit 2
-  | exception (Corpus.Io.Corrupt _ | End_of_file) ->
-    Printf.eprintf
-      "weakkeys: %s holds a damaged or older-format checkpoint; ingest the \
-       moduli again\n%!"
-      ckpt;
-    exit 2
-
 let extend_cmd =
   let run ckpt file =
-    if Batchgcd.Sharded.is_dir_checkpoint ckpt then begin
-      let sh = load_or_exit Batchgcd.Sharded.load_dir ckpt in
-      let old_findings = List.length (Batchgcd.Sharded.findings sh) in
-      let fresh =
-        fresh_moduli ~known:(fun m -> Batchgcd.Sharded.find sh m <> None) file
-      in
-      Printf.eprintf
-        "[weakkeys] extending %d-modulus sharded corpus with %d new moduli\n%!"
-        (Batchgcd.Sharded.corpus_size sh) (Array.length fresh);
-      let sh = Batchgcd.Sharded.extend sh fresh in
-      List.iter
-        (fun (name, jobs) ->
-          Printf.eprintf "[weakkeys] %s: %d shard-boundary chunks\n%!" name
-            jobs)
-        (Batchgcd.Sharded.backend_uses sh);
-      Batchgcd.Sharded.save_dir sh ckpt;
-      Printf.eprintf "[weakkeys] wrote %s (%d shards, +%d findings)\n%!" ckpt
-        (Batchgcd.Sharded.shard_count sh)
-        (List.length (Batchgcd.Sharded.findings sh) - old_findings);
-      print_findings
-        ~total:(Batchgcd.Sharded.corpus_size sh)
-        (Batchgcd.Sharded.findings sh)
-    end
-    else begin
-      let inc = load_or_exit load_state ckpt in
-      let old_findings = List.length (Batchgcd.Incremental.findings inc) in
-      let fresh =
-        fresh_moduli ~known:(known_in (Batchgcd.Incremental.corpus inc)) file
-      in
-      Printf.eprintf
-        "[weakkeys] extending %d-modulus corpus with %d new moduli\n%!"
-        (Batchgcd.Incremental.corpus_size inc) (Array.length fresh);
-      let inc = Batchgcd.Incremental.extend inc fresh in
-      let path = save_state ckpt inc in
-      Printf.eprintf "[weakkeys] wrote %s (%d segments, +%d findings)\n%!" path
-        (Batchgcd.Incremental.segment_count inc)
-        (List.length (Batchgcd.Incremental.findings inc) - old_findings);
-      print_findings
-        ~total:(Batchgcd.Incremental.corpus_size inc)
-        (Batchgcd.Incremental.findings inc)
-    end
+    let g = load_state ckpt in
+    let fresh = fresh_moduli (Pipeline.gcd_corpus g) file in
+    Printf.eprintf
+      "[weakkeys] extending %d-modulus corpus with %d new moduli\n%!"
+      (Pipeline.gcd_corpus_size g) (Array.length fresh);
+    save_state ckpt
+      ~before:(List.length (Pipeline.gcd_findings g))
+      (Pipeline.gcd_extend ~pool:(Parallel.Pool.get ()) g fresh)
   in
   Cmd.v
     (Cmd.info "extend"
        ~doc:
          "Fold new moduli into a checkpointed corpus via incremental batch \
           GCD; no cached product tree is rebuilt, findings match a \
-          from-scratch run over the union. Sharded checkpoints are \
-          auto-detected and extended in place.")
+          from-scratch run over the union. A sharded state stays \
+          sharded.")
     Term.(const run $ ckpt_req_arg $ moduli_file_arg)
 
 (* ------------- keygen ------------- *)
@@ -391,14 +362,18 @@ let keygen_cmd =
       if entropy >= 64 then Entropy.Device_rng.healthy "cli"
       else Entropy.Device_rng.vulnerable_shared_prime "cli" ~bits:entropy
     in
-    for i = 1 to count do
+    let key i =
       let rng =
         Entropy.Device_rng.boot profile
           ~device_unique:(Printf.sprintf "cli-%d" i)
           ~boot_state:(i * 6151)
       in
-      let k = Rsa.Keypair.generate_on_device ~rng ~bits () in
-      Printf.printf "%s\n" (N.to_hex k.Rsa.Keypair.pub.Rsa.Keypair.n)
+      Rsa.Keypair.generate_on_device ~rng ~bits ()
+    in
+    for i = 1 to count do
+      match key i with
+      | k -> Printf.printf "0x%s\n" (N.to_hex k.Rsa.Keypair.pub.Rsa.Keypair.n)
+      | exception Invalid_argument msg -> fail "keygen: %s" msg
     done
   in
   Cmd.v
@@ -426,15 +401,15 @@ let export_cmd =
       Printf.eprintf "[weakkeys] wrote %s\n%!" (Filename.concat out name)
     in
     write "host_records.csv"
-      (Analysis.Export.host_records_csv p.Weakkeys.Pipeline.certs
-         p.Weakkeys.Pipeline.scan_ids);
-    write "moduli.txt" (Analysis.Export.moduli_lines p.Weakkeys.Pipeline.corpus);
-    write "findings.csv" (Analysis.Export.findings_csv p.Weakkeys.Pipeline.findings);
+      (Analysis.Export.host_records_csv p.Pipeline.certs
+         p.Pipeline.scan_ids);
+    write "moduli.txt" (Analysis.Export.moduli_lines p.Pipeline.corpus);
+    write "findings.csv" (Analysis.Export.findings_csv p.Pipeline.findings);
     write "overall.csv"
       (Analysis.Export.series_csv
          (Analysis.Timeseries.overall
-            ~vulnerable:p.Weakkeys.Pipeline.vuln_index
-            p.Weakkeys.Pipeline.monthly_ids));
+            ~vulnerable:p.Pipeline.vuln_index
+            p.Pipeline.monthly_ids));
     List.iter
       (fun vendor ->
         let fname =
@@ -443,7 +418,7 @@ let export_cmd =
           ^ ".csv"
         in
         write fname
-          (Analysis.Export.series_csv (Weakkeys.Pipeline.vendor_series p vendor)))
+          (Analysis.Export.series_csv (Pipeline.vendor_series p vendor)))
       [ "Juniper"; "Innominate"; "IBM"; "Cisco"; "HP"; "Technicolor"; "AVM";
         "Linksys"; "Fortinet"; "ZyXEL"; "Dell"; "Kronos"; "Xerox"; "McAfee";
         "TP-Link"; "ADTRAN"; "D-Link"; "Huawei"; "Sangfor"; "Schmid Telecom" ]

@@ -44,7 +44,7 @@ let () =
   List.iter
     (fun k ->
       let (r, t_wall) = wall (fun () -> BG.factor_subsets ~k moduli) in
-      let (_, t_cpu) = time (fun () -> BG.factor_subsets ~domains:1 ~k moduli) in
+      let (_, t_cpu) = time (fun () -> BG.factor_subsets ~pool:(Parallel.Pool.get ~domains:1 ()) ~k moduli) in
       Printf.printf
         "k=%-3d subsets:              %5.2fs wall, %5.2fs 1-domain cpu, %s\n%!"
         k t_wall t_cpu

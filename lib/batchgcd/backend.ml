@@ -1,7 +1,6 @@
 type t = {
   factor :
     ?pool:Parallel.Pool.t ->
-    ?domains:int ->
     Bignum.Nat.t array ->
     Batch_gcd.finding list;
 }
@@ -11,8 +10,7 @@ let tree = { factor = Batch_gcd.factor_batch }
 let ksubset_k k =
   {
     factor =
-      (fun ?pool ?domains moduli ->
-        Batch_gcd.factor_subsets ?pool ?domains ~k moduli);
+      (fun ?pool moduli -> Batch_gcd.factor_subsets ?pool ~k moduli);
   }
 
 let factor b = b.factor

@@ -19,6 +19,5 @@ val ksubset_k : int -> t
 val factor :
   t ->
   ?pool:Parallel.Pool.t ->
-  ?domains:int ->
   Bignum.Nat.t array ->
   Batch_gcd.finding list

@@ -3,9 +3,6 @@ module Pool = Parallel.Pool
 
 type finding = { index : int; modulus : N.t; divisor : N.t }
 
-let resolve_pool pool domains =
-  match pool with Some p -> p | None -> Pool.get ?domains ()
-
 let dedup moduli =
   let store = Corpus.Store.create ~size:(Array.length moduli) () in
   Array.iter (fun m -> ignore (Corpus.Store.intern store m)) moduli;
@@ -58,10 +55,10 @@ let own_subset_component m z =
 (* The single-tree sweep every forest is seeded from: one product tree,
    one mod-square descent from its root, one leaf gcd per modulus.
    [n] must be positive. *)
-let sweep ~pool moduli =
-  let tree = Product_tree.build ~pool moduli in
+let sweep ?pool moduli =
+  let tree = Product_tree.build ?pool moduli in
   let zs =
-    Remainder_tree.remainders_mod_square ~pool tree (Product_tree.root tree)
+    Remainder_tree.remainders_mod_square ?pool tree (Product_tree.root tree)
   in
   (* The leaf step the whole pipeline funnels into: one N.gcd per
      modulus, at modulus-sized operands — N.gcd dispatches these to
@@ -72,22 +69,21 @@ let sweep ~pool moduli =
   in
   (tree, collect divisors moduli)
 
-let factor_forest ?pool ?domains ~segment moduli =
+let factor_forest ?pool ~segment moduli =
   if Array.length moduli = 0 then ([||], [])
   else begin
-    let tree, findings = sweep ~pool:(resolve_pool pool domains) moduli in
+    let tree, findings = sweep ?pool moduli in
     (Product_tree.cut tree ~size:segment, findings)
   end
 
-let factor_batch ?pool ?domains moduli =
+let factor_batch ?pool moduli =
   if Array.length moduli = 0 then []
-  else snd (sweep ~pool:(resolve_pool pool domains) moduli)
+  else snd (sweep ?pool moduli)
 
-let factor_subsets ?pool ?domains ~k moduli =
+let factor_subsets ?pool ~k moduli =
   let n = Array.length moduli in
   if n = 0 then []
   else begin
-    let pool = resolve_pool pool domains in
     let k = Stdlib.max 1 (Stdlib.min k n) in
     (* Contiguous split; subset s covers [starts.(s), starts.(s+1)). *)
     let starts =
@@ -99,7 +95,7 @@ let factor_subsets ?pool ?domains ~k moduli =
        (k = 1, or a single huge subset) still scales. Nested calls
        from inside pool workers degrade to serial automatically. *)
     let trees =
-      Pool.map ~pool (fun s -> Product_tree.build ~pool (subset s))
+      Pool.map ?pool (fun s -> Product_tree.build ?pool (subset s))
         (Array.init k (fun s -> s))
     in
     let products = Array.map Product_tree.root trees in
@@ -114,12 +110,12 @@ let factor_subsets ?pool ?domains ~k moduli =
         if i = j then
           Array.mapi
             (fun l z -> own_subset_component (Product_tree.leaves tree).(l) z)
-            (Remainder_tree.remainders_mod_square ~pool tree products.(j))
-        else Remainder_tree.remainders ~pool tree products.(j)
+            (Remainder_tree.remainders_mod_square ?pool tree products.(j))
+        else Remainder_tree.remainders ?pool tree products.(j)
       in
       (i, contributions)
     in
-    let pieces = Pool.map ~pool job jobs in
+    let pieces = Pool.map ?pool job jobs in
     (* For global index g in subset i, the divisor is
        gcd(m, prod over j of contribution_ij mod m) — identical to the
        single-tree accumulation. *)

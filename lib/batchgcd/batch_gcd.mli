@@ -35,15 +35,13 @@ val naive_pairwise_hits : Bignum.Nat.t array -> (int * int * Bignum.Nat.t) list
     sets. *)
 
 val factor_batch :
-  ?pool:Parallel.Pool.t -> ?domains:int -> Bignum.Nat.t array -> finding list
+  ?pool:Parallel.Pool.t -> Bignum.Nat.t array -> finding list
 (** Single product tree + remainder tree, with level-parallel kernels
-    run on [pool] ([domains] sizes a memoized pool when no explicit
-    pool is given; default {!Parallel.Pool.default_domains}). The same
-    sweep seeds every segment forest. *)
+    run on [pool] (default: the process-wide {!Parallel.Pool.get}
+    pool). The same sweep seeds every segment forest. *)
 
 val factor_subsets :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int -> k:int -> Bignum.Nat.t array -> finding list
+  ?pool:Parallel.Pool.t -> k:int -> Bignum.Nat.t array -> finding list
 (** The distributed variant: split the input into [k] subsets, build a
     product per subset, and reduce every product through every
     subset's tree ([k^2] jobs, run on the domain pool). [k] is clamped
@@ -56,7 +54,6 @@ val findings_equal : finding list -> finding list -> bool
 
 val factor_forest :
   ?pool:Parallel.Pool.t ->
-  ?domains:int ->
   segment:int ->
   Bignum.Nat.t array ->
   (int * Product_tree.t) array * finding list

@@ -51,10 +51,10 @@ let segment_size n =
   let rec grow s = if 2 * s * min_segments <= n then grow (2 * s) else s in
   grow 1
 
-let create ?pool ?domains moduli =
+let create ?pool moduli =
   let n = Array.length moduli in
   let segments, findings =
-    BG.factor_forest ?pool ?domains ~segment:(segment_size n) moduli
+    BG.factor_forest ?pool ~segment:(segment_size n) moduli
   in
   { total = n; segments; findings }
 
@@ -128,14 +128,12 @@ let split_below stop findings =
   in
   go [] findings
 
-let extend ?pool ?domains t fresh =
+let extend ?pool t fresh =
   let nf = Array.length fresh in
   if nf = 0 then t
-  else if t.total = 0 then create ?pool ?domains fresh
+  else if t.total = 0 then create ?pool fresh
   else begin
-    let pool =
-      match pool with Some p -> p | None -> Pool.get ?domains ()
-    in
+    let pool = match pool with Some p -> p | None -> Pool.get () in
     let tn = PT.build ~pool fresh in
     let fresh_contributions, descended = merge_delta ~pool t tn in
     (* Only the fresh moduli and the leaves of segments that descended

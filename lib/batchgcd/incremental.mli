@@ -32,14 +32,13 @@ type t
     were first presented, so finding indexes are stable across
     {!extend} calls. *)
 
-val create : ?pool:Parallel.Pool.t -> ?domains:int -> Bignum.Nat.t array -> t
+val create : ?pool:Parallel.Pool.t -> Bignum.Nat.t array -> t
 (** Initial run: one single-tree sweep ({!Batch_gcd.factor_forest}),
     its tree kept as the forest's first segments — the subtrees of
     the largest power-of-two size [s] with [n >= 16 * s], so 16 to 32
     segments from 16 moduli up, and one per modulus below 32. *)
 
-val extend :
-  ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t
+val extend : ?pool:Parallel.Pool.t -> t -> Bignum.Nat.t array -> t
 (** [extend t fresh] folds a batch of new moduli into the corpus as
     one new segment tree, with remainder trees only and no old tree
     rebuilt. Every segment root descends the fresh tree and the fresh

@@ -46,25 +46,25 @@ let intern_delta store base fresh =
    offsets are multiples of the stride, so each shard's tree is a
    subtree of the corpus tree, and the levels above the cut are the
    tree over the shard roots. *)
-let create ?pool ?domains ?(stride = default_stride) moduli =
+let create ?pool ?(stride = default_stride) moduli =
   if not (is_pow2 stride) then
     invalid_arg "Batchgcd.Sharded.create: stride must be a power of two";
   let n = Array.length moduli in
   let store = Store.create ~size:(Stdlib.min n 65536) () in
   intern_delta store 0 moduli;
   let segments, findings =
-    BG.factor_forest ?pool ?domains ~segment:stride moduli
+    BG.factor_forest ?pool ~segment:stride moduli
   in
   let uses = if n = 0 then [] else [ ("tree", Array.length segments) ] in
   { stride; store; forest = Inc.of_segments ~findings segments; uses }
 
-let extend ?pool ?domains t fresh =
+let extend ?pool t fresh =
   let nf = Array.length fresh in
   let total = corpus_size t in
   if nf = 0 then t
-  else if total = 0 then create ?pool ?domains ~stride:t.stride fresh
+  else if total = 0 then create ?pool ~stride:t.stride fresh
   else begin
-    let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
+    let pool = match pool with Some p -> p | None -> Pool.get () in
     intern_delta t.store total fresh;
     (* Chunk the delta at shard boundaries: top up the tail shard,
        then whole strides. Each chunk is folded in by
@@ -138,5 +138,3 @@ let load_dir dir =
       let t = load ic in
       Io.expect_end ic;
       t)
-
-let is_dir_checkpoint dir = Sys.file_exists (sweep_file dir)

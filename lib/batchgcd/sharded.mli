@@ -29,7 +29,6 @@ val default_stride : int
 
 val create :
   ?pool:Parallel.Pool.t ->
-  ?domains:int ->
   ?stride:int ->
   Bignum.Nat.t array ->
   t
@@ -43,8 +42,7 @@ val stride_for : shards:int -> int -> int
     splits [n] ids into at most [shards] shards.
     @raise Invalid_argument when [shards < 1]. *)
 
-val extend :
-  ?pool:Parallel.Pool.t -> ?domains:int -> t -> Bignum.Nat.t array -> t
+val extend : ?pool:Parallel.Pool.t -> t -> Bignum.Nat.t array -> t
 (** Fold new moduli in: the delta is chunked at shard boundaries (tail
     shard topped up first, then whole strides) and each chunk folded
     through the corpus-wide forest by {!Incremental.extend}'s
@@ -96,7 +94,3 @@ val save_dir : t -> string -> unit
 val load_dir : string -> t
 (** Read [dir/sweep] back; bytes after the stream are corruption.
     @raise Corpus.Io.Corrupt on a damaged file. *)
-
-val is_dir_checkpoint : string -> bool
-(** Whether a directory holds a {!save_dir} checkpoint (the CLI's
-    auto-detect between sharded and single-file incremental state). *)

@@ -19,12 +19,31 @@ module Ts = Analysis.Timeseries
 (* The cached GCD artifact: the segment forest, or the same forest cut
    at a shard stride when the run asked for [shards]. Both carry the
    forest and the findings; extend continues in whichever mode the
-   state is in. *)
+   state is in. The gcd_* functions below are the only code outside
+   lib/batchgcd that tells the two apart. *)
 type gcd_state = Flat of Inc.t | Sharded of Sh.t
+
+(* The stride [gcd_create] cuts an [n]-modulus corpus at, if any. *)
+let gcd_stride ?shards n =
+  Option.map (fun shards -> Sh.stride_for ~shards n) shards
+
+let gcd_create ~pool ?shards corpus =
+  match gcd_stride ?shards (Array.length corpus) with
+  | None -> Flat (Inc.create ~pool corpus)
+  | Some stride -> Sharded (Sh.create ~pool ~stride corpus)
+
+let gcd_extend ~pool g fresh =
+  match g with
+  | Flat inc -> Flat (Inc.extend ~pool inc fresh)
+  | Sharded sh -> Sharded (Sh.extend ~pool sh fresh)
 
 let gcd_findings = function
   | Flat inc -> Inc.findings inc
   | Sharded sh -> Sh.findings sh
+
+let gcd_corpus = function
+  | Flat inc -> Inc.corpus inc
+  | Sharded sh -> Sh.corpus sh
 
 let gcd_corpus_size = function
   | Flat inc -> Inc.corpus_size inc
@@ -348,25 +367,21 @@ let of_scans ?progress ?shards ?domains ?checkpoint_dir
         (https_moduli_of store seen scan_ids, seen))
   in
   let corpus = Store.to_array store in
+  let stride = gcd_stride ?shards (Array.length corpus) in
+  say
+    (Printf.sprintf "batch GCD over %d distinct moduli (%s%d domains)"
+       (Array.length corpus)
+       (match stride with
+       | None -> ""
+       | Some s -> Printf.sprintf "sharded, stride=%d, " s)
+       (Parallel.Pool.size pool));
+  let tag =
+    match stride with None -> "" | Some s -> Printf.sprintf "/stride=%d" s
+  in
   let gcd =
-    match shards with
-    | None ->
-      say
-        (Printf.sprintf "batch GCD over %d distinct moduli (%d domains)"
-           (Array.length corpus) (Parallel.Pool.size pool));
-      Stage.run_cached sctx "batchgcd" ~key:(lazy (corpus_key corpus ""))
-        ~save:save_gcd ~load:load_gcd
-        (fun () -> Flat (Inc.create ~pool corpus))
-    | Some shards ->
-      let stride = Sh.stride_for ~shards (Array.length corpus) in
-      say
-        (Printf.sprintf
-           "sharded batch GCD over %d distinct moduli (stride=%d, %d domains)"
-           (Array.length corpus) stride (Parallel.Pool.size pool));
-      Stage.run_cached sctx "batchgcd"
-        ~key:(lazy (corpus_key corpus (Printf.sprintf "/stride=%d" stride)))
-        ~save:save_gcd ~load:load_gcd
-        (fun () -> Sharded (Sh.create ~pool ~stride corpus))
+    Stage.run_cached sctx "batchgcd" ~key:(lazy (corpus_key corpus tag))
+      ~save:save_gcd ~load:load_gcd
+      (fun () -> gcd_create ~pool ?shards corpus)
   in
   say (Printf.sprintf "%d moduli factored" (List.length (gcd_findings gcd)));
   finish sctx ~pool ?only_passes world certs scan_ids monthly_ids
@@ -381,8 +396,8 @@ let run ?progress ?shards ?domains ?checkpoint_dir ?only_passes config =
   let world = Netsim.World.build ?progress config in
   of_world ?progress ?shards ?domains ?checkpoint_dir ?only_passes world
 
-let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
-  let sctx = Stage.ctx ?progress ?dir:checkpoint_dir () in
+let extend ?domains t new_scans =
+  let sctx = Stage.ctx () in
   (* Copies of the old tables (same ids), so the input pipeline value
      stays fully usable after this call. Only the new scans' records
      are interned, and only their month's picks can change. *)
@@ -406,27 +421,10 @@ let extend ?progress ?domains ?checkpoint_dir ?only_passes t new_scans =
           Array.append t.corpus fresh ))
   in
   let pool = Parallel.Pool.get ?domains () in
-  (match progress with
-  | Some f ->
-    f
-      (Printf.sprintf "delta batch GCD: %d new moduli against %d cached"
-         (Array.length fresh) (gcd_corpus_size t.gcd))
-  | None -> ());
   let gcd =
-    Stage.run_cached sctx "batchgcd"
-      ~key:
-        (lazy
-          (corpus_key corpus
-             (match t.gcd with
-             | Flat _ -> "/extend"
-             | Sharded sh -> Printf.sprintf "/extend/stride=%d" (Sh.stride sh))))
-      ~save:save_gcd ~load:load_gcd
-      (fun () ->
-        match t.gcd with
-        | Flat inc -> Flat (Inc.extend ~pool inc fresh)
-        | Sharded sh -> Sharded (Sh.extend ~pool sh fresh))
+    Stage.run sctx "batchgcd" (fun () -> gcd_extend ~pool t.gcd fresh)
   in
-  finish sctx ~pool ?only_passes ~parent:(t, new_ids) t.world certs scan_ids
+  finish sctx ~pool ~parent:(t, new_ids) t.world certs scan_ids
     monthly_ids t.protocol_snapshots https store corpus gcd
 
 (* ------------------------------------------------------------------ *)

@@ -35,10 +35,43 @@ type gcd_state =
           power-of-two id ranges, extended chunk by chunk at their
           boundaries *)
 (** The cached GCD artifact. {!extend} continues in whichever mode the
-    state is in; findings are exactly equal either way. *)
+    state is in; findings are exactly equal either way. The functions
+    below are the one place that chooses between the two, for the
+    pipeline and the CLI's [ingest]/[extend] alike. *)
+
+val gcd_create :
+  pool:Parallel.Pool.t -> ?shards:int -> Bignum.Nat.t array -> gcd_state
+(** One batch-GCD sweep over distinct moduli. Without [shards] the
+    forest is {!Batchgcd.Incremental.create}'s; with it, the forest is
+    cut at {!Batchgcd.Sharded.stride_for} [~shards] (a
+    {!Batchgcd.Sharded.create}). Findings are the same either way.
+    @raise Invalid_argument when [shards < 1]. *)
+
+val gcd_extend :
+  pool:Parallel.Pool.t -> gcd_state -> Bignum.Nat.t array -> gcd_state
+(** Fold moduli that are new to the corpus in, in the state's own
+    mode; findings equal a fresh sweep over the union. *)
+
+val gcd_findings : gcd_state -> Batchgcd.Batch_gcd.finding list
+(** In corpus-index order. *)
+
+val gcd_corpus : gcd_state -> Bignum.Nat.t array
+(** Every modulus swept so far, in index order (a fresh array). *)
 
 val gcd_corpus_size : gcd_state -> int
 val gcd_segment_count : gcd_state -> int
+
+val save_gcd : out_channel -> gcd_state -> unit
+(** The state as one stream: a kind tag, then the forest's own
+    checkpoint ({!Batchgcd.Incremental.save} or
+    {!Batchgcd.Sharded.save}). It is the body of the pipeline's
+    [batchgcd.ckpt] and the whole of the CLI's [gcd.ckpt]. *)
+
+val load_gcd : in_channel -> gcd_state
+(** Read {!save_gcd}'s stream. Call {!Corpus.Io.expect_end} after it
+    when the stream is the whole file.
+    @raise Corpus.Io.Corrupt on an unknown tag or a damaged forest.
+    @raise End_of_file on a truncated one. *)
 
 type view = {
   vendors : Analysis.Timeseries.table;
@@ -76,8 +109,7 @@ type t = {
           store-id order: [corpus.(id)] is the modulus with that id *)
   gcd : gcd_state;
       (** cached GCD state: segment forest + findings; feed to
-          {!extend} or serialize via {!Batchgcd.Incremental.save} /
-          {!Batchgcd.Sharded.save} *)
+          {!extend} or serialize via {!save_gcd} *)
   findings : Batchgcd.Batch_gcd.finding list;
   factored : Fingerprint.Factored.t list;
   unrecovered : Bignum.Nat.t list;
@@ -136,22 +168,21 @@ val of_scans :
 (** Same, from an explicit scan list (the snapshot-ingest entry point:
     pair with {!extend} to fold in later snapshots). *)
 
-val extend :
-  ?progress:(string -> unit) -> ?domains:int ->
-  ?checkpoint_dir:string -> ?only_passes:string list ->
-  t -> Netsim.Scanner.scan list -> t
+val extend : ?domains:int -> t -> Netsim.Scanner.scan list -> t
 (** [extend t new_scans] folds a fresh batch of scans into the
     pipeline: new distinct moduli are interned after the existing ids,
     the cached product-tree forest is extended with one delta tree
-    ({!Batchgcd.Incremental.extend} — no old tree is rebuilt; a
-    sharded state goes through {!Batchgcd.Sharded.extend}, one delta
-    tree per shard-boundary chunk). Findings that kept their divisor
+    ({!gcd_extend}: no old tree is rebuilt, and a sharded state takes
+    one delta tree per shard-boundary chunk). Nothing is read from or
+    written to a checkpoint; {!save_gcd} writes the result's forest
+    where a caller wants one. Findings that kept their divisor
     keep their factorization, and the delta attribution passes
     ([subject-rules], [bit-errors], [mitm-substitution]) resume from
     [t]'s pass results with the delta: the fresh moduli, certificates
     and scans, and the new or changed findings
     ({!Fingerprint.Pass.Delta.t}). The other passes rerun over the
-    combined corpus, as does any pass [t] holds no result for.
+    combined corpus, as does any pass [t] holds no result for (so a
+    [t] built with [only_passes] gains every builtin pass).
     Only the new scans' records are interned: the
     certificate and modulus ids of [t] stay the same, and only new
     certificates are fingerprinted. The monthly picks are updated,

@@ -4,8 +4,8 @@
     (scan → intern → batchgcd → fingerprint → index → attribution); this
     module times each stage, reports progress, and — for the one
     expensive stage, the batch GCD — serializes the stage artifact to a
-    checkpoint directory so a rerun (or {!Pipeline.extend}) can restore
-    instead of recompute.
+    checkpoint directory so a rerun can restore instead of
+    recompute.
 
     Checkpoints are content-addressed: each file starts with a caller
     supplied key (a digest of the stage's inputs); {!run_cached} only

@@ -325,7 +325,8 @@ let build ?(progress = fun _ -> ()) cfg =
      table is mutex-guarded, but populating it once here keeps the
      expensive pool generation off the workers entirely. *)
   ignore (Rsa.Ibm.primes ~bits:(cfg.modulus_bits / 2));
-  let devs = Parallel.Pool.map ?domains:cfg.domains
+  let devs =
+    Parallel.Pool.map ~pool:(Parallel.Pool.get ?domains:cfg.domains ())
       (materialize cfg ~ca ~ca_dn) protos
   in
   progress "indexing ground truth";

@@ -165,13 +165,10 @@ let seq_for lo hi f =
   done;
   match !failure with Some e -> raise (Worker_failure e) | None -> ()
 
-let resolve pool domains =
-  match pool with Some p -> p | None -> get ?domains ()
-
-let parallel_for ?pool ?domains ?chunk lo hi f =
+let parallel_for ?pool ?chunk lo hi f =
   if hi - lo <= 1 || Domain.DLS.get inside then seq_for lo hi f
   else begin
-    let t = resolve pool domains in
+    let t = match pool with Some p -> p | None -> get () in
     if t.size = 1 then seq_for lo hi f
     else begin
       let chunk =
@@ -203,15 +200,15 @@ let parallel_for ?pool ?domains ?chunk lo hi f =
     end
   end
 
-let map ?pool ?domains ?(chunk = 1) f jobs =
+let map ?pool ?(chunk = 1) f jobs =
   let n = Array.length jobs in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    parallel_for ?pool ?domains ~chunk 0 n (fun i ->
+    parallel_for ?pool ~chunk 0 n (fun i ->
         results.(i) <- Some (f jobs.(i)));
     Array.map (function Some r -> r | None -> assert false) results
   end
 
-let init ?pool ?domains ?chunk n f =
-  map ?pool ?domains ?chunk f (Array.init n Fun.id)
+let init ?pool ?chunk n f =
+  map ?pool ?chunk f (Array.init n Fun.id)

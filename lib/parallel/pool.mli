@@ -41,20 +41,20 @@ val size : t -> int
 (** Total parallelism including the calling domain; [size >= 1]. *)
 
 val parallel_for :
-  ?pool:t -> ?domains:int -> ?chunk:int -> int -> int -> (int -> unit) -> unit
+  ?pool:t -> ?chunk:int -> int -> int -> (int -> unit) -> unit
 (** [parallel_for lo hi f] runs [f i] for every [lo <= i < hi],
     distributing chunks of [chunk] consecutive indices (default:
-    [max 1 ((hi - lo) / (8 * size))]) over the pool. [f] must be safe
+    [max 1 ((hi - lo) / (8 * size))]) over [pool] (default: [get ()]). [f] must be safe
     to run concurrently and must not rely on execution order. Runs
     sequentially when the pool has size 1, when [hi - lo <= 1], or
     when called from inside another parallel region.
     @raise Worker_failure on the smallest failing index. *)
 
-val map : ?pool:t -> ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
+val map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map f jobs] applies [f] to every element, preserving order.
     Chunk size defaults to 1 (a plain work queue — right for few,
     heavy, unevenly-sized jobs). Same sequential fallbacks and failure
     semantics as {!parallel_for}. *)
 
-val init : ?pool:t -> ?domains:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
+val init : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [init n f] is a parallel [Array.init n f]. *)

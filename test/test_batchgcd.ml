@@ -244,19 +244,19 @@ let test_parallel_map_order () =
   let jobs = Array.init 100 (fun i -> i) in
   let expected = Array.map (fun i -> i * i) jobs in
   Alcotest.(check (array int)) "order preserved (parallel)" expected
-    (Pool.map ~domains:4 (fun i -> i * i) jobs);
+    (Pool.map ~pool:(Pool.get ~domains:4 ()) (fun i -> i * i) jobs);
   Alcotest.(check (array int)) "order preserved (domains=1)" expected
-    (Pool.map ~domains:1 (fun i -> i * i) jobs);
+    (Pool.map ~pool:(Pool.get ~domains:1 ()) (fun i -> i * i) jobs);
   Alcotest.(check (array int)) "init matches" expected
-    (Pool.init ~domains:4 100 (fun i -> i * i));
+    (Pool.init ~pool:(Pool.get ~domains:4 ()) 100 (fun i -> i * i));
   Alcotest.(check (array int)) "empty input" [||]
-    (Pool.map ~domains:4 (fun i -> i * i) [||])
+    (Pool.map ~pool:(Pool.get ~domains:4 ()) (fun i -> i * i) [||])
 
 let test_parallel_for_chunked () =
   List.iter
     (fun (domains, chunk) ->
       let hits = Array.make 200 0 in
-      Pool.parallel_for ~domains ?chunk 0 200 (fun i ->
+      Pool.parallel_for ~pool:(Pool.get ~domains ()) ?chunk 0 200 (fun i ->
           hits.(i) <- hits.(i) + 1);
       Alcotest.(check bool)
         (Printf.sprintf "every index exactly once (domains=%d)" domains)
@@ -274,7 +274,7 @@ let test_parallel_map_exception () =
         true
         (try
            ignore
-             (Pool.map ~domains
+             (Pool.map ~pool:(Pool.get ~domains ())
                 (fun i ->
                   (* lint: allow failwith-outside-exn — the worker must raise *)
                   if i = 3 || i = 7 then failwith (Printf.sprintf "boom-%d" i)
@@ -301,21 +301,21 @@ let test_parallel_batch_match_sequential () =
   List.iter
     (fun seed ->
       let moduli, _ = corpus ~seed ~n_clean:8 ~n_shared:4 () in
-      let seq = BG.factor_batch ~domains:1 moduli in
+      let seq = BG.factor_batch ~pool:(Pool.get ~domains:1 ()) moduli in
       Alcotest.(check bool)
         (Printf.sprintf "factor_batch domains=1 vs 4 (seed %d)" seed)
         true
-        (BG.findings_equal seq (BG.factor_batch ~domains:4 moduli));
+        (BG.findings_equal seq (BG.factor_batch ~pool:(Pool.get ~domains:4 ()) moduli));
       Alcotest.(check bool)
         (Printf.sprintf "factor_subsets domains=1 vs 4 (seed %d)" seed)
         true
         (BG.findings_equal
-           (BG.factor_subsets ~domains:1 ~k:4 moduli)
-           (BG.factor_subsets ~domains:4 ~k:4 moduli));
+           (BG.factor_subsets ~pool:(Pool.get ~domains:1 ()) ~k:4 moduli)
+           (BG.factor_subsets ~pool:(Pool.get ~domains:4 ()) ~k:4 moduli));
       Alcotest.(check bool)
         (Printf.sprintf "parallel subsets vs sequential batch (seed %d)" seed)
         true
-        (BG.findings_equal seq (BG.factor_subsets ~domains:4 ~k:3 moduli)))
+        (BG.findings_equal seq (BG.factor_subsets ~pool:(Pool.get ~domains:4 ()) ~k:3 moduli)))
     [ 11; 23; 37 ]
 
 (* ---------------- Incremental batch GCD ---------------- *)

@@ -18,4 +18,5 @@ let () =
       ("golden", Test_golden.tests);
       ("export", Test_export.tests);
       ("lint", Test_lint.tests);
+      ("cli", Test_cli.tests);
     ]
