@@ -13,8 +13,9 @@
      world   - build the simulated internet and print summary stats
 
    Input errors (a malformed moduli line, a missing or damaged
-   checkpoint, --shards below 1, a key size keygen cannot make) print
-   one line on stderr and exit with code 2. *)
+   checkpoint, --shards below 1, a key size keygen cannot make, a
+   table or figure number out of range) print one line on stderr and
+   exit with code 2. *)
 
 module N = Bignum.Nat
 module Pipeline = Weakkeys.Pipeline
@@ -130,19 +131,14 @@ let table_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table 1-5.")
   in
   let run n seed scale quiet =
-    if n = 2 then print_string (Weakkeys.Report.table2 ())
-    else begin
-      let p = run_pipeline seed scale quiet in
-      let f =
-        match n with
-        | 1 -> Weakkeys.Report.table1
-        | 3 -> Weakkeys.Report.table3
-        | 4 -> Weakkeys.Report.table4
-        | 5 -> Weakkeys.Report.table5
-        | _ -> fun _ -> "no such table (1-5)\n"
-      in
-      print_string (f p)
-    end
+    let of_world f = print_string (f (run_pipeline seed scale quiet)) in
+    match n with
+    | 1 -> of_world Weakkeys.Report.table1
+    | 2 -> print_string (Weakkeys.Report.table2 ())
+    | 3 -> of_world Weakkeys.Report.table3
+    | 4 -> of_world Weakkeys.Report.table4
+    | 5 -> of_world Weakkeys.Report.table5
+    | _ -> fail "no such table %d (1-5)" n
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Print one of the paper's tables.")
@@ -154,7 +150,6 @@ let figure_cmd =
       required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure 1-10.")
   in
   let run n seed scale quiet =
-    let p = run_pipeline seed scale quiet in
     let f =
       match n with
       | 1 -> Weakkeys.Report.figure1
@@ -167,9 +162,9 @@ let figure_cmd =
       | 8 -> Weakkeys.Report.figure8
       | 9 -> Weakkeys.Report.figure9
       | 10 -> Weakkeys.Report.figure10
-      | _ -> fun _ -> "no such figure (1-10)\n"
+      | _ -> fail "no such figure %d (1-10)" n
     in
-    print_string (f p)
+    print_string (f (run_pipeline seed scale quiet))
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Print one of the paper's figures.")

@@ -347,13 +347,16 @@ let toom3_assemble ~lr ~k z0 c1 c2 c3 zinf =
 
 (* Two-prime CRT NTT over native ints (DESIGN.md § Bignum kernels for
    the full rationale). The operands are re-split from 31-bit limbs
-   into 15-bit pieces, convolved modulo two NTT-friendly primes just
-   under 2^31, and the true coefficients recovered by CRT: with pieces
-   below 2^15 and at most 2^26 of them, every coefficient is below
-   2^56 < p1*p2 ~ 2^61.7, and every intermediate product (piece*piece,
-   twiddle*value, p1*CRT-lift) stays under 2^62, inside the native
+   into 16-bit pieces, convolved modulo two NTT-friendly primes just
+   under 2^31, and the true coefficients recovered by CRT. A transform
+   has at most 2^26 points and holds pa + pb - 1 of them, so
+   min(pa, pb) <= 2^25 and every coefficient is at most
+   min(pa, pb) * (2^16 - 1)^2 < 2^57 < p1*p2 ~ 2^61.7. Every
+   intermediate (a residue times a twiddle or its Shoup companion, the
+   pointwise product of two residues, p1 times the CRT lift, a
+   coefficient plus its carry) stays under 2^62, inside the native
    63-bit int — the same headroom argument the limb base rests on. *)
-let ntt_piece_bits = 15
+let ntt_piece_bits = 16
 let ntt_piece_mask = (1 lsl ntt_piece_bits) - 1
 
 (* p1 = 27*2^26 + 1 < p2 = 15*2^27 + 1, both with 2-adicity >= 26, so
@@ -381,24 +384,57 @@ let pow_mod_int b e p =
    the canonical root of order 2^(s+1), w = g^((p-1)/2^(s+1)), with a
    Shoup companion floor(w * 2^31 / p) per entry so the butterfly
    multiply needs no division: q = (v*w') >> 31, r = v*w - q*p is in
-   [0, 2p). Tables are rebuilt per multiplication — the build is O(n)
-   against the transform's O(n log n), and owning the arrays locally
-   keeps the kernel free of shared mutable state, so concurrent
-   multiplies from pool workers need no locking and stay visible to
-   the pool-capture race lint as pure. *)
-let ntt_stage_tables p g ~inverse lg =
-  Array.init lg (fun s ->
-      let h = 1 lsl s in
-      let w0 = pow_mod_int g ((p - 1) / (2 * h)) p in
-      let w0 = if inverse then pow_mod_int w0 (p - 2) p else w0 in
-      let tw = Array.make h 1 and ts = Array.make h 0 in
-      let w = ref 1 in
-      for k = 0 to h - 1 do
-        tw.(k) <- !w;
-        ts.(k) <- (!w lsl limb_bits) / p;
-        w := !w * w0 mod p
-      done;
-      (tw, ts))
+   [0, 2p). A stage depends only on its prime and on s, never on the
+   transform length, and the inverse transform reuses the forward
+   stages (see [ntt_convolve]), so one growing table per prime serves
+   every size. It is an array of stages behind an [Atomic], read
+   without locking and extended only under the prime's mutex (the
+   [Ibm.primes_memo] idiom). A published stage is never written
+   again, so multiplies running in pool workers share it safely. Both
+   primes' tables for 2^15 points, the sweep's largest transform,
+   take 1 MB. *)
+type ntt_prime = {
+  prime : int;
+  gen : int;
+  lock : Mutex.t;
+  stages : (int array * int array) array Atomic.t;
+}
+
+let ntt_prime prime gen =
+  { prime; gen; lock = Mutex.create (); stages = Atomic.make [||] }
+
+let ntt_q1 = ntt_prime ntt_p1 ntt_g1
+let ntt_q2 = ntt_prime ntt_p2 ntt_g2
+
+let ntt_stage p g s =
+  let h = 1 lsl s in
+  let w0 = pow_mod_int g ((p - 1) / (2 * h)) p in
+  let tw = Array.make h 1 and ts = Array.make h 0 in
+  let w = ref 1 in
+  for k = 0 to h - 1 do
+    tw.(k) <- !w;
+    ts.(k) <- (!w lsl limb_bits) / p;
+    w := !w * w0 mod p
+  done;
+  (tw, ts)
+
+(* The first [lg] (or more) stages of [q]'s table. *)
+let ntt_stage_tables q lg =
+  let have = Atomic.get q.stages in
+  if Array.length have >= lg then have
+  else
+    Mutex.protect q.lock (fun () ->
+        let have = Atomic.get q.stages in
+        if Array.length have >= lg then have
+        else begin
+          let grown =
+            Array.init lg (fun s ->
+                if s < Array.length have then have.(s)
+                else ntt_stage q.prime q.gen s)
+          in
+          Atomic.set q.stages grown;
+          grown
+        end)
 
 let ntt_bitrev (a : int array) =
   let n = Array.length a in
@@ -461,7 +497,7 @@ let ntt_pass p (stages : (int array * int array) array) (a : int array) =
     h := step
   done
 
-(* Re-split the limb array into 15-bit pieces, zero-padded to the
+(* Re-split the limb array into 16-bit pieces, zero-padded to the
    transform length. *)
 let ntt_pieces (a : t) n =
   let la = Array.length a in
@@ -481,34 +517,40 @@ let ntt_pieces (a : t) n =
   r
 
 (* One prime's cyclic convolution of the piece vectors: forward
-   transforms, pointwise product (or square), inverse transform,
-   n^-1 scaling. Self-contained per prime, so the two primes run as
-   independent pool jobs on wide operands. *)
-let ntt_convolve p g n lg (a : t) (b : t option) : int array =
-  let fwd = ntt_stage_tables p g ~inverse:false lg in
+   transforms, pointwise product (or square) scaled by n^-1, inverse
+   transform. The inverse runs the forward stages too: a forward
+   transform read at index (n - i) mod n sums X_k w^(-ik), so
+   reversing entries 1..n-1 afterwards makes it the inverse, and no
+   inverse-root table is kept. Self-contained per prime, so the two
+   primes run as independent pool jobs on wide operands. *)
+let ntt_convolve q n lg (a : t) (b : t option) : int array =
+  let p = q.prime in
+  let stages = ntt_stage_tables q lg in
+  let ninv = pow_mod_int n (p - 2) p in
   let xa = ntt_pieces a n in
-  ntt_pass p fwd xa;
+  ntt_pass p stages xa;
   (match b with
   | Some b ->
     let xb = ntt_pieces b n in
-    ntt_pass p fwd xb;
+    ntt_pass p stages xb;
     for i = 0 to n - 1 do
-      xa.(i) <- xa.(i) * xb.(i) mod p
+      xa.(i) <- xa.(i) * xb.(i) mod p * ninv mod p
     done
   | None ->
     for i = 0 to n - 1 do
-      xa.(i) <- xa.(i) * xa.(i) mod p
+      xa.(i) <- xa.(i) * xa.(i) mod p * ninv mod p
     done);
-  ntt_pass p (ntt_stage_tables p g ~inverse:true lg) xa;
-  let ninv = pow_mod_int n (p - 2) p in
-  for i = 0 to n - 1 do
-    xa.(i) <- xa.(i) * ninv mod p
+  ntt_pass p stages xa;
+  for i = 1 to (n - 1) / 2 do
+    let t = xa.(i) in
+    xa.(i) <- xa.(n - i);
+    xa.(n - i) <- t
   done;
   xa
 
 (* Whether a product of [l] total limbs fits the supported transform
-   sizes: ceil(31*l / 15) + 2 pieces, capped at 2^26 by the primes'
-   2-adicity. Beyond it the dispatcher stays on Toom-3. *)
+   sizes: at most ceil(31*l / 16) + 1 pieces, capped at 2^26 by the
+   primes' 2-adicity. Beyond it the dispatcher stays on Toom-3. *)
 let ntt_fits l = (l * limb_bits / ntt_piece_bits) + 2 <= 1 lsl ntt_max_log
 
 let mul_ntt_gen (a : t) (b : t option) : t =
@@ -520,55 +562,60 @@ let mul_ntt_gen (a : t) (b : t option) : t =
     | Some b -> (num_bits b + ntt_piece_bits - 1) / ntt_piece_bits
     | None -> pa
   in
-  let need = pa + pb in
-  let lg = ref 0 in
-  while 1 lsl !lg < need do
-    incr lg
-  done;
-  let lg = !lg in
-  assert (lg <= ntt_max_log);
-  let n = 1 lsl lg in
-  let jobs =
-    [| (fun () -> ntt_convolve ntt_p1 ntt_g1 n lg a b);
-       (fun () -> ntt_convolve ntt_p2 ntt_g2 n lg a b) |]
-  in
-  let cs =
-    if Stdlib.min la lb >= parallel_mul_cutoff then
-      Parallel.Pool.map ~chunk:1 (fun f -> f ()) jobs
-    else Array.map (fun f -> f ()) jobs
-  in
-  let c1 = cs.(0) and c2 = cs.(1) in
-  (* CRT lift per coefficient, then carry-propagate the base-2^15
-     digit stream and re-pack it into 31-bit limbs. c < p1*p2 ~ 2^61.7
-     and carry <= c >> 15, so the running sum stays under 2^62. *)
-  let lr = la + lb in
-  let out = Array.make lr 0 in
-  let carry = ref 0 in
-  let acc = ref 0 and accbits = ref 0 and oi = ref 0 in
-  let push_digit d =
-    acc := !acc lor (d lsl !accbits);
-    accbits := !accbits + ntt_piece_bits;
-    if !accbits >= limb_bits then begin
-      if !oi < lr then out.(!oi) <- !acc land mask;
-      incr oi;
-      acc := !acc lsr limb_bits;
-      accbits := !accbits - limb_bits
-    end
-  in
-  for j = 0 to n - 1 do
-    let d = c2.(j) - c1.(j) in
-    let d = if d < 0 then d + ntt_p2 else d in
-    let c = c1.(j) + (ntt_p1 * (d * ntt_p1_inv_p2 mod ntt_p2)) in
-    let s = c + !carry in
-    push_digit (s land ntt_piece_mask);
-    carry := s asr ntt_piece_bits
-  done;
-  while !carry <> 0 do
-    push_digit (!carry land ntt_piece_mask);
-    carry := !carry asr ntt_piece_bits
-  done;
-  if !accbits > 0 && !oi < lr then out.(!oi) <- !acc land mask;
-  norm out
+  if pa = 0 || pb = 0 then zero
+  else begin
+    (* A linear convolution of pa and pb pieces has pa + pb - 1
+       coefficients, so a cyclic length of at least that wraps none of
+       them. The zero guard above keeps every piece vector within it. *)
+    let lg = ref 0 in
+    while 1 lsl !lg < pa + pb - 1 do
+      incr lg
+    done;
+    let lg = !lg in
+    assert (lg <= ntt_max_log);
+    let n = 1 lsl lg in
+    let jobs =
+      [| (fun () -> ntt_convolve ntt_q1 n lg a b);
+         (fun () -> ntt_convolve ntt_q2 n lg a b) |]
+    in
+    let cs =
+      if Stdlib.min la lb >= parallel_mul_cutoff then
+        Parallel.Pool.map ~chunk:1 (fun f -> f ()) jobs
+      else Array.map (fun f -> f ()) jobs
+    in
+    let c1 = cs.(0) and c2 = cs.(1) in
+    (* CRT lift per coefficient, then carry-propagate the base-2^16
+       digit stream and re-pack it into 31-bit limbs. c < 2^57 and
+       carry < 2^42, so the running sum stays under 2^62. *)
+    let lr = la + lb in
+    let out = Array.make lr 0 in
+    let carry = ref 0 in
+    let acc = ref 0 and accbits = ref 0 and oi = ref 0 in
+    let push_digit d =
+      acc := !acc lor (d lsl !accbits);
+      accbits := !accbits + ntt_piece_bits;
+      if !accbits >= limb_bits then begin
+        if !oi < lr then out.(!oi) <- !acc land mask;
+        incr oi;
+        acc := !acc lsr limb_bits;
+        accbits := !accbits - limb_bits
+      end
+    in
+    for j = 0 to n - 1 do
+      let d = c2.(j) - c1.(j) in
+      let d = if d < 0 then d + ntt_p2 else d in
+      let c = c1.(j) + (ntt_p1 * (d * ntt_p1_inv_p2 mod ntt_p2)) in
+      let s = c + !carry in
+      push_digit (s land ntt_piece_mask);
+      carry := s asr ntt_piece_bits
+    done;
+    while !carry <> 0 do
+      push_digit (!carry land ntt_piece_mask);
+      carry := !carry asr ntt_piece_bits
+    done;
+    if !accbits > 0 && !oi < lr then out.(!oi) <- !acc land mask;
+    norm out
+  end
 
 let mul_ntt (a : t) (b : t) : t = mul_ntt_gen a (Some b)
 let sqr_ntt (a : t) : t = mul_ntt_gen a None

@@ -219,6 +219,14 @@ let failwith_outside_exn ctx =
 (* Rule 7: no top-level mutable state in libraries                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A top-level ref, or a top-level mutable container: a table, array,
+   byte string or buffer made once at module load is the same shared
+   state as a ref. *)
+let toplevel_mutable_maker = function
+  | "ref" | "Hashtbl.create" | "Array.make" | "Bytes.create" | "Buffer.create" ->
+    true
+  | _ -> false
+
 let toplevel_ref ctx =
   if not (in_dir "lib" ctx.path) then []
   else
@@ -227,11 +235,13 @@ let toplevel_ref ctx =
       | ({ Lexer.kind = Lexer.Ident "let"; col = 0; _ } : Lexer.token)
         :: { Lexer.kind = Lexer.Ident name; _ }
         :: { Lexer.kind = Lexer.Sym "="; line; _ }
-        :: { Lexer.kind = Lexer.Ident "ref"; _ } :: rest ->
+        :: { Lexer.kind = Lexer.Ident maker; _ } :: rest
+        when toplevel_mutable_maker (strip_stdlib maker) ->
         findings :=
           { line;
             message =
-              Printf.sprintf "top-level mutable state `let %s = ref ...`" name }
+              Printf.sprintf "top-level mutable state `let %s = %s ...`" name
+                (strip_stdlib maker) }
           :: !findings;
         run rest
       | _ :: rest -> run rest
@@ -630,10 +640,12 @@ let all =
     { id = "toplevel-ref";
       severity = Warning;
       doc =
-        "top-level refs are cross-run, cross-domain shared state; they \
+        "top-level refs and mutable containers (Hashtbl, Array.make, \
+         Bytes, Buffer) are cross-run, cross-domain shared state; they \
          break replay determinism and the parallel batch-GCD pool";
-      hint = "thread the state through a record, or suppress for a \
-              deliberate tuning knob";
+      hint = "thread the state through a record, publish immutable \
+              values through an Atomic, or suppress for a deliberate \
+              tuning knob";
       check = toplevel_ref };
     { id = "missing-mli";
       severity = Error;

@@ -186,6 +186,15 @@ let bad_input () =
       check_one_line_error "keygen --bits 24"
         (run_in dir (cli [ "keygen"; "--bits"; "24" ])))
 
+(* An out-of-range number is refused before any world is built. *)
+let bad_table_figure () =
+  with_tmpdir (fun dir ->
+      let code, out, err = run_in dir (cli [ "table"; "9" ]) in
+      check_one_line_error "table 9" (code, out, err);
+      Alcotest.(check string) "table 9 message"
+        "weakkeys: no such table 9 (1-5)\n" err;
+      check_one_line_error "figure 0" (run_in dir (cli [ "figure"; "0" ])))
+
 let tests =
   [
     Alcotest.test_case "ingest + extend = naive over union" `Quick
@@ -196,4 +205,6 @@ let tests =
       bad_checkpoints;
     Alcotest.test_case "keygen | ingest - round trip" `Quick keygen_round_trip;
     Alcotest.test_case "malformed input is a one-line error" `Quick bad_input;
+    Alcotest.test_case "table 9 / figure 0 are one-line errors" `Quick
+      bad_table_figure;
   ]

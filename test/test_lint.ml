@@ -122,7 +122,19 @@ let test_toplevel_ref () =
   check_flagged "top-level ref" "toplevel-ref" "let counter = ref 0";
   check_clean "local ref" "toplevel-ref" "let f () =\n  let c = ref 0 in\n  !c";
   check_clean "tests may use refs" "toplevel-ref" ~path:"test/test_x.ml"
-    "let counter = ref 0"
+    "let counter = ref 0";
+  List.iter
+    (fun maker ->
+      check_flagged ("top-level " ^ maker) "toplevel-ref"
+        ("let cache = " ^ maker ^ " 16");
+      check_clean ("local " ^ maker) "toplevel-ref"
+        ("let f () =\n  let c = " ^ maker ^ " 16 in\n  c"))
+    [ "Hashtbl.create"; "Stdlib.Hashtbl.create"; "Array.make";
+      "Bytes.create"; "Buffer.create" ];
+  check_clean "containers in tests" "toplevel-ref" ~path:"test/test_x.ml"
+    "let seen = Hashtbl.create 16";
+  check_clean "immutable table behind an Atomic" "toplevel-ref"
+    "let tables = Atomic.make [||]"
 
 let test_missing_mli () =
   check_flagged "no interface" "missing-mli" ~path:"lib/rsa/keypair.ml"

@@ -426,7 +426,8 @@ let test_ntt_vs_toom3 () =
       (4000, 3500); (6000, 1000); (5000, 5000); (5000, 0); (5000, 2600);
       (14, 14); (15, 15); (16, 16); (960, 960); (961, 961);
     ];
-  (* all-ones operands: every 15-bit piece is 2^15 - 1 *)
+  (* all-ones operands: every 16-bit piece below the top one is
+     2^16 - 1 *)
   List.iter
     (fun bits ->
       let a = N.sub (N.shift_left N.one bits) N.one in
@@ -447,6 +448,70 @@ let test_ntt_default_boundary () =
       Alcotest.check nat "default ladder = toom3" (K.mul_toom3 a b) (N.mul a b);
       Alcotest.check nat "sqr default ladder = toom3" (K.sqr_toom3 a) (N.sqr a))
     [ 63300; 63488; 63700; 127000 ]
+
+(* Ones in every bit: each 16-bit piece is 2^16 - 1 when [bits] is a
+   multiple of 16, the largest convolution coefficients there are. *)
+let all_ones bits = N.sub (N.shift_left N.one bits) N.one
+
+(* Zero and one-piece operands: the transform length pa + pb - 1 is 0
+   or 1 point, and a zero operand has no pieces at all. *)
+let test_ntt_zero_one_piece () =
+  let gen = mk_gen 59 in
+  let big = N.random_bits gen 5000 in
+  let values =
+    [ N.zero; N.one; N.of_int 2; N.of_int 0xffff; N.of_int 0x10000; big ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.check nat "ntt = schoolbook" (K.mul_school a b)
+            (K.mul_ntt a b))
+        values;
+      Alcotest.check nat "sqr ntt = schoolbook" (K.mul_school a a)
+        (K.sqr_ntt a))
+    values
+
+(* Every piece 2^16 - 1, and products whose pa + pb - 1 is one below,
+   exactly at and one past a power of two: 1024 * 2^k bits is 64 * 2^k
+   pieces, so two such values need 2^(7+k) - 1 points, a partner 16
+   bits longer exactly 2^(7+k), and one 32 bits longer one point past
+   it, which doubles the transform. *)
+let test_ntt_all_ones_power_of_two () =
+  List.iter
+    (fun bits ->
+      let a = all_ones bits in
+      Alcotest.check nat "all-ones sqr" (K.sqr_toom3 a) (K.sqr_ntt a);
+      List.iter
+        (fun extra ->
+          let b = all_ones (bits + extra) in
+          Alcotest.check nat "all-ones ntt = toom3" (K.mul_toom3 a b)
+            (K.mul_ntt a b);
+          Alcotest.check nat "all-ones sqr one piece past" (K.sqr_toom3 b)
+            (K.sqr_ntt b))
+        [ 0; 16; 32 ])
+    [ 16; 1024; 8192; 65536 ]
+
+(* A cold twiddle cache under a race: both domains of a 2-domain pool
+   multiply at transform sizes of 2^15 to 2^17 points, which no earlier
+   test builds, so they extend the shared tables concurrently. Each
+   product is checked against Toom-3. *)
+let test_ntt_cold_cache_race () =
+  let pool = Parallel.Pool.get ~domains:2 () in
+  let lgs = [| 17; 16; 15; 17; 16; 15 |] in
+  let ok =
+    Parallel.Pool.init ~pool ~chunk:1 (Array.length lgs) (fun i ->
+        (* pa = pb = 2^(lg-2) + 1 pieces: pa + pb - 1 = 2^(lg-1) + 1 *)
+        let bits = 16 * ((1 lsl (lgs.(i) - 2)) + 1) in
+        let gen = mk_gen (61 + i) in
+        let a = N.random_bits gen bits and b = N.random_bits gen bits in
+        N.equal (K.mul_toom3 a b) (K.mul_ntt a b)
+        && N.equal (K.sqr_toom3 a) (K.sqr_ntt a))
+  in
+  Array.iteri
+    (fun i ok ->
+      Alcotest.(check bool) (Printf.sprintf "job %d at 2^%d points" i lgs.(i)) true ok)
+    ok
 
 let test_infix () =
   let open N.Infix in
@@ -489,5 +554,11 @@ let tests =
     Alcotest.test_case "short quotient vs knuth" `Quick
       test_short_quotient_vs_knuth;
     Alcotest.test_case "infix operators" `Quick test_infix;
+    Alcotest.test_case "ntt zero and one-piece operands" `Quick
+      test_ntt_zero_one_piece;
+    Alcotest.test_case "ntt all-ones at power-of-two lengths" `Slow
+      test_ntt_all_ones_power_of_two;
+    Alcotest.test_case "ntt cold twiddle cache race" `Slow
+      test_ntt_cold_cache_race;
   ]
   @ props @ kernel_props
